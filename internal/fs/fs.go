@@ -7,6 +7,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -39,13 +40,20 @@ func (fs *FileSystem) Create(path string, data []byte, mode uint32) {
 }
 
 // CreateSized writes a file of the given size filled with a repeating
-// pattern (workload fixtures: web pages, copy sources).
+// pattern (workload fixtures: web pages, copy sources). Byte i is
+// 'a'+i%26.
 func (fs *FileSystem) CreateSized(path string, size int, mode uint32) {
 	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte('a' + i%26)
+	// Seed one period, then double the filled prefix: every prefix
+	// length stays a multiple of the period, so each copy continues the
+	// pattern in phase.
+	n := copy(data, "abcdefghijklmnopqrstuvwxyz")
+	for n < size {
+		n += copy(data[n:], data[:n])
 	}
-	fs.Create(path, data, mode)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.files[path] = &file{data: data, mode: mode}
 }
 
 // Exists reports whether path is present.
@@ -109,9 +117,15 @@ func (fs *FileSystem) writeAt(path string, off int, p []byte) (int, error) {
 		return 0, fmt.Errorf("fs: %s: no such file", path)
 	}
 	if need := off + len(p); need > len(f.data) {
-		// Grow via append to get amortized doubling; sequential
-		// appenders (the File Copy benchmark) stay linear.
-		f.data = append(f.data, make([]byte, need-len(f.data))...)
+		// Grow capacity at least geometrically so sequential appenders
+		// (the File Copy benchmark) stay linear; any gap between the old
+		// end and off reads back as zeros.
+		old := len(f.data)
+		if need > cap(f.data) {
+			f.data = slices.Grow(f.data, max(need, 2*cap(f.data))-old)
+		}
+		f.data = f.data[:need]
+		clear(f.data[old:max(off, old)])
 	}
 	return copy(f.data[off:], p), nil
 }

@@ -1,6 +1,8 @@
 package fs
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -24,10 +26,49 @@ func TestFileCreateReadWrite(t *testing.T) {
 }
 
 func TestCreateSizedPattern(t *testing.T) {
+	check := func(f *FileSystem, size int, offs ...int) {
+		t.Helper()
+		path := fmt.Sprintf("/f%d", size)
+		f.CreateSized(path, size, 0644)
+		if n, _ := f.Size(path); n != size {
+			t.Fatalf("size %d: Size = %d", size, n)
+		}
+		for _, off := range offs {
+			var b [1]byte
+			if n, _ := f.readAt(path, off, b[:]); n != 1 || b[0] != byte('a'+off%26) {
+				t.Fatalf("size %d: byte %d = %q (n=%d), want %q", size, off, b[0], n, byte('a'+off%26))
+			}
+		}
+	}
 	f := New()
-	f.CreateSized("/big", 100, 0644)
-	if n, _ := f.Size("/big"); n != 100 {
-		t.Fatalf("size = %d", n)
+	for _, size := range []int{0, 1, 25, 26, 27, 100} {
+		offs := make([]int, size)
+		for i := range offs {
+			offs[i] = i
+		}
+		check(f, size, offs...)
+	}
+	const big = 4 << 20
+	check(f, big, 0, big/2+13, big-1)
+}
+
+func TestWriteAtGapReadsZero(t *testing.T) {
+	f := New()
+	f.Create("/g", []byte("ab"), 0644)
+	// Extend past the capacity, within the spare capacity that growth
+	// left, and past it again: every gap must read as zeros.
+	for _, w := range []struct{ off, n int }{{4, 1}, {6, 1}, {64, 2}, {10, 1}} {
+		if _, err := f.writeAt("/g", w.off, bytes.Repeat([]byte{'x'}, w.n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]byte, 66)
+	copy(want, "ab\x00\x00x\x00x")
+	want[10], want[64], want[65] = 'x', 'x', 'x'
+	got := make([]byte, 80)
+	n, _ := f.readAt("/g", 0, got)
+	if !bytes.Equal(got[:n], want) {
+		t.Fatalf("contents = %q, want %q", got[:n], want)
 	}
 }
 
@@ -81,13 +122,14 @@ func TestFDTableWriteGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := tbl.Write(fd, make([]byte, 1024)); err != nil {
-			t.Fatal(err)
+	chunk := make([]byte, 1024)
+	for i := 0; i < 2000; i++ {
+		if n, err := tbl.Write(fd, chunk); n != 1024 || err != nil {
+			t.Fatalf("write %d = %d, %v", i, n, err)
 		}
 	}
-	if n, _ := f.Size("/out"); n != 10240 {
-		t.Fatalf("size = %d, want 10240", n)
+	if n, _ := f.Size("/out"); n != 2048000 {
+		t.Fatalf("size = %d, want 2048000", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package linuxsim
 
 import (
+	"bytes"
 	"testing"
 
 	"xcontainers/internal/cycles"
@@ -73,6 +74,46 @@ func TestServicesSyscallSemantics(t *testing.T) {
 	}
 	if n, _ := s.Do(p, syscalls.Read, r, 0, 64); n != 64 {
 		t.Errorf("pipe read = %d", n)
+	}
+}
+
+func TestReadWriteHugeCountIsError(t *testing.T) {
+	s := NewServices()
+	p := s.NewProcess(10)
+	r, _ := s.Do(p, syscalls.Pipe, 0, 0, 0)
+	id := s.RegisterPath("/f")
+	fd, _ := s.Do(p, syscalls.Open, id, 0, 0)
+	for _, c := range []struct {
+		n  syscalls.No
+		fd uint64
+	}{{syscalls.Read, r}, {syscalls.Write, r + 1}, {syscalls.Read, fd}, {syscalls.Write, fd}} {
+		if ret, err := s.Do(p, c.n, c.fd, 0, ^uint64(0)); ret != ^uint64(0) || err != nil {
+			t.Errorf("%v(fd %d, count 2^64-1) = %d, %v; want -1", c.n, c.fd, ret, err)
+		}
+	}
+	if n, _ := s.FS.Size("/f"); n != 0 {
+		t.Errorf("rejected write grew the file to %d bytes", n)
+	}
+}
+
+func TestWriteTransfersZeros(t *testing.T) {
+	s := NewServices()
+	p := s.NewProcess(10)
+	// Fill the process's read buffer with non-zero bytes first.
+	s.FS.Create("/src", []byte("nonzero payload"), 0644)
+	src, _ := s.Do(p, syscalls.Open, s.RegisterPath("/src"), 0, 0)
+	s.Do(p, syscalls.Read, src, 0, 15)
+	fd, _ := s.Do(p, syscalls.Open, s.RegisterPath("/out"), 0, 0)
+	for _, size := range []uint64{64, 100 << 10} { // from the shared source, and past it
+		if n, _ := s.Do(p, syscalls.Write, fd, 0, size); n != size {
+			t.Fatalf("write(%d) = %d", size, n)
+		}
+	}
+	tbl := s.NewProcess(1).FDs
+	rd, _ := tbl.Open("/out")
+	buf := make([]byte, 200<<10)
+	if n, _ := tbl.Read(rd, buf); n != 64+100<<10 || !bytes.Equal(buf[:n], make([]byte, n)) {
+		t.Fatalf("read back %d bytes, want %d zeros", n, 64+100<<10)
 	}
 }
 

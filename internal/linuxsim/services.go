@@ -27,6 +27,30 @@ type Process struct {
 	Pages  int
 	Exited bool
 	Status int
+
+	rbuf []byte // read(2) destination, reused across calls
+}
+
+// readBuf returns an n-byte destination for read(2). Register-only
+// binaries have no user memory, so the bytes read are discarded and one
+// buffer per process serves every call.
+func (p *Process) readBuf(n int) []byte {
+	if cap(p.rbuf) < n {
+		p.rbuf = make([]byte, n)
+	}
+	return p.rbuf[:n]
+}
+
+// zeroSrc is the shared, never-written payload of write(2): register-only
+// binaries have no user memory, so every write transfers zeros.
+var zeroSrc [fs.DefaultPipeCapacity]byte
+
+// zeros returns n zero bytes, from zeroSrc when it is large enough.
+func zeros(n int) []byte {
+	if n <= len(zeroSrc) {
+		return zeroSrc[:n]
+	}
+	return make([]byte, n)
 }
 
 // Services implements system-call semantics over the fs substrate. One
@@ -160,15 +184,19 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		}
 		return uint64(fd), nil
 	case syscalls.Read:
-		buf := make([]byte, int(a3))
-		nr, err := p.FDs.Read(int(a1), buf)
+		if int(a3) < 0 {
+			return errno(fmt.Errorf("read: count %#x out of range", a3)), nil
+		}
+		nr, err := p.FDs.Read(int(a1), p.readBuf(int(a3)))
 		if err != nil {
 			return errno(err), nil
 		}
 		return uint64(nr), nil
 	case syscalls.Write:
-		buf := make([]byte, int(a3))
-		nw, err := p.FDs.Write(int(a1), buf)
+		if int(a3) < 0 {
+			return errno(fmt.Errorf("write: count %#x out of range", a3)), nil
+		}
+		nw, err := p.FDs.Write(int(a1), zeros(int(a3)))
 		if err != nil {
 			return errno(err), nil
 		}

@@ -16,6 +16,8 @@ package mem
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 )
 
@@ -31,17 +33,30 @@ type OwnerID uint32
 
 // FrameAllocator hands out machine frames tagged with their owning
 // protection domain.
+//
+// Frame ids are issued in increasing order and never reused, so the
+// live frames form a sorted set of disjoint id ranges. Ownership is
+// kept as those ranges (extents) rather than one entry per frame:
+// booting a domain with its static reservation (§4.5: 32k–131k pages)
+// appends one extent, and destroying it removes one.
 type FrameAllocator struct {
-	mu     sync.Mutex
-	next   FrameID
-	owners map[FrameID]OwnerID
-	limit  int
+	mu    sync.Mutex
+	next  FrameID
+	live  []extent // sorted by lo, pairwise disjoint
+	inUse int
+	limit int
+}
+
+// extent is the live frame range [lo, hi), all owned by owner.
+type extent struct {
+	lo, hi FrameID
+	owner  OwnerID
 }
 
 // NewFrameAllocator creates an allocator with a total frame budget
 // (machine memory / PageSize). A limit of 0 means unlimited.
 func NewFrameAllocator(limit int) *FrameAllocator {
-	return &FrameAllocator{next: 1, owners: make(map[FrameID]OwnerID), limit: limit}
+	return &FrameAllocator{next: 1, limit: limit}
 }
 
 // Alloc allocates one frame for owner. It fails when machine memory is
@@ -50,58 +65,129 @@ func NewFrameAllocator(limit int) *FrameAllocator {
 func (fa *FrameAllocator) Alloc(owner OwnerID) (FrameID, error) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	if fa.limit > 0 && len(fa.owners) >= fa.limit {
-		return 0, fmt.Errorf("mem: out of machine frames (%d allocated)", len(fa.owners))
+	if fa.limit > 0 && fa.inUse >= fa.limit {
+		return 0, fa.exhausted(fa.inUse)
 	}
 	id := fa.next
-	fa.next++
-	fa.owners[id] = owner
+	fa.issueLocked(owner, 1)
 	return id, nil
 }
 
-// AllocN allocates n frames, rolling back on failure.
+// AllocN allocates n consecutive frames, rolling back on failure. A
+// failed call still consumes the ids of the frames that fit before the
+// limit was hit, exactly as n single Allocs followed by a rollback
+// would, so the ids issued afterwards do not depend on how the
+// allocation was batched.
 func (fa *FrameAllocator) AllocN(owner OwnerID, n int) ([]FrameID, error) {
-	frames := make([]FrameID, 0, n)
-	for i := 0; i < n; i++ {
-		f, err := fa.Alloc(owner)
-		if err != nil {
-			fa.FreeAll(frames)
-			return nil, err
-		}
-		frames = append(frames, f)
+	if n < 0 {
+		return nil, fmt.Errorf("mem: negative frame count %d", n)
+	}
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	if fa.limit > 0 && fa.inUse+n > fa.limit {
+		// The frames up to the limit fit (inUse never exceeds limit).
+		fa.next += FrameID(fa.limit - fa.inUse)
+		return nil, fa.exhausted(fa.limit)
+	}
+	lo := fa.next
+	fa.issueLocked(owner, n)
+	frames := make([]FrameID, n)
+	for i := range frames {
+		frames[i] = lo + FrameID(i)
 	}
 	return frames, nil
+}
+
+func (fa *FrameAllocator) exhausted(allocated int) error {
+	return fmt.Errorf("mem: out of machine frames (%d allocated)", allocated)
+}
+
+// issueLocked hands the next n ids to owner, extending the last extent
+// when it ends at the first new id and has the same owner.
+func (fa *FrameAllocator) issueLocked(owner OwnerID, n int) {
+	if n == 0 {
+		return
+	}
+	lo := fa.next
+	fa.next += FrameID(n)
+	fa.inUse += n
+	if last := len(fa.live) - 1; last >= 0 && fa.live[last].hi == lo && fa.live[last].owner == owner {
+		fa.live[last].hi = fa.next
+		return
+	}
+	fa.live = append(fa.live, extent{lo: lo, hi: fa.next, owner: owner})
+}
+
+// search returns the index of the first extent ending after f.
+func (fa *FrameAllocator) search(f FrameID) int {
+	return sort.Search(len(fa.live), func(i int) bool { return fa.live[i].hi > f })
 }
 
 // Owner reports the owning domain of a frame.
 func (fa *FrameAllocator) Owner(f FrameID) (OwnerID, bool) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	o, ok := fa.owners[f]
-	return o, ok
+	if i := fa.search(f); i < len(fa.live) && fa.live[i].lo <= f {
+		return fa.live[i].owner, true
+	}
+	return 0, false
 }
 
-// Free releases one frame.
+// Free releases one frame. Freeing a frame that is not live does
+// nothing.
 func (fa *FrameAllocator) Free(f FrameID) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	delete(fa.owners, f)
+	fa.freeLocked(f, f+1)
 }
 
-// FreeAll releases a set of frames.
+// FreeAll releases a set of frames, in any order, ignoring frames that
+// are not live. Consecutive ids are released as one range, so freeing a
+// domain's whole reservation is a single extent removal.
 func (fa *FrameAllocator) FreeAll(fs []FrameID) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	for _, f := range fs {
-		delete(fa.owners, f)
+	for len(fs) > 0 {
+		lo, n := fs[0], 1
+		for n < len(fs) && fs[n] == lo+FrameID(n) {
+			n++
+		}
+		fa.freeLocked(lo, lo+FrameID(n))
+		fs = fs[n:]
 	}
+}
+
+// freeLocked releases every live frame in [lo, hi): extents inside the
+// range are removed, and those straddling its ends are trimmed or split.
+func (fa *FrameAllocator) freeLocked(lo, hi FrameID) {
+	i := fa.search(lo)
+	j := i
+	for j < len(fa.live) && fa.live[j].lo < hi {
+		e := fa.live[j]
+		fa.inUse -= int(min(e.hi, hi) - max(e.lo, lo))
+		j++
+	}
+	if i == j {
+		return
+	}
+	var keep [2]extent
+	n := 0
+	if first := fa.live[i]; first.lo < lo {
+		keep[n] = extent{lo: first.lo, hi: lo, owner: first.owner}
+		n++
+	}
+	if last := fa.live[j-1]; last.hi > hi {
+		keep[n] = extent{lo: hi, hi: last.hi, owner: last.owner}
+		n++
+	}
+	fa.live = slices.Replace(fa.live, i, j, keep[:n]...)
 }
 
 // InUse returns the number of allocated frames.
 func (fa *FrameAllocator) InUse() int {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	return len(fa.owners)
+	return fa.inUse
 }
 
 // PTE is one page-table entry.
