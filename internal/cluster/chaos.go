@@ -182,6 +182,12 @@ func (x *chaosExec) nextDue() cycles.Cycles {
 	return d
 }
 
+// dueAt reports whether atBarrier(now) has anything to fire.
+func (x *chaosExec) dueAt(now cycles.Cycles) bool {
+	return (x.nextEv < len(x.events) && x.events[x.nextEv].at <= now) ||
+		(x.probeIvl > 0 && x.probeDue <= now)
+}
+
 // atBarrier fires everything due at a sharded barrier, in canonical
 // order: timeline events, then the probe sweep. It reports whether
 // routing membership may have changed (the barrier re-snapshots the

@@ -661,6 +661,7 @@ func (c *Cluster) routableCount() int {
 func (c *Cluster) dispatch(id uint64) {
 	if c.sh != nil {
 		c.sh.admitNow(id)
+		c.sh.flushPend() // fault and control paths read the depths they change
 		return
 	}
 	if c.graph != nil {

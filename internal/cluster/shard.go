@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"runtime"
-	"slices"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
@@ -24,8 +23,11 @@ import (
 //     interleaving on a shared engine touches disjoint state.
 //   - Everything cross-replica (front-door routing, closed-loop
 //     re-issue, ingress attempts, autoscaling, failure injection,
-//     migration) happens only at barriers, on buffered records merged
-//     into a canonical (time, replica) order.
+//     migration) is decided only at barriers, on buffered records
+//     merged into a canonical (time, replica) order. A decision's
+//     replica-local effect may be applied later by the replica's own
+//     shard (closed-loop re-admission), but only in decision order and
+//     before anything reads it.
 //   - Merged statistics are order-insensitive (histogram counts,
 //     integer cycle sums) or computed centrally in canonical order
 //     (root latencies behind ingress); per-shard float accumulation
@@ -35,14 +37,6 @@ import (
 // routing sees queue depths as of the last barrier, and control
 // decisions batch at barriers. EpochUS tunes that fidelity — it is a
 // model parameter, so results depend on it, never on Shards.
-
-// doneRec is one buffered completion: enough to merge canonically and
-// re-issue a closed-loop connection.
-type doneRec struct {
-	at  cycles.Cycles
-	rep int32
-	id  uint64
-}
 
 // shardState is one shard's mutable accumulator set. Between barriers
 // it is touched only by the goroutine driving its engine; barriers fold
@@ -65,6 +59,11 @@ type shardState struct {
 	done  []doneRec  // plain closed-loop completions this epoch
 	fdone []fdoneRec // ingress attempt completions this epoch
 
+	// pend holds closed-loop re-admissions routed to this shard's
+	// replicas at the last barrier, in canonical order; the shard's
+	// worker applies them before the next epoch (see admitNow).
+	pend []pendRec
+
 	// ob is the shard's trace outbox (nil = observability off): records
 	// emitted on this shard's goroutine between barriers, drained and
 	// canonically merged at the next barrier (see clusterObs.drain).
@@ -74,6 +73,14 @@ type shardState struct {
 	// state in parallel (nil = observability off); barriers fold sealed
 	// windows into the central sampler.
 	acc *servedAcc
+}
+
+// pendRec is one staged re-admission: the request and its routed
+// replica. It is born at the barrier that routed it, where the shard's
+// engine is still parked when the record is applied.
+type pendRec struct {
+	id  uint64
+	rep int32
 }
 
 // arrivalSink delivers centrally generated arrivals on a shard's
@@ -111,9 +118,8 @@ type shardRun struct {
 	arrOn   bool
 	nextID  uint64
 
-	collectDone bool // buffer completions for closed-loop re-issue
-
-	outbox []doneRec // reused canonical-merge buffer
+	collectDone bool      // buffer completions for closed-loop re-issue
+	merge       doneMerge // reused S-way merge of the shards' done runs
 
 	workers int
 	work    chan int32
@@ -145,7 +151,7 @@ func newShardRun(c *Cluster, shards int) *shardRun {
 // id, so the layout is a pure function of the id sequence) and opens
 // its queue on that shard's engine.
 func (s *shardRun) placeReplica(ct *container) {
-	ct.shard = int32((ct.id - 1) % len(s.engines))
+	ct.shard = s.shardOf(ct.id - 1)
 	ss := &s.shards[ct.shard]
 	ct.q = sim.NewQueue(ss.eng, ct.name, s.c.servers)
 	if s.c.ob != nil {
@@ -159,6 +165,11 @@ func (s *shardRun) placeReplica(ct *container) {
 	}
 	s.table.dirty = true
 }
+
+// shardOf is the shard owning replica index rep. Replica indices are
+// container ids minus one and never change, so neither does the
+// layout — the barrier stages work for a replica without touching it.
+func (s *shardRun) shardOf(rep int) int32 { return int32(rep % len(s.engines)) }
 
 // replicaDone observes one plain-front-door completion, shard-locally:
 // merge-safe statistics now, the canonical re-issue record for the next
@@ -228,7 +239,14 @@ func (s *shardRun) attemptDone(ct *container, j sim.Job) {
 
 // admitNow routes one request at the current barrier instant — the
 // sharded counterpart of Cluster.dispatch, used for closed-loop
-// seeding and re-issue (engines are parked, so queues accept directly).
+// seeding and re-issue. Routing, counters and trace emission happen
+// here, in canonical order; behind the plain front door the queue
+// admission itself is staged on the owning shard's pend list. The
+// shard's worker applies it just before the next epoch — the engine is
+// still parked at this instant, and each shard's pend is its slice of
+// the canonical order, so queue state, engine tie order and trace
+// order come out exactly as if it had been applied here. Callers that
+// read queues before then call flushPend.
 func (s *shardRun) admitNow(id uint64) {
 	c := s.c
 	if s.fi != nil {
@@ -251,8 +269,46 @@ func (s *shardRun) admitNow(id uint64) {
 	if c.ob != nil {
 		c.ob.countArrive(s.now)
 	}
-	ct := c.containers[rep]
-	ct.q.Arrive(sim.Job{ID: id, Cost: c.costOf(ct), Born: s.now, Stage: rep})
+	ss := &s.shards[s.shardOf(rep)]
+	ss.pend = append(ss.pend, pendRec{id: id, rep: int32(rep)})
+}
+
+// applyPend admits shard i's staged re-admissions in order. Between
+// barriers only shard i's worker calls it; flushPend calls it serially.
+// The service cost is stamped here rather than at routing: a replica's
+// cost changes only in fault and control steps, which flush first.
+func (s *shardRun) applyPend(i int) {
+	c := s.c
+	ss := &s.shards[i]
+	now := ss.eng.Now()
+	for _, p := range ss.pend {
+		ct := c.containers[p.rep]
+		ct.q.Arrive(sim.Job{ID: p.id, Cost: c.costOf(ct), Born: now, Stage: int(p.rep)})
+	}
+	ss.pend = ss.pend[:0]
+}
+
+// flushPend applies every shard's staged admissions now — the serial
+// fallback for barrier steps that read live queue state.
+func (s *shardRun) flushPend() {
+	for i := range s.shards {
+		s.applyPend(i)
+	}
+}
+
+// runShard is one shard's parallel phase: apply the barrier's staged
+// admissions, advance the engine to next, then sort the epoch's
+// completions and scan its trace outbox while the shard is still
+// private to this goroutine.
+func (s *shardRun) runShard(i int, next cycles.Cycles) {
+	s.applyPend(i)
+	s.engines[i].Run(next)
+	if s.collectDone {
+		sortDone(s.shards[i].done)
+	}
+	if s.c.ob != nil {
+		s.accScan(i)
+	}
 }
 
 // start arms the run: barrier schedule, arrival stream or population,
@@ -290,6 +346,9 @@ func (s *shardRun) start(t Traffic, open bool, conc int) {
 		for i := 0; i < conc; i++ {
 			s.admitNow(uint64(i + 1))
 		}
+		// Seeding stays immediate: the t=0 barrier's table rebuild reads
+		// the seeded depths.
+		s.flushPend()
 	}
 
 	w := c.cfg.ShardWorkers
@@ -306,10 +365,7 @@ func (s *shardRun) start(t Traffic, open bool, conc int) {
 		for i := 0; i < w; i++ {
 			go func() {
 				for idx := range s.work {
-					s.engines[idx].Run(s.target)
-					if s.c.ob != nil {
-						s.accScan(int(idx))
-					}
+					s.runShard(int(idx), s.target)
 					s.ack <- struct{}{}
 				}
 			}()
@@ -393,11 +449,18 @@ func (s *shardRun) barrier() {
 	} else if s.collectDone {
 		s.processDone()
 	}
+	// Staged re-admissions stay staged unless a step below reads live
+	// queue state at this instant: fault and probe handling, or the
+	// control step. Only those steps change routing membership, and the
+	// horizon is always a control instant, so the closing rebuild and
+	// the final assembly see every admission too.
 	mutated := false
-	if c.chaos != nil && c.chaos.atBarrier(s.now) {
-		mutated = true
+	if x := c.chaos; x != nil && x.dueAt(s.now) {
+		s.flushPend()
+		mutated = x.atBarrier(s.now)
 	}
 	if s.controlDue != 0 && s.now >= s.controlDue {
+		s.flushPend()
 		c.controlStep(s.now)
 		if next := min(s.now+c.interval, c.horizon); next > s.now {
 			s.controlDue = next
@@ -411,40 +474,29 @@ func (s *shardRun) barrier() {
 	}
 }
 
-// processDone merges the epoch's completions into canonical
-// (time, replica) order and re-issues closed-loop connections. Within
-// one (time, replica) pair the per-shard buffer order is that replica's
-// own completion order, so the stable sort yields one total order that
-// no shard layout can perturb.
+// processDone re-issues the epoch's closed-loop completions in
+// canonical (time, replica) order. Each shard's worker has already
+// sorted its own buffer by (at, rep) (sortDone), so the barrier only
+// merges the S sorted runs. A replica lives on exactly one shard, so
+// no (at, rep) pair spans two runs: the merge needs no tie-break, and
+// within a pair the buffer order is that replica's own completion
+// order — one total order that no shard layout can perturb. Routing
+// happens here; the admissions are staged on the owning shards
+// (admitNow) and applied by their workers before the next epoch, or
+// serially first if this barrier goes on to read live queues (a fault,
+// probe or control step).
 func (s *shardRun) processDone() {
-	s.outbox = s.outbox[:0]
+	m := &s.merge
+	m.runs = m.runs[:0]
 	for i := range s.shards {
-		ss := &s.shards[i]
-		s.outbox = append(s.outbox, ss.done...)
-		ss.done = ss.done[:0]
+		m.runs = append(m.runs, s.shards[i].done)
 	}
-	if len(s.outbox) == 0 {
-		return
+	m.reset()
+	for r := m.next(); r != nil && r.at < s.c.horizon; r = m.next() {
+		s.admitNow(r.id)
 	}
-	slices.SortStableFunc(s.outbox, func(a, b doneRec) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.rep != b.rep {
-			if a.rep < b.rep {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	for i := range s.outbox {
-		if s.outbox[i].at < s.c.horizon {
-			s.admitNow(s.outbox[i].id)
-		}
+	for i := range s.shards {
+		s.shards[i].done = s.shards[i].done[:0]
 	}
 }
 
@@ -493,11 +545,8 @@ func (s *shardRun) genArrivals(next cycles.Cycles) {
 // (results are identical either way — only wall-clock differs).
 func (s *shardRun) runTo(next cycles.Cycles) {
 	if s.workers <= 1 {
-		for i, e := range s.engines {
-			e.Run(next)
-			if s.c.ob != nil {
-				s.accScan(i)
-			}
+		for i := range s.engines {
+			s.runShard(i, next)
 		}
 		return
 	}

@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 
+	"xcontainers/internal/chaos"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
 	"xcontainers/internal/runtimes"
@@ -127,6 +131,101 @@ func TestShardedWorkerInvariance(t *testing.T) {
 		}
 		if !bytes.Equal(want, got) {
 			t.Fatalf("ShardWorkers=%d diverged:\n%s", w, firstDiff(want, got))
+		}
+	}
+}
+
+// TestShardedClosedLoopFlushInvariance: closed-loop re-admissions are
+// routed at a barrier but applied by each shard's worker before the
+// next epoch, except at barriers that read live queues first — fault
+// and probe handling, and control steps. Here the epoch divides the
+// control interval and the probe period, so those land on ordinary
+// barriers while completions are staged; the plan adds a crash (whose
+// lost backlog re-dispatches) and a gray window, autoscaling adds
+// replicas and a rebalance migration, and queue-depth tracing runs on
+// a ring small enough to overflow. Any shard count and worker count
+// must give the same report, trace and time series — and the bytes
+// the barrier produced when it admitted every re-issue on the spot,
+// pinned below as a digest: a staged admission leaking past a flush
+// point is layout-invariant, so only the pin catches it.
+func TestShardedClosedLoopFlushInvariance(t *testing.T) {
+	const pinned = "e0a72b9fafe87f6d075efd8aebcf102a3264dc98d3ce64d6d0acca604f1b5998"
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.Replicas, cfg.Policy = 1, 3, BinPack
+	cfg.MaxNodes = 5
+	cfg.Autoscale, cfg.SLOp99US = true, 45
+	cfg.IntervalSec = 0.02
+	cfg.EpochUS = 100 // 200 epochs per control interval, 65 per probe period
+	cfg.Chaos = &chaos.Plan{
+		Probes: &chaos.Probes{IntervalSec: 0.0065, TimeoutUS: 20},
+		Faults: []chaos.Fault{
+			{Kind: chaos.KindGray, AtSec: 0.1, DurationSec: 0.06, Count: 2, CostFactor: 3, ErrorRate: 0.2},
+			{Kind: chaos.KindCrash, AtSec: 0.17},
+		},
+	}
+	cfg.Observe = &ObserveConfig{WindowUS: 10_000, RingCap: 2048, QueueDepth: true}
+	tr := Traffic{Concurrency: 20, DurationSec: 0.2, Seed: 17}
+
+	var want []byte
+	for _, shards := range []int{1, 3, 8} {
+		for _, workers := range []int{1, 2} {
+			cf := cfg
+			cf.Shards, cf.ShardWorkers = shards, workers
+			c, err := New(cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range c.sh.shards {
+				if n := len(c.sh.shards[i].pend); n != 0 {
+					t.Fatalf("Shards=%d: shard %d ended the run with %d staged admissions", shards, i, n)
+				}
+			}
+			if want == nil {
+				// The scenario must reach every path it claims to.
+				if ch := res.Chaos; ch == nil || ch.Crashes != 1 || ch.GrayWindows != 1 || ch.ProbeFailures == 0 {
+					t.Fatalf("chaos plan did not bite: %+v", res.Chaos)
+				}
+				acts := map[string]int{}
+				for _, e := range res.ScaleEvents {
+					acts[e.Action]++
+				}
+				if acts["add-replica"] == 0 || acts["node-failure"] != 1 {
+					t.Fatalf("want autoscaling on top of the crash, got %v", acts)
+				}
+				if !slices.ContainsFunc(res.Migrations, func(m Migration) bool { return m.Reason == "rebalance" }) {
+					t.Fatalf("want a rebalance migration, got %+v", res.Migrations)
+				}
+				if res.Trace.Dropped() == 0 {
+					t.Fatal("trace ring never overflowed: batch boundaries are not exercised")
+				}
+			}
+			got, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tb, cb bytes.Buffer
+			if err := res.Trace.WriteTrace(&tb); err != nil {
+				t.Fatal(err)
+			}
+			if err := res.TimeSeries.WriteCSV(&cb); err != nil {
+				t.Fatal(err)
+			}
+			got = append(append(got, tb.Bytes()...), cb.Bytes()...)
+			if want == nil {
+				want = got
+				if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != pinned {
+					t.Errorf("closed-loop flush scenario digest %s, want %s", sum, pinned)
+				}
+				continue
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("Shards=%d ShardWorkers=%d diverged from Shards=1 ShardWorkers=1:\n%s",
+					shards, workers, firstDiff(want, got))
+			}
 		}
 	}
 }

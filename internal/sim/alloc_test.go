@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"xcontainers/internal/cycles"
 )
@@ -67,6 +68,33 @@ func TestClosedLoopSteadyStateAllocFree(t *testing.T) {
 		until += cycles.FromSeconds(0.002)
 		e.Run(until)
 	})
+	// An untracked queue never grows a histogram of its own.
+	if q.Sojourn != nil {
+		t.Fatal("untracked queue allocated a sojourn histogram")
+	}
+}
+
+// TestQueueFootprint pins the size of a queue header. Per-replica
+// queues are a fleet's working set — a 10k-replica run touches every
+// one of them each epoch — and an inline sojourn histogram (8 KiB of
+// bucket counts) would multiply it by about 36, so tracking is a
+// pointer that stays nil unless a consumer asks for it.
+func TestQueueFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Queue{}); n > 256 {
+		t.Fatalf("sizeof(Queue) = %d bytes, want <= 256", n)
+	}
+	e := NewEngine()
+	q := NewQueue(e, "s", 1)
+	q.Arrive(Job{ID: 1, Cost: 10})
+	e.Run(100)
+	q.Sojourn = new(Histogram) // tracking covers completions from here on
+	q.Arrive(Job{ID: 2, Cost: 10})
+	q.Arrive(Job{ID: 3, Cost: 10})
+	e.Run(200)
+	if q.Completed != 3 || q.Sojourn.Count() != 2 || q.Sojourn.Max() != 20 {
+		t.Fatalf("completed %d, sojourn count %d max %d; want 3, 2, 20",
+			q.Completed, q.Sojourn.Count(), q.Sojourn.Max())
+	}
 }
 
 // TestAfterSteadyStateAllocFree pins the cold-path form too: a

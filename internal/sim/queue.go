@@ -50,13 +50,13 @@ type Queue struct {
 	head    int
 	count   int
 
-	// Sojourn is the per-queue latency histogram: time from arrival to
-	// service completion. It fills only while TrackSojourn is set —
-	// every current consumer aggregates latency in its own end-to-end
-	// histogram (via OnDone), so the per-queue observation is opt-in
-	// rather than a tax on every completion.
-	Sojourn      Histogram
-	TrackSojourn bool
+	// Sojourn, when non-nil, receives the per-queue latency: time from
+	// arrival to service completion. Every current consumer aggregates
+	// latency in its own end-to-end histogram (via OnDone), so the
+	// per-queue observation is opt-in rather than a tax on every
+	// completion — and a pointer, so an untracked queue header stays a
+	// few cache lines (a Histogram is 8 KiB).
+	Sojourn *Histogram
 
 	Arrived   uint64
 	Completed uint64
@@ -205,7 +205,7 @@ func (q *Queue) start(j *Job) {
 // work (use Arrive).
 func (q *Queue) HandleEvent(e *Engine, j Job) {
 	q.Completed++
-	if q.TrackSojourn {
+	if q.Sojourn != nil {
 		q.Sojourn.Observe(e.now - j.arrived)
 	}
 	q.noteDepth()

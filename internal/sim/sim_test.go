@@ -136,7 +136,7 @@ func TestFixedRateGap(t *testing.T) {
 func TestQueueSingleServerFIFO(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	q.TrackSojourn = true
+	q.Sojourn = new(Histogram)
 	var done []uint64
 	q.OnDone = func(j Job) { done = append(done, j.ID) }
 	for i := uint64(1); i <= 3; i++ {
@@ -178,7 +178,7 @@ func TestQueueLowUtilizationLatencyIsService(t *testing.T) {
 	// At 1% utilization, sojourn ≈ service time: queueing vanishes.
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	q.TrackSojourn = true
+	q.Sojourn = new(Histogram)
 	r := NewRand(5)
 	arr := PoissonRate(100)
 	const service = cycles.Cycles(290_000) // 100 µs; offered load 1%
@@ -273,7 +273,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func(seed uint64) (uint64, float64, cycles.Cycles, int) {
 		e := NewEngine()
 		q := NewQueue(e, "s", 2)
-		q.TrackSojourn = true
+		q.Sojourn = new(Histogram)
 		r := NewRand(seed)
 		arr := PoissonRate(50_000)
 		horizon := cycles.FromSeconds(1)

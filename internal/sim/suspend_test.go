@@ -115,7 +115,7 @@ func TestOnStartHook(t *testing.T) {
 func TestSuspendLatencyCharged(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue(eng, "q", 1)
-	q.TrackSojourn = true
+	q.Sojourn = new(Histogram)
 	q.Suspend()
 	q.Arrive(Job{ID: 1, Cost: 10})
 	eng.After(1000, q.Resume)
