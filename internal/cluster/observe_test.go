@@ -39,7 +39,10 @@ func observedArtifacts(t *testing.T, cfg Config, tr Traffic) (trace, ts, csv []b
 	return tb.Bytes(), j, cb.Bytes()
 }
 
-func assertObservedInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []int) {
+// assertObservedInvariant runs cfg at each shard count, fails on any
+// byte difference in the trace, series or CSV, and returns the first
+// run's three artifacts concatenated.
+func assertObservedInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []int) []byte {
 	t.Helper()
 	var wantTrace, wantTS, wantCSV []byte
 	for _, s := range shardCounts {
@@ -66,6 +69,7 @@ func assertObservedInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts [
 				s, shardCounts[0], firstDiff(wantTrace, trace))
 		}
 	}
+	return append(append(wantTrace, wantTS...), wantCSV...)
 }
 
 // TestObservedShardInvariance: traces and time series are byte-equal
@@ -91,8 +95,9 @@ func TestObservedShardInvariance(t *testing.T) {
 // TestObservedIngressInvariance: the hedged, budgeted, keep-alive
 // ingress tier across a node failure — attempt spans, retry/hedge
 // instants, budget counters, wasted-work records — stays byte-equal for
-// any shard count and any worker count.
+// any shard count and any worker count, and matches the pinned bytes.
 func TestObservedIngressInvariance(t *testing.T) {
+	const pinned = "cf2db51c51d49b1c5c476be78439be76914595896fa2bb9b15ad3b042664d279"
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas = 2, 4
 	cfg.MaxNodes = 4
@@ -106,7 +111,8 @@ func TestObservedIngressInvariance(t *testing.T) {
 	cfg.Observe = &ObserveConfig{WindowUS: 25_000, QueueDepth: true}
 	tr := Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}
 
-	assertObservedInvariant(t, cfg, tr, []int{1, 2, 8})
+	got := assertObservedInvariant(t, cfg, tr, []int{1, 2, 8})
+	assertPinned(t, "observed ingress trace, series and CSV", got, pinned)
 
 	// Worker counts are pure wall-clock knobs for the trace too.
 	cfg.Shards = 8
@@ -127,8 +133,10 @@ func TestObservedIngressInvariance(t *testing.T) {
 
 // TestObservedSingleEngineDeterminism: Shards == 0 is a different model
 // (instantaneous routing and control), so its trace is pinned
-// self-deterministic rather than equal to the sharded ones.
+// self-deterministic rather than equal to the sharded ones, and its
+// bytes are pinned.
 func TestObservedSingleEngineDeterminism(t *testing.T) {
+	const pinned = "8270166130f44884324f31a160ba9211a769429aee33bc26ac8a055db52545e1"
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas = 2, 4
 	cfg.MaxNodes = 4
@@ -146,6 +154,7 @@ func TestObservedSingleEngineDeterminism(t *testing.T) {
 	if !bytes.Equal(t1, t2) || !bytes.Equal(s1, s2) || !bytes.Equal(c1, c2) {
 		t.Fatal("single-engine observed run is not self-deterministic")
 	}
+	assertPinned(t, "single-engine trace, series and CSV", append(append(t1, s1...), c1...), pinned)
 }
 
 // TestObserveNoModelPerturbation: an observed run and an unobserved run

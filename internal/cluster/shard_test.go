@@ -32,7 +32,9 @@ func runJSON(t *testing.T, cfg Config, tr Traffic) []byte {
 	return b
 }
 
-func assertShardInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []int) {
+// assertShardInvariant runs cfg at each shard count, fails on any
+// byte difference, and returns the first run's report.
+func assertShardInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []int) []byte {
 	t.Helper()
 	var want []byte
 	for _, s := range shardCounts {
@@ -47,6 +49,18 @@ func assertShardInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []in
 			t.Fatalf("Shards=%d diverged from Shards=%d:\n%s\nvs\n%s",
 				s, shardCounts[0], firstDiff(want, got), got[:min(len(got), 400)])
 		}
+	}
+	return want
+}
+
+// assertPinned fails unless got hashes to the pinned SHA-256 digest.
+// Shard and worker invariance are self-consistency checks: a drift that
+// moves every layout alike passes them, so the scenarios that carry the
+// ingress lifecycle also pin their absolute bytes.
+func assertPinned(t *testing.T, what string, got []byte, pinned string) {
+	t.Helper()
+	if sum := fmt.Sprintf("%x", sha256.Sum256(got)); sum != pinned {
+		t.Errorf("%s digest %s, want %s", what, sum, pinned)
 	}
 }
 
@@ -89,8 +103,13 @@ func TestShardedDeterminismPlain(t *testing.T) {
 // TestShardedDeterminismIngress: the flyweight ingress tier with every
 // robustness feature armed — timeouts, budgeted backoff retries,
 // hedging, keep-alive — across a node failure, must be shard-count
-// invariant for each load balancer.
+// invariant for each load balancer, and match the pinned report bytes.
 func TestShardedDeterminismIngress(t *testing.T) {
+	pinned := map[ingress.Policy]string{
+		ingress.RoundRobin: "679638d52ceb9cad73bdde7b51ed15e7f72117175f8170c8d74f19a8d9b0898c",
+		ingress.JSQ:        "25a5c5ed84f09518614d7548c53540e07f67c27151483beba0ccc5fe5c6867f9",
+		ingress.PowerOfTwo: "e151101eb4ffa0a0026bc1f5d1399b870a1a31ee668e36ba122225dff0ae1d31",
+	}
 	for _, lb := range []ingress.Policy{ingress.RoundRobin, ingress.JSQ, ingress.PowerOfTwo} {
 		t.Run(lb.String(), func(t *testing.T) {
 			cfg := testConfig(t, runtimes.XContainer)
@@ -103,7 +122,8 @@ func TestShardedDeterminismIngress(t *testing.T) {
 				Timeout: cycles.FromSeconds(400e-6), Retries: 2,
 				Backoff: cycles.FromSeconds(50e-6), RetryBudget: 0.2, HedgeP: 0.95,
 			}}
-			assertShardInvariant(t, cfg, Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}, []int{1, 2, 8})
+			got := assertShardInvariant(t, cfg, Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}, []int{1, 2, 8})
+			assertPinned(t, "ingress report", got, pinned[lb])
 		})
 	}
 }
