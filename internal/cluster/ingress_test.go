@@ -57,6 +57,69 @@ func TestIngressFrontsFleet(t *testing.T) {
 	}
 }
 
+// TestIngressConservation is an oracle independent of any golden: on
+// both engines, every route's counters must balance against each other
+// and against the fleet's own tally, whatever the balancer, faults and
+// breaker do. Calls still in flight at the horizon make these
+// inequalities rather than equalities.
+func TestIngressConservation(t *testing.T) {
+	type scenario struct {
+		name string
+		cfg  Config
+		tr   Traffic
+	}
+	var scenarios []scenario
+	for _, lb := range []ingress.Policy{ingress.RoundRobin, ingress.JSQ, ingress.PowerOfTwo} {
+		scenarios = append(scenarios, scenario{"hedged-" + lb.String(), hedgedIngressConfig(t, lb), hedgedIngressTraffic})
+	}
+	scenarios = append(scenarios,
+		scenario{"chaos-open", chaosConfig(t), Traffic{Rate: 700_000, DurationSec: 0.6, Seed: 11}},
+		scenario{"chaos-closed", chaosConfig(t), Traffic{Concurrency: 32, DurationSec: 0.6, Seed: 11}})
+	var sum ingress.RouteStats // the checks must have something to bite on
+	for _, sc := range scenarios {
+		for _, shards := range []int{0, 4} {
+			cfg := sc.cfg
+			cfg.Shards = shards
+			res := mustRun(t, cfg, sc.tr)
+			if len(res.Routes) != 2 {
+				t.Fatalf("%s Shards=%d: %d routes, want ingress->fleet and client->ingress", sc.name, shards, len(res.Routes))
+			}
+			for _, r := range res.Routes {
+				sum.Retries += r.Retries
+				sum.HedgeWins += r.HedgeWins
+				sum.Failed += r.Failed
+				sum.Shed += r.Shed + r.BreakerFastFails + r.BudgetDenied + r.NoBackend
+				retries := uint64(0) // the entry route never retries
+				if r.Route == "ingress->fleet" {
+					retries = uint64(cfg.Ingress.Route.Retries)
+				}
+				fail := func(format string, args ...any) {
+					t.Errorf("%s Shards=%d route %s: "+format, append([]any{sc.name, shards, r.Route}, args...)...)
+				}
+				if r.Completed+r.Failed > r.Calls {
+					fail("completed %d + failed %d > calls %d", r.Completed, r.Failed, r.Calls)
+				}
+				if r.HedgeWins > r.Hedges {
+					fail("hedge wins %d > hedges %d", r.HedgeWins, r.Hedges)
+				}
+				if r.Retries > retries*r.Calls {
+					fail("retries %d > %d per call × %d calls", r.Retries, retries, r.Calls)
+				}
+				if early := r.BudgetDenied + r.NoBackend + r.Shed + r.BreakerFastFails; early > r.Failed {
+					fail("budget-denied %d + no-backend %d + shed %d + breaker fast-fails %d > failed %d",
+						r.BudgetDenied, r.NoBackend, r.Shed, r.BreakerFastFails, r.Failed)
+				}
+				if r.Route == "client->ingress" && r.Completed != res.Completed {
+					fail("completed %d, fleet completed %d", r.Completed, res.Completed)
+				}
+			}
+		}
+	}
+	if sum.Retries == 0 || sum.HedgeWins == 0 || sum.Failed == 0 || sum.Shed == 0 {
+		t.Fatalf("scenarios too tame to test conservation: %+v", sum)
+	}
+}
+
 // TestIngressDeterminism: same config and seed, byte-identical Result —
 // including the ingress route/service sections.
 func TestIngressDeterminism(t *testing.T) {

@@ -11,44 +11,19 @@ import (
 
 // fleetIngress is the sharded engine's ingress tier: the same two-hop
 // topology the single engine builds as an ingress.Graph (client → proxy
-// service → fleet service), reimplemented against epoch barriers so a
+// service → fleet service), driven against epoch barriers so a
 // 10k-replica fleet needs no central engine. The proxy queue lives on
 // shard 0 and serves mid-epoch; everything cross-replica — routing an
 // attempt, deciding a timeout, issuing a retry or hedge, completing a
 // call — happens at barriers, in canonical event order, against the
-// epoch route table. Robustness semantics (timeout ladder, capped
-// backoff, retry budget, quantile-armed hedging, keep-alive
-// amortization) mirror internal/ingress exactly; only the timing is
-// epoch-quantized, which is the sharded engine's documented model
-// difference, not a function of the shard count.
+// epoch route table. The ingress→fleet calls run on the same
+// ingress.Lifecycle as the graph's; fleetIngress is its barrier seam,
+// so only the timing is epoch-quantized, which is the sharded engine's
+// documented model difference, not a function of the shard count.
 //
-// Steady state allocates nothing: calls live in a slot arena with a
-// free list, timers in a hand-rolled min-heap, and the per-epoch event
+// Steady state allocates nothing: calls live in the lifecycle's slot
+// arena, timers in a hand-rolled min-heap, and the per-epoch event
 // batch reuses one buffer.
-
-// Mirrored ingress-package bounds (unexported there; fixed model
-// constants, not knobs).
-const (
-	fiMaxRetries     = 8
-	fiBudgetCap      = 64.0
-	fiHedgeMinSample = 64
-	fiNoHedge        = 0xff
-
-	fiSlotBits = 24
-	fiGenBits  = 24
-	fiSlotMask = 1<<fiSlotBits - 1
-	fiGenMask  = 1<<fiGenBits - 1
-)
-
-// fiEncode packs an attempt's identity into its queue-job ID, like the
-// graph's encodeID (no kind bits: queues carry only attempts).
-func fiEncode(slot int32, gen uint32, k uint8) uint64 {
-	return uint64(k)<<48 | uint64(gen&fiGenMask)<<fiSlotBits | uint64(uint32(slot)&fiSlotMask)
-}
-
-func fiDecode(id uint64) (slot int32, gen uint32, k uint8) {
-	return int32(id & fiSlotMask), uint32(id>>fiSlotBits) & fiGenMask, uint8(id >> 48)
-}
 
 // fdoneRec is one fleet-replica attempt completion, buffered by the
 // owning shard until the barrier.
@@ -67,43 +42,22 @@ type pdoneRec struct {
 	born   cycles.Cycles
 }
 
-// fcall is one in-flight ingress→fleet call; pointer-free slot arena.
-type fcall struct {
-	gen       uint32
-	client    uint64
-	born      cycles.Cycles // client admission — the root latency base
-	fborn     cycles.Cycles // fleet call start (a barrier instant)
-	racing    bool
-	attempt   uint8
-	retries   uint8
-	hedgeIdx  uint8
-	liveMask  uint16
-	pendRetry bool
-	brSkip    bool // fast-failed before issue; not a breaker outcome
-	lastBE    int32
-}
-
-// Barrier event kinds, in tie-break order at one instant: timers fire
-// before completions, so a deadline that lands exactly on a completion
-// beats it — one fixed rule instead of the single engine's
-// schedule-order race.
+// Barrier event kinds extend the lifecycle's timer kinds, in tie-break
+// order at one instant: timeout < hedge < retry < proxy done < fleet
+// done. Timers fire before completions, so a deadline that lands
+// exactly on a completion beats it — one fixed rule instead of the
+// single engine's schedule-order race.
 const (
-	fiEvTimeout = iota
-	fiEvHedge
-	fiEvRetry
-	fiEvProxyDone
-	fiEvFleetDone
+	evProxyDone = ingress.KindRetry + 1 + iota
+	evFleetDone
 )
 
-// fiTimer is one pending timer; heap-ordered by due time only (the
-// per-epoch batch re-sorts canonically, so heap pop order within one
-// instant is irrelevant).
+// fiTimer is one pending lifecycle timer; heap-ordered by due time only
+// (the per-epoch batch re-sorts canonically, so heap pop order within
+// one instant is irrelevant).
 type fiTimer struct {
-	due  cycles.Cycles
-	kind uint8
-	k    uint8
-	slot int32
-	gen  uint32
+	due cycles.Cycles
+	id  uint64
 }
 
 // fiEvent is one entry of a barrier's canonical batch.
@@ -116,117 +70,29 @@ type fiEvent struct {
 	gen   uint32
 	cost  cycles.Cycles
 	born  cycles.Cycles
-	id    uint64 // proxyDone: the client request id
-}
-
-// fiEdge mirrors ingress.Edge's accounting for one route.
-type fiEdge struct {
-	calls        uint64
-	completed    uint64
-	failed       uint64
-	retries      uint64
-	timeouts     uint64
-	lost         uint64
-	hedges       uint64
-	hedgeWins    uint64
-	budgetDenied uint64
-	noBackend    uint64
-	handshakes   uint64
-	errors       uint64
-	shed         uint64
-	lat          sim.Histogram
-}
-
-func (e *fiEdge) stats(route string) ingress.RouteStats {
-	return ingress.RouteStats{
-		Route:     route,
-		Calls:     e.calls,
-		Completed: e.completed,
-		Failed:    e.failed,
-
-		Retries:      e.retries,
-		Timeouts:     e.timeouts,
-		Lost:         e.lost,
-		Hedges:       e.hedges,
-		HedgeWins:    e.hedgeWins,
-		BudgetDenied: e.budgetDenied,
-		NoBackend:    e.noBackend,
-		Handshakes:   e.handshakes,
-		Errors:       e.errors,
-		Shed:         e.shed,
-
-		MeanUS: e.lat.MeanMicros(),
-		P50US:  e.lat.Quantile(0.50).Micros(),
-		P95US:  e.lat.Quantile(0.95).Micros(),
-		P99US:  e.lat.Quantile(0.99).Micros(),
-		MaxUS:  e.lat.Max().Micros(),
-	}
+	id    uint64 // timer or attempt id; proxyDone: the client request id
 }
 
 type fleetIngress struct {
-	c *Cluster
+	c    *Cluster
+	core *ingress.Lifecycle
 
-	pol      ingress.RoutePolicy // ingress→fleet route, normalized
-	entryPol ingress.RoutePolicy // client→ingress: connection regime only
-	br       *ingress.Breaker    // nil unless the route arms the breaker
+	route *ingress.Route // ingress→fleet, on the lifecycle
+	entry *ingress.Route // client→ingress: the proxy hop, counted here
 
 	proxyQ    *sim.Queue
 	proxyCost cycles.Cycles
-	proxyKA   int // entry-edge keep-alive countdown on the proxy replica
+	proxyKA   int32 // entry-route keep-alive countdown on the proxy replica
 
-	fleetE fiEdge
-	entryE fiEdge
-
-	budget     float64
-	kaLeft     []int32       // fleet-edge keep-alive countdown per replica
+	kaLeft     []int32       // fleet-route keep-alive countdown per replica
 	attemptLat sim.Histogram // winning fleet attempts — arms the hedge delay
 
 	proxyCompleted uint64
-	wasted         uint64
-	wastedCycles   cycles.Cycles
-	wastedLat      sim.Histogram // wasted completions, kept out of route latency
-
-	calls    []fcall
-	callFree []int32
+	waste          ingress.Waste
 
 	timers []fiTimer
 	pdone  []pdoneRec
 	events []fiEvent
-}
-
-// fiNormalize mirrors RoutePolicy.normalized (unexported there).
-func fiNormalize(p ingress.RoutePolicy) ingress.RoutePolicy {
-	if p.KeepAlive && p.KeepAliveReqs <= 0 {
-		p.KeepAliveReqs = 100
-	}
-	if p.Retries > fiMaxRetries {
-		p.Retries = fiMaxRetries
-	}
-	if p.Retries < 0 {
-		p.Retries = 0
-	}
-	if p.BackoffCap == 0 {
-		p.BackoffCap = 8 * p.Backoff
-	}
-	if p.BreakerFailureRate > 0 {
-		if p.BreakerWindow <= 0 {
-			p.BreakerWindow = 20
-		}
-		if p.BreakerCooldown == 0 {
-			if p.Timeout > 0 {
-				p.BreakerCooldown = 10 * p.Timeout
-			} else {
-				p.BreakerCooldown = cycles.FromMicros(1000)
-			}
-		}
-		if p.BreakerProbeP <= 0 {
-			p.BreakerProbeP = 0.25
-		}
-		if p.BreakerProbeQuota <= 0 {
-			p.BreakerProbeQuota = 3
-		}
-	}
-	return p
 }
 
 func newFleetIngress(c *Cluster) *fleetIngress {
@@ -239,15 +105,15 @@ func newFleetIngress(c *Cluster) *fleetIngress {
 	if route.ConnSetup == 0 {
 		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
 	}
-	fi := &fleetIngress{
-		c:   c,
-		pol: fiNormalize(route),
-		entryPol: fiNormalize(ingress.RoutePolicy{
-			ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
-		}),
-		proxyCost: ingress.ProxyRequestCost(c.arch.rt),
-	}
-	fi.br = ingress.NewBreaker(fi.pol)
+	fi := &fleetIngress{c: c, proxyCost: ingress.ProxyRequestCost(c.arch.rt)}
+	fi.core = ingress.NewLifecycle(fi)
+	// Route numbers mirror buildIngress's edge order: 0 = ingress->fleet
+	// (Connect), 1 = client->ingress (SetEntry); they are the trace
+	// tracks too.
+	fi.route = fi.core.NewRoute(route, &fi.attemptLat)
+	fi.entry = fi.core.NewRoute(ingress.RoutePolicy{
+		ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
+	}, nil)
 	fi.proxyQ = sim.NewQueue(c.sh.engines[0], "ingress", cores)
 	eng := c.sh.engines[0]
 	fi.proxyQ.OnDone = func(j sim.Job) {
@@ -256,12 +122,12 @@ func newFleetIngress(c *Cluster) *fleetIngress {
 	}
 	// Fleet routing follows the route's balancer instead of the plain
 	// front door's JSQ.
-	c.sh.table.lb = fi.pol.LB
+	c.sh.table.lb = route.LB
 	if c.ob != nil {
-		// Track ids mirror buildIngress's edge order: 0 = ingress->fleet
-		// (Connect), 1 = client->ingress (SetEntry). The proxy queue
-		// emits into shard 0's outbox — it serves mid-epoch there, and
-		// barrier-time admissions are serialized by the worker handshake.
+		// The proxy queue emits into shard 0's outbox — it serves
+		// mid-epoch there, and barrier-time admissions are serialized by
+		// the worker handshake.
+		fi.core.Observe(c.ob.cen)
 		c.ob.rec.Label(obs.LayerIngress, 0, "ingress->fleet")
 		c.ob.rec.Label(obs.LayerIngress, 1, "client->ingress")
 		c.ob.traceQueue(fi.proxyQ, c.sh.shards[0].ob, 0, "ingress")
@@ -276,32 +142,19 @@ func (fi *fleetIngress) admit(client uint64, now cycles.Cycles) {
 	fi.clientArrive(sim.Job{ID: client, Born: now})
 }
 
-// clientArrive is the entry edge: charge the connection regime and the
-// proxy hop. It runs either mid-epoch on shard 0 (open-loop arrivals
-// through the sink) or at a barrier (closed loop) — both touch only
-// shard-0 state.
+// clientArrive is the entry route: charge the connection regime and
+// the proxy hop. It runs either mid-epoch on shard 0 (open-loop
+// arrivals through the sink) or at a barrier (closed loop) — both touch
+// only shard-0 state.
 func (fi *fleetIngress) clientArrive(j sim.Job) {
-	fi.entryE.calls++
-	if o := fi.c.ob; o != nil {
+	fi.entry.Begin()
+	if fi.c.ob != nil {
 		// The request span opens on the entry track; mid-epoch arrivals
 		// run on shard 0's goroutine, so the record goes to its outbox.
 		fi.c.sh.shards[0].ob.Emit(j.Born,
 			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameRequest, 1), j.ID, 0)
 	}
-	cost := fi.proxyCost
-	if p := &fi.entryPol; p.ConnSetup > 0 {
-		if !p.KeepAlive {
-			fi.entryE.handshakes++
-			cost += p.ConnSetup
-		} else {
-			if fi.proxyKA == 0 {
-				fi.entryE.handshakes++
-				cost += p.ConnSetup
-				fi.proxyKA = p.KeepAliveReqs
-			}
-			fi.proxyKA--
-		}
-	}
+	cost := fi.proxyCost + fi.entry.Handshake(&fi.proxyKA)
 	fi.proxyQ.Arrive(sim.Job{ID: j.ID, Cost: cost, Born: j.Born})
 }
 
@@ -316,20 +169,21 @@ func (fi *fleetIngress) processEpoch() {
 	ev := fi.events[:0]
 	for i := range fi.pdone {
 		p := &fi.pdone[i]
-		ev = append(ev, fiEvent{at: p.at, kind: fiEvProxyDone, id: p.client, born: p.born})
+		ev = append(ev, fiEvent{at: p.at, kind: evProxyDone, id: p.client, born: p.born})
 	}
 	fi.pdone = fi.pdone[:0]
 	for i := range fi.c.sh.shards {
 		ss := &fi.c.sh.shards[i]
 		for _, f := range ss.fdone {
-			slot, gen, k := fiDecode(f.id)
-			ev = append(ev, fiEvent{at: f.at, kind: fiEvFleetDone, k: k, erred: f.erred, slot: slot, gen: gen, cost: f.cost, born: f.born})
+			_, slot, gen, k := ingress.DecodeID(f.id)
+			ev = append(ev, fiEvent{at: f.at, kind: evFleetDone, k: k, erred: f.erred, slot: slot, gen: gen, cost: f.cost, born: f.born, id: f.id})
 		}
 		ss.fdone = ss.fdone[:0]
 	}
 	for len(fi.timers) > 0 && fi.timers[0].due <= now {
 		t := fi.popTimer()
-		ev = append(ev, fiEvent{at: t.due, kind: t.kind, k: t.k, slot: t.slot, gen: t.gen})
+		kind, slot, gen, k := ingress.DecodeID(t.id)
+		ev = append(ev, fiEvent{at: t.due, kind: kind, k: k, slot: slot, gen: gen, id: t.id})
 	}
 	slices.SortFunc(ev, func(a, b fiEvent) int {
 		switch {
@@ -358,313 +212,82 @@ func (fi *fleetIngress) processEpoch() {
 		return 0
 	})
 	for i := range ev {
-		fi.processEvent(&ev[i])
+		e := &ev[i]
+		switch e.kind {
+		case evProxyDone:
+			// The proxy hop completed: open the ingress→fleet call.
+			fi.core.Start(fi.route, ingress.Owner{Parent: -1, Client: e.id, Origin: e.born})
+		case evFleetDone:
+			j := sim.Job{ID: e.id, Cost: e.cost, Born: e.born}
+			if slot := fi.core.Resolve(j, e.at, &fi.waste); slot >= 0 && fi.core.Answer(slot, j, e.at, e.erred) {
+				fi.core.Finish(slot, e.at, true)
+			}
+		default:
+			fi.core.Fire(e.id, e.at)
+		}
 	}
 	fi.events = ev[:0]
 }
 
-// callAt validates a slot/generation pair against the arena; nil means
-// the call moved on (completed, failed, slot reused).
-func (fi *fleetIngress) callAt(slot int32, gen uint32) *fcall {
-	if int(slot) >= len(fi.calls) {
-		return nil
-	}
-	c := &fi.calls[slot]
-	if c.gen != gen || !c.racing {
-		return nil
-	}
-	return c
+// Now is the barrier instant: calls start and attempts issue there.
+func (fi *fleetIngress) Now() cycles.Cycles { return fi.c.sh.now }
+
+// Rand is the routing stream: breaker probes draw from it, like the
+// single-engine graph's.
+func (fi *fleetIngress) Rand() *sim.Rand { return fi.c.sh.table.rng }
+
+func (fi *fleetIngress) Pick(*ingress.Route) int { return fi.c.sh.table.pick() }
+
+func (fi *fleetIngress) PickOther(_ *ingress.Route, avoid int) int {
+	return fi.c.sh.table.pickOther(avoid)
 }
 
-func (fi *fleetIngress) processEvent(e *fiEvent) {
-	switch e.kind {
-	case fiEvProxyDone:
-		fi.startFleetCall(e.id, e.born)
-	case fiEvFleetDone:
-		c := fi.callAt(e.slot, e.gen)
-		if c == nil || c.liveMask&(1<<e.k) == 0 {
-			// Nobody is waiting any more: the call timed out, was retried
-			// elsewhere, or a hedge twin won — capacity spent for nothing.
-			fi.wasted++
-			fi.wastedCycles += e.cost
-			fi.wastedLat.Observe(e.at - e.born)
-			if o := fi.c.ob; o != nil {
-				o.cen.Emit(e.at,
-					obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0),
-					fiEncode(e.slot, e.gen, e.k), 1)
-				o.cen.Emit(e.at,
-					obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0),
-					uint64(e.at-e.born), 0)
-			}
-			return
-		}
-		if e.erred {
-			// Gray failure: the replica burned the cycles but answered
-			// with an error. The attempt dies like a timeout would, and
-			// the call retries or fails under its policy.
-			fi.fleetE.errors++
-			if o := fi.c.ob; o != nil {
-				// The span ends flagged errored (B = 3).
-				o.cen.Emit(e.at,
-					obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0),
-					fiEncode(e.slot, e.gen, e.k), 3)
-			}
-			c.liveMask &^= 1 << e.k
-			if c.liveMask == 0 && !c.pendRetry {
-				fi.maybeRetry(e.slot, e.at)
-			}
-			return
-		}
-		fi.attemptLat.Observe(e.at - e.born)
-		if o := fi.c.ob; o != nil {
-			o.cen.Emit(e.at,
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0),
-				fiEncode(e.slot, e.gen, e.k), 0)
-		}
-		if e.k == c.hedgeIdx {
-			fi.fleetE.hedgeWins++
-		}
-		c.liveMask = 0
-		fi.fleetE.completed++
-		fi.fleetE.lat.Observe(e.at - c.fborn)
-		fi.rootDone(e.slot, e.at, true)
-	case fiEvTimeout:
-		c := fi.callAt(e.slot, e.gen)
-		if c == nil || c.liveMask&(1<<e.k) == 0 {
-			return
-		}
-		c.liveMask &^= 1 << e.k
-		fi.fleetE.timeouts++
-		if o := fi.c.ob; o != nil {
-			o.cen.Emit(e.at,
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameTimeout, 0),
-				fiEncode(e.slot, e.gen, e.k), 0)
-		}
-		if c.liveMask != 0 {
-			return // a hedge twin is still racing
-		}
-		fi.maybeRetry(e.slot, e.at)
-	case fiEvRetry:
-		c := fi.callAt(e.slot, e.gen)
-		if c == nil || !c.pendRetry {
-			return
-		}
-		c.pendRetry = false
-		fi.issueAttempt(e.slot)
-	case fiEvHedge:
-		c := fi.callAt(e.slot, e.gen)
-		if c == nil || c.hedgeIdx != fiNoHedge || c.liveMask == 0 {
-			return // already hedged, or primary gone (retry pending)
-		}
-		bi := fi.c.sh.table.pickOther(int(c.lastBE))
-		if bi < 0 {
-			return // nothing to hedge to; the primary races on alone
-		}
-		c.hedgeIdx = c.attempt
-		fi.fleetE.hedges++
-		if o := fi.c.ob; o != nil {
-			o.cen.Emit(e.at,
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameHedge, 0),
-				fiEncode(e.slot, e.gen, c.attempt), 0)
-		}
-		fi.issueTo(e.slot, bi)
-	}
-}
-
-// startFleetCall opens the ingress→fleet call for a request whose proxy
-// hop completed.
-func (fi *fleetIngress) startFleetCall(client uint64, born cycles.Cycles) {
-	fi.fleetE.calls++
-	if fi.pol.RetryBudget > 0 {
-		fi.budget = min(fi.budget+fi.pol.RetryBudget, fiBudgetCap)
-		if o := fi.c.ob; o != nil {
-			o.cen.Emit(fi.c.sh.now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, 0),
-				uint64(fi.budget*1000), 0)
-		}
-	}
-	slot := fi.allocCall()
-	c := &fi.calls[slot]
-	c.client = client
-	c.born = born
-	c.fborn = fi.c.sh.now
-	c.racing = true
-	c.attempt = 0
-	c.retries = 0
-	c.hedgeIdx = fiNoHedge
-	c.liveMask = 0
-	c.pendRetry = false
-	c.brSkip = false
-	c.lastBE = -1
-	if fi.br != nil && !fi.br.Admit(c.fborn, fi.c.sh.table.rng) {
-		// Breaker fast failure: no replica cycles spent, no outcome
-		// fed back. Probe admission draws from the routing stream,
-		// like the single-engine graph.
-		c.brSkip = true
-		fi.fleetE.failed++
-		fi.rootDone(slot, c.fborn, false)
-		return
-	}
-	if fi.pol.ShedDepth > 0 && fi.overloaded() {
-		fi.fleetE.shed++
-		c.brSkip = true
-		fi.fleetE.failed++
-		fi.rootDone(slot, c.fborn, false)
-		return
-	}
-	fi.issueAttempt(slot)
-}
-
-// overloaded mirrors Edge.overloaded against the epoch route table:
-// total effective depth (barrier snapshot + this barrier's
-// assignments) over the routable fleet exceeds ShedDepth per replica.
-func (fi *fleetIngress) overloaded() bool {
+// Backlog reads the epoch route table: effective depth (barrier
+// snapshot + this barrier's assignments) over the routable fleet.
+func (fi *fleetIngress) Backlog(*ingress.Route) (depth, up int) {
 	t := fi.c.sh.table
-	up := len(t.ups)
-	if up == 0 {
-		return false
-	}
-	depth := 0
 	for _, i := range t.ups {
 		depth += int(t.depth[i])
 	}
-	return depth > fi.pol.ShedDepth*up
+	return depth, len(t.ups)
 }
 
-// issueAttempt routes the call's next attempt, or fails the call when
-// nothing is routable. Unlike the graph there is no frame re-entrance
-// to defer around: barriers process a flat batch, so the failure
-// completes inline.
-func (fi *fleetIngress) issueAttempt(slot int32) {
-	bi := fi.c.sh.table.pick()
-	if bi < 0 {
-		fi.fleetE.noBackend++
-		fi.fleetE.failed++
-		fi.calls[slot].brSkip = true // not a breaker outcome, like the graph
-		fi.rootDone(slot, fi.c.sh.now, false)
-		return
-	}
-	fi.issueTo(slot, bi)
-}
-
-// issueTo commits one attempt to replica bi at the barrier instant and
-// arms its timeout and, on the first attempt, the hedge.
-func (fi *fleetIngress) issueTo(slot int32, bi int) {
-	c := &fi.calls[slot]
-	now := fi.c.sh.now
-	k := c.attempt
-	c.attempt++
-	c.liveMask |= 1 << k
-	c.lastBE = int32(bi)
-	if o := fi.c.ob; o != nil {
-		o.cen.Emit(now,
-			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameAttempt, 0),
-			fiEncode(slot, c.gen, k), 0)
-	}
+// Send enqueues the attempt at the barrier instant; a partitioned
+// replica's attempt is lost in the network.
+func (fi *fleetIngress) Send(r *ingress.Route, bi int, j sim.Job) {
 	ct := fi.c.containers[bi]
-	if !ct.partitioned {
-		cost := fi.c.costOf(ct)
-		if p := &fi.pol; p.ConnSetup > 0 {
-			if !p.KeepAlive {
-				fi.fleetE.handshakes++
-				cost += p.ConnSetup
-			} else {
-				for len(fi.kaLeft) <= bi {
-					fi.kaLeft = append(fi.kaLeft, 0)
-				}
-				if fi.kaLeft[bi] == 0 {
-					fi.fleetE.handshakes++
-					cost += p.ConnSetup
-					fi.kaLeft[bi] = int32(p.KeepAliveReqs)
-				}
-				fi.kaLeft[bi]--
-			}
-		}
-		ct.q.Arrive(sim.Job{ID: fiEncode(slot, c.gen, k), Cost: cost, Born: now})
-	}
-	// A partitioned replica's attempt is lost in the network: nothing
-	// is enqueued, and the timeout below is the only way it ends.
-	if fi.pol.Timeout > 0 {
-		fi.pushTimer(fiTimer{due: now + fi.pol.Timeout, kind: fiEvTimeout, k: k, slot: slot, gen: c.gen})
-	}
-	if k == 0 {
-		if d := fi.hedgeDelay(); d > 0 {
-			fi.pushTimer(fiTimer{due: now + d, kind: fiEvHedge, slot: slot, gen: c.gen})
-		}
-	}
-}
-
-// hedgeDelay mirrors Edge.hedgeDelay: the observed HedgeP quantile of
-// winning attempt latencies, once enough samples exist.
-func (fi *fleetIngress) hedgeDelay() cycles.Cycles {
-	if fi.pol.HedgeP <= 0 || fi.attemptLat.Count() < fiHedgeMinSample {
-		return 0
-	}
-	return fi.attemptLat.Quantile(fi.pol.HedgeP)
-}
-
-// maybeRetry decides a call's fate after its last live attempt died:
-// retry under the ladder and budget, or fail back to the client.
-func (fi *fleetIngress) maybeRetry(slot int32, at cycles.Cycles) {
-	c := &fi.calls[slot]
-	if int(c.retries) >= fi.pol.Retries {
-		fi.fleetE.failed++
-		fi.rootDone(slot, at, false)
+	if ct.partitioned {
 		return
 	}
-	if fi.pol.RetryBudget > 0 {
-		if fi.budget < 1 {
-			fi.fleetE.budgetDenied++
-			fi.fleetE.failed++
-			if o := fi.c.ob; o != nil {
-				o.cen.Emit(at,
-					obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameBudgetDenied, 0),
-					uint64(uint32(slot)), 0)
-			}
-			fi.rootDone(slot, at, false)
-			return
-		}
-		fi.budget--
+	for len(fi.kaLeft) <= bi {
+		fi.kaLeft = append(fi.kaLeft, 0)
 	}
-	c.retries++
-	fi.fleetE.retries++
-	if o := fi.c.ob; o != nil {
-		o.cen.Emit(at,
-			obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameRetry, 0),
-			fiEncode(slot, c.gen, c.retries), 0)
-		if fi.pol.RetryBudget > 0 {
-			o.cen.Emit(at,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, 0),
-				uint64(fi.budget*1000), 0)
-		}
-	}
-	backoff := fi.pol.Backoff << (c.retries - 1)
-	if backoff > fi.pol.BackoffCap {
-		backoff = fi.pol.BackoffCap
-	}
-	c.pendRetry = true
-	fi.pushTimer(fiTimer{due: at + backoff, kind: fiEvRetry, slot: slot, gen: c.gen})
+	j.Cost = fi.c.costOf(ct) + r.Handshake(&fi.kaLeft[bi])
+	ct.q.Arrive(j)
 }
 
-// rootDone finishes the request: entry-edge accounting, the cluster's
+func (fi *fleetIngress) Arm(due cycles.Cycles, id uint64) {
+	fi.pushTimer(fiTimer{due: due, id: id})
+}
+
+// FailEarly fails the call inline: barriers process a flat batch, so
+// there is no caller to re-enter.
+func (fi *fleetIngress) FailEarly(slot int32, _ uint32) {
+	fi.core.Finish(slot, fi.c.sh.now, false)
+}
+
+// Done finishes the request: entry-route accounting, the cluster's
 // fleet statistics, and the closed-loop re-issue — the sharded
 // counterpart of Cluster.rootDone.
-func (fi *fleetIngress) rootDone(slot int32, at cycles.Cycles, ok bool) {
+func (fi *fleetIngress) Done(_ *ingress.Route, w ingress.Owner, at cycles.Cycles, ok bool) {
 	c := fi.c
-	call := &fi.calls[slot]
-	client := call.client
-	lat := at - call.born
-	if fi.br != nil && !call.brSkip {
-		fi.br.Report(at, ok)
-	}
+	lat := at - w.Origin
+	fi.entry.End(lat, ok)
 	if ok {
-		fi.entryE.completed++
-		fi.entryE.lat.Observe(lat)
 		c.fleet.Observe(lat)
 		c.win.Observe(lat)
 		c.completed++
 	} else {
-		fi.entryE.failed++
 		c.dropped++
 	}
 	if o := c.ob; o != nil {
@@ -676,33 +299,10 @@ func (fi *fleetIngress) rootDone(slot int32, at cycles.Cycles, ok bool) {
 			o.cen.Emit(at, o.kErred, uint64(lat), 0)
 		}
 		o.cen.Emit(at,
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, 1), client, fail)
+			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, 1), w.Client, fail)
 	}
-	fi.freeCall(slot)
 	if c.closedLoop && c.sh.now < c.horizon {
-		fi.admit(client, c.sh.now)
-	}
-}
-
-// attemptLost reports a queued attempt dropped before service (a dead
-// node's backlog); called at barriers from dropBacklog. The attempt
-// dies as if its timeout had fired.
-func (fi *fleetIngress) attemptLost(j sim.Job) {
-	slot, gen, k := fiDecode(j.ID)
-	c := fi.callAt(slot, gen)
-	if c == nil || c.liveMask&(1<<k) == 0 {
-		return
-	}
-	c.liveMask &^= 1 << k
-	fi.fleetE.lost++
-	if o := fi.c.ob; o != nil {
-		// The attempt's span ends flagged lost (B = 2): its backlog died
-		// with a node, no completion record will ever close it.
-		o.cen.Emit(fi.c.sh.now,
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0), j.ID, 2)
-	}
-	if c.liveMask == 0 && !c.pendRetry {
-		fi.maybeRetry(slot, fi.c.sh.now)
+		fi.admit(w.Client, c.sh.now)
 	}
 }
 
@@ -710,82 +310,24 @@ func (fi *fleetIngress) attemptLost(j sim.Job) {
 // ingress→fleet route, then the client entry route (Connect before
 // SetEntry, as buildIngress orders them).
 func (fi *fleetIngress) routeStats() []ingress.RouteStats {
-	fl := fi.fleetE.stats("ingress->fleet")
-	if fi.br != nil {
-		fl.BreakerOpens = fi.br.Opens()
-		fl.BreakerFastFails = fi.br.FastFails()
-	}
-	return []ingress.RouteStats{
-		fl,
-		fi.entryE.stats("client->ingress"),
-	}
+	return []ingress.RouteStats{fi.route.Stats("ingress->fleet"), fi.entry.Stats("client->ingress")}
 }
 
 // serviceStats mirrors Graph.ServiceStats: the proxy service, then the
 // fleet service averaged over every replica ever placed (retired ones
 // included, like the graph's backend list).
 func (fi *fleetIngress) serviceStats(horizon cycles.Cycles) []ingress.ServiceStats {
-	out := make([]ingress.ServiceStats, 2)
-	out[0] = ingress.ServiceStats{
-		Service:     "ingress",
-		Replicas:    1,
-		Completions: fi.proxyCompleted,
-		Utilization: fi.proxyQ.Utilization(horizon),
-		MeanDepth:   fi.proxyQ.MeanDepth(horizon),
-		MaxDepth:    fi.proxyQ.MaxDepth(),
-	}
 	var fleetCompl uint64
 	for i := range fi.c.sh.shards {
 		fleetCompl += fi.c.sh.shards[i].fleetCompleted
 	}
-	st := ingress.ServiceStats{
-		Service:     "fleet",
-		Replicas:    len(fi.c.containers),
-		Completions: fleetCompl,
-		Wasted:      fi.wasted,
-		WastedMS:    fi.wastedCycles.Micros() / 1e3,
+	cts := fi.c.containers
+	return []ingress.ServiceStats{
+		ingress.NewServiceStats("ingress", fi.proxyCompleted, nil, horizon, 1,
+			func(int) *sim.Queue { return fi.proxyQ }),
+		ingress.NewServiceStats("fleet", fleetCompl, &fi.waste, horizon, len(cts),
+			func(i int) *sim.Queue { return cts[i].q }),
 	}
-	if fi.wasted > 0 {
-		st.WastedP50US = fi.wastedLat.Quantile(0.50).Micros()
-		st.WastedP95US = fi.wastedLat.Quantile(0.95).Micros()
-		st.WastedP99US = fi.wastedLat.Quantile(0.99).Micros()
-	}
-	var util, depth float64
-	maxD := 0
-	for _, ct := range fi.c.containers {
-		util += ct.q.Utilization(horizon)
-		depth += ct.q.MeanDepth(horizon)
-		if d := ct.q.MaxDepth(); d > maxD {
-			maxD = d
-		}
-	}
-	if n := len(fi.c.containers); n > 0 {
-		st.Utilization = util / float64(n)
-		depth /= float64(n)
-	}
-	st.MeanDepth = depth
-	st.MaxDepth = maxD
-	out[1] = st
-	return out
-}
-
-// --- call arena ---
-
-func (fi *fleetIngress) allocCall() int32 {
-	if n := len(fi.callFree); n > 0 {
-		slot := fi.callFree[n-1]
-		fi.callFree = fi.callFree[:n-1]
-		return slot
-	}
-	fi.calls = append(fi.calls, fcall{})
-	return int32(len(fi.calls) - 1)
-}
-
-func (fi *fleetIngress) freeCall(slot int32) {
-	c := &fi.calls[slot]
-	c.racing = false
-	c.gen = (c.gen + 1) & fiGenMask
-	fi.callFree = append(fi.callFree, slot)
 }
 
 // --- timer heap (min by due) ---

@@ -100,7 +100,26 @@ func TestShardedDeterminismPlain(t *testing.T) {
 	})
 }
 
-// TestShardedDeterminismIngress: the flyweight ingress tier with every
+// hedgedIngressConfig arms every robustness feature of the ingress
+// route — timeouts, budgeted backoff retries, hedging, keep-alive —
+// under lb, across autoscaling and a node failure.
+func hedgedIngressConfig(t *testing.T, lb ingress.Policy) Config {
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.Replicas = 2, 4
+	cfg.MaxNodes = 4
+	cfg.Autoscale, cfg.SLOp99US = true, 800
+	cfg.FailNodeAtSec = 0.2
+	cfg.Ingress = &IngressConfig{Route: ingress.RoutePolicy{
+		LB: lb, KeepAlive: true, KeepAliveReqs: 32,
+		Timeout: cycles.FromSeconds(400e-6), Retries: 2,
+		Backoff: cycles.FromSeconds(50e-6), RetryBudget: 0.2, HedgeP: 0.95,
+	}}
+	return cfg
+}
+
+var hedgedIngressTraffic = Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}
+
+// TestShardedDeterminismIngress: the ingress tier with every
 // robustness feature armed — timeouts, budgeted backoff retries,
 // hedging, keep-alive — across a node failure, must be shard-count
 // invariant for each load balancer, and match the pinned report bytes.
@@ -112,17 +131,7 @@ func TestShardedDeterminismIngress(t *testing.T) {
 	}
 	for _, lb := range []ingress.Policy{ingress.RoundRobin, ingress.JSQ, ingress.PowerOfTwo} {
 		t.Run(lb.String(), func(t *testing.T) {
-			cfg := testConfig(t, runtimes.XContainer)
-			cfg.Nodes, cfg.Replicas = 2, 4
-			cfg.MaxNodes = 4
-			cfg.Autoscale, cfg.SLOp99US = true, 800
-			cfg.FailNodeAtSec = 0.2
-			cfg.Ingress = &IngressConfig{Route: ingress.RoutePolicy{
-				LB: lb, KeepAlive: true, KeepAliveReqs: 32,
-				Timeout: cycles.FromSeconds(400e-6), Retries: 2,
-				Backoff: cycles.FromSeconds(50e-6), RetryBudget: 0.2, HedgeP: 0.95,
-			}}
-			got := assertShardInvariant(t, cfg, Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}, []int{1, 2, 8})
+			got := assertShardInvariant(t, hedgedIngressConfig(t, lb), hedgedIngressTraffic, []int{1, 2, 8})
 			assertPinned(t, "ingress report", got, pinned[lb])
 		})
 	}

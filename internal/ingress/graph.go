@@ -6,71 +6,6 @@ import (
 	"xcontainers/internal/sim"
 )
 
-// Event and queue-job IDs pack everything a completion or timer needs
-// to find its call again — and to detect that the call has moved on:
-//
-//	bits  0..23  call slot in the arena
-//	bits 24..47  call generation at issue time
-//	bits 48..55  attempt index within the call
-//	bits 56..59  event kind
-//
-// A completion or timer whose generation no longer matches the slot's
-// is stale — the call it belonged to finished and the slot was reused —
-// and is accounted as wasted work instead of being dispatched.
-const (
-	idSlotBits = 24
-	idGenBits  = 24
-	idSlotMask = 1<<idSlotBits - 1
-	idGenMask  = 1<<idGenBits - 1
-
-	kindAttempt = 0 // queue job: one attempt in service at a replica
-	kindTimeout = 1 // per-attempt deadline
-	kindHedge   = 2 // hedge trigger
-	kindRetry   = 3 // backoff expiry: issue the next attempt
-	kindFail    = 4 // deferred no-backend failure
-)
-
-func encodeID(kind uint64, slot int32, gen uint32, attempt uint8) uint64 {
-	return kind<<56 | uint64(attempt)<<48 | uint64(gen&idGenMask)<<idSlotBits | uint64(uint32(slot)&idSlotMask)
-}
-
-func decodeID(id uint64) (kind uint64, slot int32, gen uint32, attempt uint8) {
-	return id >> 56, int32(id & idSlotMask), uint32(id>>idSlotBits) & idGenMask, uint8(id >> 48)
-}
-
-// Call lifecycle: racing (attempts, timeouts, retries, hedges compete
-// to produce the first response) → subtree (downstream edges run once,
-// driven by the winning response) → freed. Timers and completions
-// carry the state they expect; anything arriving late is ignored or
-// counted as waste.
-const (
-	stateFree uint8 = iota
-	stateRacing
-	stateSubtree
-)
-
-const noHedge = 0xff
-
-// call is one in-flight invocation of an edge. Calls live in a slot
-// arena with a free list; the struct is pointer-free so steady-state
-// traffic costs the garbage collector nothing.
-type call struct {
-	gen       uint32
-	edge      int32
-	parent    int32  // frame slot awaiting this call, -1 at the root
-	parentGen uint32 // the frame's generation at issue
-	client    uint64 // root calls: the traffic source's request id
-	born      cycles.Cycles
-	state     uint8
-	attempt   uint8  // attempts issued so far
-	retries   uint8  // retries consumed (hedges are not retries)
-	hedgeIdx  uint8  // attempt index of the hedge, noHedge if none
-	liveMask  uint16 // bit per attempt still eligible to win
-	pendRetry bool   // a backoff timer is pending; no attempt is live
-	brSkip    bool   // fast-failed before issue; not a breaker outcome
-	lastBE    int16  // replica of the newest attempt (hedge avoids it)
-}
-
 // frame is one activation of a service's outgoing edges on behalf of a
 // winning call: the cursor of a sequential chain or the join counter
 // of a fan-out. Same arena discipline as calls.
@@ -85,18 +20,20 @@ type frame struct {
 
 // Graph is a service graph on one engine: services, edges, the client
 // entry route, and the arenas every in-flight request tree lives in.
-// It implements sim.Handler for its own timer events.
+// Calls run on the shared Lifecycle, which the graph drives through
+// its engine seam (graphSeam); the graph itself keeps the frames that
+// chain and fan out a winning call's downstream edges. It implements
+// sim.Handler for its own timer events.
 type Graph struct {
-	eng *sim.Engine
-	rng *sim.Rand
-	ref sim.HandlerRef
+	eng  *sim.Engine
+	rng  *sim.Rand
+	ref  sim.HandlerRef
+	core *Lifecycle
 
 	services []*Service
 	edges    []*Edge
 	entry    *Edge
 
-	calls     []call
-	callFree  []int32
 	frames    []frame
 	frameFree []int32
 
@@ -105,10 +42,10 @@ type Graph struct {
 	// succeeded. Closed-loop drivers re-admit from here.
 	OnRootDone func(client uint64, lat cycles.Cycles, ok bool)
 
-	// obsSink, when set via Observe, receives trace records: request and
-	// attempt spans on per-edge tracks, robustness instants (timeout,
-	// retry, hedge, budget denial), and retry-budget counters. Every
-	// emission guards on the nil, so an unobserved graph pays one branch.
+	// obsSink, when set via Observe, receives trace records: request
+	// spans here, attempt spans, robustness instants and retry-budget
+	// counters from the lifecycle. Every emission guards on the nil, so
+	// an unobserved graph pays one branch.
 	obsSink obs.Sink
 
 	admitted uint64
@@ -121,6 +58,7 @@ type Graph struct {
 func NewGraph(eng *sim.Engine, seed uint64) *Graph {
 	g := &Graph{eng: eng, rng: sim.NewRand(seed)}
 	g.ref = eng.Register(g)
+	g.core = NewLifecycle((*graphSeam)(g))
 	return g
 }
 
@@ -134,8 +72,7 @@ func (g *Graph) AddService(name string, mode CallMode) *Service {
 // Connect routes calls from one service into another under pol. hit is
 // the edge's cache behaviour (see Edge.hit); 0 for a hard dependency.
 func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
-	e := &Edge{g: g, idx: int32(len(g.edges)), from: from, to: to, pol: pol.normalized(), hit: hit}
-	e.br = NewBreaker(e.pol)
+	e := &Edge{Route: g.core.NewRoute(pol, &to.attemptLat), g: g, from: from, to: to, hit: hit}
 	g.edges = append(g.edges, e)
 	from.edges = append(from.edges, e)
 	return e
@@ -144,8 +81,7 @@ func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
 // SetEntry installs the client→root route every admitted request
 // enters through, replacing any previous entry.
 func (g *Graph) SetEntry(root *Service, pol RoutePolicy) *Edge {
-	e := &Edge{g: g, idx: int32(len(g.edges)), from: nil, to: root, pol: pol.normalized()}
-	e.br = NewBreaker(e.pol)
+	e := &Edge{Route: g.core.NewRoute(pol, &root.attemptLat), g: g, to: root}
 	g.edges = append(g.edges, e)
 	g.entry = e
 	return e
@@ -166,9 +102,10 @@ func (g *Graph) Reseed(seed uint64) { g.rng = sim.NewRand(seed) }
 // (slot|gen|attempt), so begin/end records match without any lookup.
 func (g *Graph) Observe(sink obs.Sink, rec *obs.Recorder) {
 	g.obsSink = sink
+	g.core.Observe(sink)
 	if rec != nil {
 		for _, e := range g.edges {
-			rec.Label(obs.LayerIngress, uint32(e.idx), e.Name())
+			rec.Label(obs.LayerIngress, uint32(e.id), e.Name())
 		}
 	}
 }
@@ -182,102 +119,17 @@ func (g *Graph) Failed() uint64   { return g.failed }
 // Admit injects one client request at the current virtual instant.
 func (g *Graph) Admit(client uint64) {
 	g.admitted++
-	if g.obsSink != nil {
-		g.obsSink.Emit(g.eng.Now(),
-			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameRequest, uint32(g.entry.idx)), client, 0)
-	}
-	g.startCall(g.entry, -1, 0, client)
-}
-
-// startCall allocates a call on e and issues its first attempt.
-func (g *Graph) startCall(e *Edge, parent int32, parentGen uint32, client uint64) {
-	e.calls++
-	if e.pol.RetryBudget > 0 {
-		e.budget = min(e.budget+e.pol.RetryBudget, retryBudgetCap)
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, uint32(e.idx)), uint64(e.budget*1000), 0)
-		}
-	}
-	slot := g.allocCall()
-	c := &g.calls[slot]
-	c.edge = e.idx
-	c.parent = parent
-	c.parentGen = parentGen
-	c.client = client
-	c.born = g.eng.Now()
-	c.state = stateRacing
-	c.attempt = 0
-	c.retries = 0
-	c.hedgeIdx = noHedge
-	c.liveMask = 0
-	c.pendRetry = false
-	c.brSkip = false
-	c.lastBE = -1
-	if e.br != nil && !e.br.Admit(c.born, g.rng) {
-		// Breaker fast failure: fail through the event loop like
-		// no-backend does, without feeding the outcome back (the call
-		// never touched a replica).
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	if e.pol.ShedDepth > 0 && e.overloaded() {
-		e.shed++
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	g.issueAttempt(slot)
-}
-
-// issueAttempt sends the call's next attempt to a replica chosen by
-// the edge's policy. Only the no-live-attempt paths (first attempt,
-// retry) may call it: with nothing routable the call must fail, and
-// that failure is deferred through the event loop because failing
-// synchronously would re-enter the parent frame mid-issue.
-func (g *Graph) issueAttempt(slot int32) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	bi := e.pick()
-	if bi < 0 {
-		e.noBackend++
-		c.brSkip = true
-		g.eng.Schedule(0, g.ref, sim.Job{ID: encodeID(kindFail, slot, c.gen, 0)})
-		return
-	}
-	g.issueTo(slot, bi)
-}
-
-// issueTo commits one attempt to replica bi and arms its timeout and,
-// on the first attempt, the hedge.
-func (g *Graph) issueTo(slot int32, bi int) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	b := e.to.backends[bi]
-	k := c.attempt
-	c.attempt++
-	c.liveMask |= 1 << k
-	c.lastBE = int16(bi)
 	now := g.eng.Now()
 	if g.obsSink != nil {
 		g.obsSink.Emit(now,
-			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)),
-			encodeID(kindAttempt, slot, c.gen, k), 0)
+			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameRequest, uint32(g.entry.id)), client, 0)
 	}
-	if !b.unreachable {
-		b.q.Arrive(sim.Job{ID: encodeID(kindAttempt, slot, c.gen, k), Cost: e.attemptCost(b), Born: now})
-	}
-	// A partitioned replica's attempt is lost in the network: nothing
-	// is enqueued, and the timeout below is the only way it ends.
-	if e.pol.Timeout > 0 {
-		g.eng.Schedule(e.pol.Timeout, g.ref, sim.Job{ID: encodeID(kindTimeout, slot, c.gen, k)})
-	}
-	if k == 0 {
-		if d := e.hedgeDelay(); d > 0 {
-			g.eng.Schedule(d, g.ref, sim.Job{ID: encodeID(kindHedge, slot, c.gen, 0)})
-		}
-	}
+	g.core.Start(g.entry.Route, Owner{Parent: -1, Client: client, Origin: now})
+}
+
+// startChild opens a call on e for frame fslot.
+func (g *Graph) startChild(e *Edge, fslot int32, fgen uint32) {
+	g.core.Start(e.Route, Owner{Parent: fslot, ParentGen: fgen})
 }
 
 // attemptDone is every backend queue's completion hook: j finished at
@@ -287,88 +139,31 @@ func (g *Graph) issueTo(slot int32, bi int) {
 func (g *Graph) attemptDone(s *Service, bi int, j sim.Job) {
 	s.completions++
 	now := g.eng.Now()
-	kind, slot, gen, k := decodeID(j.ID)
-	if kind != kindAttempt || int(slot) >= len(g.calls) {
-		// A job this graph never issued (work injected directly into a
-		// shared queue) — capacity it consumed, but nobody waits for it.
-		s.wasted++
-		s.wastedCycles += j.Cost
-		s.wastedLat.Observe(now - j.Born)
-		if g.obsSink != nil {
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-		}
+	slot := g.core.Resolve(j, now, &s.waste)
+	if slot < 0 {
 		return
 	}
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing || c.liveMask&(1<<k) == 0 {
-		s.wasted++
-		s.wastedCycles += j.Cost
-		s.wastedLat.Observe(now - j.Born)
-		if g.obsSink != nil {
-			// The loser's span ends flagged wasted (B = 1). Its call slot
-			// may already serve another request, so the edge is
-			// unattributable — waste lands on track 0, service-level.
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, 0), j.ID, 1)
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-		}
-		return
-	}
-	e := g.edges[c.edge]
-	if c.parent >= 0 {
-		if f := &g.frames[c.parent]; f.gen != c.parentGen || f.failed {
+	c := &g.core.calls[slot]
+	if c.Parent >= 0 {
+		if f := &g.frames[c.Parent]; f.gen != c.ParentGen || f.failed {
 			// The caller's frame already failed (a sibling hard
 			// dependency died) or moved on: this completion bought
-			// nothing. The cycles are wasted capacity, and the call
-			// fails without opening a downstream subtree — a doomed
-			// fan-out must not fan further work out.
-			s.wasted++
-			s.wastedCycles += j.Cost
-			s.wastedLat.Observe(now - j.Born)
-			if g.obsSink != nil {
-				g.obsSink.Emit(now,
-					obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 1)
-				g.obsSink.Emit(now,
-					obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameWasted, 0), uint64(now-j.Born), 0)
-			}
-			c.liveMask = 0
-			g.completeCall(slot, false)
+			// nothing.
+			g.core.Abandon(slot, j, now, &s.waste)
 			return
 		}
 	}
-	if b := s.backends[bi]; b.errRate > 0 && b.errRng.Float64() < b.errRate {
-		// Gray failure: the replica burned the cycles but answered
-		// with an error. The attempt dies like a timeout would, and
-		// the call retries or fails under its policy.
-		e.errors++
-		if g.obsSink != nil {
-			// The span ends flagged errored (B = 3).
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 3)
-		}
-		c.liveMask &^= 1 << k
-		if c.liveMask == 0 && !c.pendRetry {
-			g.maybeRetry(slot)
-		}
+	// Gray failure: the replica burned the cycles but answered with an
+	// error. The coin is drawn only for an answer someone still wants.
+	b := s.backends[bi]
+	if !g.core.Answer(slot, j, now, b.errRate > 0 && b.errRng.Float64() < b.errRate) {
 		return
 	}
-	s.attemptLat.Observe(now - j.Born)
-	if g.obsSink != nil {
-		g.obsSink.Emit(now,
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(e.idx)), j.ID, 0)
-	}
-	if k == c.hedgeIdx {
-		e.hedgeWins++
-	}
-	c.liveMask = 0
-	c.state = stateSubtree
-	if len(e.to.edges) == 0 {
-		g.completeCall(slot, true)
+	if to := g.edges[c.route].to; len(to.edges) > 0 {
+		g.openFrame(slot, to)
 		return
 	}
-	g.openFrame(slot, e.to)
+	g.core.Finish(slot, now, true)
 }
 
 // openFrame starts the winning call's downstream edges.
@@ -383,7 +178,7 @@ func (g *Graph) openFrame(callSlot int32, svc *Service) {
 	f.failed = false
 	switch svc.mode {
 	case Sequential:
-		g.startCall(svc.edges[0], fslot, fgen, 0)
+		g.startChild(svc.edges[0], fslot, fgen)
 	case FanOut:
 		// Draw every skip coin before issuing so a child cannot join
 		// (asynchronously) against a half-counted pending.
@@ -401,7 +196,7 @@ func (g *Graph) openFrame(callSlot int32, svc *Service) {
 		}
 		for i, e := range svc.edges {
 			if issue&(1<<uint(i)) != 0 {
-				g.startCall(e, fslot, fgen, 0)
+				g.startChild(e, fslot, fgen)
 			}
 		}
 	}
@@ -428,7 +223,7 @@ func (g *Graph) frameChildDone(fslot int32, fgen uint32, childEdge *Edge, ok boo
 		}
 		f.next++
 		if int(f.next) < len(svc.edges) {
-			g.startCall(svc.edges[f.next], fslot, fgen, 0)
+			g.startChild(svc.edges[f.next], fslot, fgen)
 			return
 		}
 		g.finishFrame(fslot)
@@ -448,187 +243,16 @@ func (g *Graph) finishFrame(fslot int32) {
 	f := &g.frames[fslot]
 	callSlot, ok := f.callRef, !f.failed
 	g.freeFrame(fslot)
-	g.completeCall(callSlot, ok)
+	g.core.Finish(callSlot, g.eng.Now(), ok)
 }
 
-// completeCall finishes a call — success or failure — observes its
-// latency, frees the slot, and propagates to the parent frame or, at
-// the root, to the traffic source.
-func (g *Graph) completeCall(slot int32, ok bool) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	lat := g.eng.Now() - c.born
-	parent, parentGen, client := c.parent, c.parentGen, c.client
-	if e.br != nil && !c.brSkip {
-		e.br.Report(g.eng.Now(), ok)
-	}
-	if ok {
-		e.completed++
-		e.lat.Observe(lat)
-	} else {
-		e.failed++
-	}
-	g.freeCall(slot)
-	if parent < 0 {
-		if ok {
-			g.served++
-		} else {
-			g.failed++
-		}
-		if g.obsSink != nil {
-			var fail uint64
-			if !ok {
-				fail = 1
-			}
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, uint32(e.idx)), client, fail)
-		}
-		if g.OnRootDone != nil {
-			g.OnRootDone(client, lat, ok)
-		}
-		return
-	}
-	g.frameChildDone(parent, parentGen, e, ok)
-}
-
-// HandleEvent dispatches the graph's timer events. Every branch
-// re-validates generation and state: by the time a timer fires, its
-// call may have completed, failed, or been reused.
-func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) {
-	kind, slot, gen, k := decodeID(j.ID)
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing {
-		return
-	}
-	switch kind {
-	case kindTimeout:
-		if c.liveMask&(1<<k) == 0 {
-			return
-		}
-		c.liveMask &^= 1 << k
-		g.edges[c.edge].timeouts++
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameTimeout, uint32(c.edge)),
-				encodeID(kindAttempt, slot, gen, k), 0)
-		}
-		if c.liveMask != 0 {
-			return // a hedge twin is still racing
-		}
-		g.maybeRetry(slot)
-	case kindRetry:
-		if !c.pendRetry {
-			return
-		}
-		c.pendRetry = false
-		g.issueAttempt(slot)
-	case kindHedge:
-		if c.hedgeIdx != noHedge || c.liveMask == 0 {
-			return // already hedged, or primary gone (retry pending)
-		}
-		e := g.edges[c.edge]
-		bi := e.pickOther(int(c.lastBE))
-		if bi < 0 {
-			return // nothing to hedge to; the primary races on alone
-		}
-		c.hedgeIdx = c.attempt
-		e.hedges++
-		if g.obsSink != nil {
-			g.obsSink.Emit(g.eng.Now(),
-				obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameHedge, uint32(e.idx)),
-				encodeID(kindAttempt, slot, gen, c.attempt), 0)
-		}
-		g.issueTo(slot, bi)
-	case kindFail:
-		g.completeCall(slot, false)
-	}
-}
-
-// maybeRetry decides a call's fate after its last live attempt died:
-// retry under the ladder and budget, or fail.
-func (g *Graph) maybeRetry(slot int32) {
-	c := &g.calls[slot]
-	e := g.edges[c.edge]
-	if int(c.retries) >= e.pol.Retries {
-		g.completeCall(slot, false)
-		return
-	}
-	if e.pol.RetryBudget > 0 {
-		if e.budget < 1 {
-			e.budgetDenied++
-			if g.obsSink != nil {
-				g.obsSink.Emit(g.eng.Now(),
-					obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameBudgetDenied, uint32(e.idx)),
-					uint64(uint32(slot)), 0)
-			}
-			g.completeCall(slot, false)
-			return
-		}
-		e.budget--
-	}
-	c.retries++
-	e.retries++
-	if g.obsSink != nil {
-		now := g.eng.Now()
-		g.obsSink.Emit(now,
-			obs.Key(obs.KindInstant, obs.LayerIngress, obs.NameRetry, uint32(e.idx)),
-			encodeID(kindAttempt, slot, c.gen, c.retries), 0)
-		if e.pol.RetryBudget > 0 {
-			g.obsSink.Emit(now,
-				obs.Key(obs.KindCounter, obs.LayerIngress, obs.NameBudget, uint32(e.idx)),
-				uint64(e.budget*1000), 0)
-		}
-	}
-	backoff := e.pol.Backoff << (c.retries - 1)
-	if backoff > e.pol.BackoffCap {
-		backoff = e.pol.BackoffCap
-	}
-	c.pendRetry = true
-	g.eng.Schedule(backoff, g.ref, sim.Job{ID: encodeID(kindRetry, slot, c.gen, 0)})
-}
+// HandleEvent dispatches the graph's timer events to the lifecycle.
+func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) { g.core.Fire(j.ID, g.eng.Now()) }
 
 // AttemptLost reports that a queued attempt was dropped before service
 // (a crashed node's backlog): the attempt dies immediately, as if its
 // timeout had fired, and the call retries or fails under its policy.
-func (g *Graph) AttemptLost(j sim.Job) {
-	kind, slot, gen, k := decodeID(j.ID)
-	if kind != kindAttempt || int(slot) >= len(g.calls) {
-		return
-	}
-	c := &g.calls[slot]
-	if c.gen != gen || c.state != stateRacing || c.liveMask&(1<<k) == 0 {
-		return
-	}
-	c.liveMask &^= 1 << k
-	g.edges[c.edge].lost++
-	if g.obsSink != nil {
-		// The attempt's span ends flagged lost (B = 2): its backlog died
-		// with a node, no completion record will ever close it.
-		g.obsSink.Emit(g.eng.Now(),
-			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameAttempt, uint32(c.edge)), j.ID, 2)
-	}
-	if c.liveMask == 0 && !c.pendRetry {
-		g.maybeRetry(slot)
-	}
-}
-
-// allocCall claims a call slot; generations distinguish reuses.
-func (g *Graph) allocCall() int32 {
-	if n := len(g.callFree); n > 0 {
-		slot := g.callFree[n-1]
-		g.callFree = g.callFree[:n-1]
-		return slot
-	}
-	g.calls = append(g.calls, call{})
-	return int32(len(g.calls) - 1)
-}
-
-func (g *Graph) freeCall(slot int32) {
-	c := &g.calls[slot]
-	c.state = stateFree
-	c.gen = (c.gen + 1) & idGenMask
-	g.callFree = append(g.callFree, slot)
-}
+func (g *Graph) AttemptLost(j sim.Job) { g.core.Lost(j) }
 
 func (g *Graph) allocFrame() int32 {
 	if n := len(g.frameFree); n > 0 {
@@ -644,4 +268,56 @@ func (g *Graph) freeFrame(slot int32) {
 	f := &g.frames[slot]
 	f.gen = (f.gen + 1) & idGenMask
 	g.frameFree = append(g.frameFree, slot)
+}
+
+// graphSeam is the Graph as the lifecycle's engine: immediate picks
+// over live backend queues, sim-event timers, and failures deferred
+// through the event loop.
+type graphSeam Graph
+
+func (s *graphSeam) Now() cycles.Cycles                { return s.eng.Now() }
+func (s *graphSeam) Rand() *sim.Rand                   { return s.rng }
+func (s *graphSeam) Pick(r *Route) int                 { return s.edges[r.id].pick() }
+func (s *graphSeam) PickOther(r *Route, avoid int) int { return s.edges[r.id].pickOther(avoid) }
+func (s *graphSeam) Backlog(r *Route) (int, int)       { return s.edges[r.id].backlog() }
+
+func (s *graphSeam) Send(r *Route, bi int, j sim.Job) {
+	if b := s.edges[r.id].to.backends[bi]; !b.unreachable {
+		j.Cost = b.cost + r.Handshake(&b.kaLeft)
+		b.q.Arrive(j)
+	}
+}
+
+func (s *graphSeam) Arm(due cycles.Cycles, id uint64) { s.eng.ScheduleAt(due, s.ref, sim.Job{ID: id}) }
+
+// FailEarly defers the failure through the event loop: failing
+// synchronously would re-enter the parent frame mid-issue.
+func (s *graphSeam) FailEarly(slot int32, gen uint32) {
+	s.eng.Schedule(0, s.ref, sim.Job{ID: encodeID(kindFail, slot, gen, 0)})
+}
+
+// Done propagates a finished call to its parent frame or, at the root,
+// to the traffic source.
+func (s *graphSeam) Done(r *Route, o Owner, at cycles.Cycles, ok bool) {
+	g := (*Graph)(s)
+	if o.Parent >= 0 {
+		g.frameChildDone(o.Parent, o.ParentGen, g.edges[r.id], ok)
+		return
+	}
+	if ok {
+		g.served++
+	} else {
+		g.failed++
+	}
+	if g.obsSink != nil {
+		var fail uint64
+		if !ok {
+			fail = 1
+		}
+		g.obsSink.Emit(at,
+			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, uint32(r.id)), o.Client, fail)
+	}
+	if g.OnRootDone != nil {
+		g.OnRootDone(o.Client, at-o.Origin, ok)
+	}
 }

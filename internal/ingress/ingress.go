@@ -213,8 +213,8 @@ type backend struct {
 	weight int
 	down   bool
 
-	kaLeft int // keep-alive: requests left on the open connections
-	cw     int // smooth weighted round-robin current weight
+	kaLeft int32 // keep-alive: requests left on the open connections
+	cw     int   // smooth weighted round-robin current weight
 
 	// unreachable models a network partition between this tier and the
 	// replica: attempts routed here are lost in the network (no replica
@@ -241,20 +241,13 @@ type Service struct {
 	backends []*backend
 	edges    []*Edge
 
-	// attemptLat observes completed attempts' service-phase latency
+	// attemptLat observes winning attempts' service-phase latency
 	// (attempt start → replica completion, queueing included) — the
-	// basis for hedge delays.
+	// basis for hedge delays on every route into this service.
 	attemptLat sim.Histogram
 
-	completions  uint64 // attempts completed at replicas, wasted included
-	wasted       uint64 // completions nobody was waiting for any more
-	wastedCycles cycles.Cycles
-
-	// wastedLat observes wasted completions' latency separately from
-	// attemptLat and the route histograms: a hedge loser's slow finish
-	// is capacity accounting, not request experience, and folding it
-	// into p99 would indict hedging for the very tail it removed.
-	wastedLat sim.Histogram
+	completions uint64 // attempts completed at replicas, wasted included
+	waste       Waste  // completions nobody was waiting for any more
 }
 
 // Name returns the service's display name.
@@ -306,14 +299,13 @@ func (s *Service) SetErrorRate(i int, rate float64, seed uint64) {
 	}
 }
 
-// Edge is one route: calls from one service (or the client) into
-// another, under a policy. Edges are created in Connect order and
-// reported in that order.
+// Edge is one route of the graph: calls from one service (or the
+// client) into another, on a lifecycle Route. Edges are created in
+// Connect order and reported in that order.
 type Edge struct {
+	*Route
 	g        *Graph
-	idx      int32
 	from, to *Service // from == nil for the entry edge
-	pol      RoutePolicy
 	// hit is the edge's cache behaviour. Sequential mode: probability
 	// that, after this edge completes, the remaining edges are skipped
 	// (a tiered-cache hit). FanOut mode: probability the edge is not
@@ -321,28 +313,7 @@ type Edge struct {
 	// failure degrades to a miss instead of failing the caller.
 	hit float64
 
-	rr     int // round-robin cursor
-	budget float64
-	br     *Breaker // nil unless the policy arms the circuit breaker
-
-	// lat observes successful full-call latency (admission → call
-	// completion, downstream subtree included) — the reported
-	// percentiles.
-	lat sim.Histogram
-
-	calls        uint64
-	completed    uint64
-	failed       uint64
-	retries      uint64
-	timeouts     uint64
-	lost         uint64 // attempts lost with a dead backlog, retried like timeouts
-	hedges       uint64
-	hedgeWins    uint64
-	budgetDenied uint64
-	noBackend    uint64
-	handshakes   uint64
-	errors       uint64 // gray-failure attempt errors at this route's target
-	shed         uint64 // calls failed fast by the overload valve
+	rr int // round-robin cursor
 }
 
 // Name renders the route like "ingress->app"; the entry edge's source
@@ -472,30 +443,9 @@ func (e *Edge) pickOther(avoid int) int {
 	return idx
 }
 
-// attemptCost is the service demand of one attempt at replica b:
-// per-request cost plus the connection-handling charge.
-func (e *Edge) attemptCost(b *backend) cycles.Cycles {
-	cost := b.cost
-	if e.pol.ConnSetup == 0 {
-		return cost
-	}
-	if !e.pol.KeepAlive {
-		e.handshakes++
-		return cost + e.pol.ConnSetup
-	}
-	if b.kaLeft == 0 {
-		e.handshakes++
-		cost += e.pol.ConnSetup
-		b.kaLeft = e.pol.KeepAliveReqs
-	}
-	b.kaLeft--
-	return cost
-}
-
-// overloaded is the shed predicate: the target's total backlog spread
-// over its up replicas exceeds the route's ShedDepth.
-func (e *Edge) overloaded() bool {
-	depth, up := 0, 0
+// backlog is the total queue depth over the target's up replicas, and
+// how many are up.
+func (e *Edge) backlog() (depth, up int) {
 	for _, b := range e.to.backends {
 		if b.down {
 			continue
@@ -503,15 +453,5 @@ func (e *Edge) overloaded() bool {
 		depth += b.q.Depth()
 		up++
 	}
-	return up > 0 && depth > e.pol.ShedDepth*up
-}
-
-// hedgeDelay is the armed hedge trigger: the route target's observed
-// HedgeP attempt-latency quantile, or 0 when hedging is off or still
-// warming up.
-func (e *Edge) hedgeDelay() cycles.Cycles {
-	if e.pol.HedgeP <= 0 || e.to.attemptLat.Count() < hedgeMinSamples {
-		return 0
-	}
-	return e.to.attemptLat.Quantile(e.pol.HedgeP)
+	return depth, up
 }

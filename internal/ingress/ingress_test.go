@@ -234,6 +234,39 @@ func TestHedgingCutsP99(t *testing.T) {
 	}
 }
 
+// TestHedgeAvoidsHighIndexPrimary: the hedge must land on a replica
+// other than the primary's even when the primary's index does not fit
+// in 16 bits. Replica 0 holds a standing backlog and replica 32768 is
+// idle but slow, every replica between them is down: JSQ sends the
+// primary to 32768 and picks it again for the hedge, so only the
+// "avoid the primary" fallback moves the hedge to replica 0.
+func TestHedgeAvoidsHighIndexPrimary(t *testing.T) {
+	const hi = 1 << 15
+	cost := cycles.FromMicros(10)
+	r := newRig(t, 1, hi+1, cost, RoutePolicy{LB: JSQ, HedgeP: 0.5})
+	for i := 1; i < hi; i++ {
+		r.svc.SetDown(i, true)
+	}
+	r.drive(hedgeMinSamples, cycles.FromMicros(50)) // warm the hedge quantile
+	for i := 0; i < 50; i++ {
+		r.qs[0].Arrive(sim.Job{ID: ^uint64(i), Cost: 1_000_000_000})
+	}
+	r.svc.SetCost(hi, 100*cost) // the primary is still out when the hedge fires
+
+	lo0, hiN := r.qs[0].Arrived, r.qs[hi].Arrived
+	r.g.Admit(1 << 20)
+	r.eng.Run(r.eng.Now() + 20*cost)
+	if h := r.g.Entry().hedges; h != 1 {
+		t.Fatalf("hedges = %d, want 1", h)
+	}
+	if got := r.qs[hi].Arrived - hiN; got != 1 {
+		t.Errorf("replica %d received %d attempts, want only the primary", hi, got)
+	}
+	if got := r.qs[0].Arrived - lo0; got != 1 {
+		t.Errorf("replica 0 received %d attempts, want the hedge", got)
+	}
+}
+
 // wire builds ingress -> app -> {cache, db} with the given cache hit
 // ratio: the canonical tiered-cache chain.
 func wire(seed uint64, hit float64, cacheReplicas int) (*sim.Engine, *Graph, *Edge, *Edge) {

@@ -2,6 +2,7 @@ package ingress
 
 import (
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/sim"
 )
 
 // RouteStats is one edge's report section: call accounting, robustness
@@ -36,37 +37,7 @@ type RouteStats struct {
 }
 
 // statsOf snapshots one edge.
-func statsOf(e *Edge) RouteStats {
-	st := RouteStats{
-		Route:     e.Name(),
-		Calls:     e.calls,
-		Completed: e.completed,
-		Failed:    e.failed,
-
-		Retries:      e.retries,
-		Timeouts:     e.timeouts,
-		Lost:         e.lost,
-		Hedges:       e.hedges,
-		HedgeWins:    e.hedgeWins,
-		BudgetDenied: e.budgetDenied,
-		NoBackend:    e.noBackend,
-		Handshakes:   e.handshakes,
-
-		Errors: e.errors,
-		Shed:   e.shed,
-
-		MeanUS: e.lat.MeanMicros(),
-		P50US:  e.lat.Quantile(0.50).Micros(),
-		P95US:  e.lat.Quantile(0.95).Micros(),
-		P99US:  e.lat.Quantile(0.99).Micros(),
-		MaxUS:  e.lat.Max().Micros(),
-	}
-	if e.br != nil {
-		st.BreakerOpens = e.br.Opens()
-		st.BreakerFastFails = e.br.FastFails()
-	}
-	return st
-}
+func statsOf(e *Edge) RouteStats { return e.Stats(e.Name()) }
 
 // RouteStats snapshots every edge in creation order (the entry edge
 // where SetEntry placed it).
@@ -106,34 +77,8 @@ type ServiceStats struct {
 func (g *Graph) ServiceStats(horizon cycles.Cycles) []ServiceStats {
 	out := make([]ServiceStats, len(g.services))
 	for i, s := range g.services {
-		st := ServiceStats{
-			Service:     s.name,
-			Replicas:    len(s.backends),
-			Completions: s.completions,
-			Wasted:      s.wasted,
-			WastedMS:    s.wastedCycles.Micros() / 1e3,
-		}
-		if s.wasted > 0 {
-			st.WastedP50US = s.wastedLat.Quantile(0.50).Micros()
-			st.WastedP95US = s.wastedLat.Quantile(0.95).Micros()
-			st.WastedP99US = s.wastedLat.Quantile(0.99).Micros()
-		}
-		var util, depth float64
-		maxD := 0
-		for _, b := range s.backends {
-			util += b.q.Utilization(horizon)
-			depth += b.q.MeanDepth(horizon)
-			if d := b.q.MaxDepth(); d > maxD {
-				maxD = d
-			}
-		}
-		if n := len(s.backends); n > 0 {
-			st.Utilization = util / float64(n)
-			depth /= float64(n)
-		}
-		st.MeanDepth = depth
-		st.MaxDepth = maxD
-		out[i] = st
+		out[i] = NewServiceStats(s.name, s.completions, &s.waste, horizon, len(s.backends),
+			func(i int) *sim.Queue { return s.backends[i].q })
 	}
 	return out
 }
