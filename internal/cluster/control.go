@@ -325,7 +325,7 @@ func (c *Cluster) dropBacklog(ct *container) {
 	}
 	if c.sh != nil && c.sh.fi != nil {
 		for _, j := range jobs {
-			c.sh.fi.core.Lost(j)
+			c.sh.fi.core.Lost(j, c.sh.now)
 		}
 		return
 	}

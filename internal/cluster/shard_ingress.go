@@ -216,21 +216,18 @@ func (fi *fleetIngress) processEpoch() {
 		switch e.kind {
 		case evProxyDone:
 			// The proxy hop completed: open the ingress→fleet call.
-			fi.core.Start(fi.route, ingress.Owner{Parent: -1, Client: e.id, Origin: e.born})
+			fi.core.Start(fi.route, ingress.Owner{Parent: -1, Client: e.id, Origin: e.born}, now)
 		case evFleetDone:
 			j := sim.Job{ID: e.id, Cost: e.cost, Born: e.born}
 			if slot := fi.core.Resolve(j, e.at, &fi.waste); slot >= 0 && fi.core.Answer(slot, j, e.at, e.erred) {
 				fi.core.Finish(slot, e.at, true)
 			}
 		default:
-			fi.core.Fire(e.id, e.at)
+			fi.core.Fire(e.id, e.at, now)
 		}
 	}
 	fi.events = ev[:0]
 }
-
-// Now is the barrier instant: calls start and attempts issue there.
-func (fi *fleetIngress) Now() cycles.Cycles { return fi.c.sh.now }
 
 // Rand is the routing stream: breaker probes draw from it, like the
 // single-engine graph's.

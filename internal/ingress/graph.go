@@ -124,12 +124,12 @@ func (g *Graph) Admit(client uint64) {
 		g.obsSink.Emit(now,
 			obs.Key(obs.KindSpanBegin, obs.LayerIngress, obs.NameRequest, uint32(g.entry.id)), client, 0)
 	}
-	g.core.Start(g.entry.Route, Owner{Parent: -1, Client: client, Origin: now})
+	g.core.Start(g.entry.Route, Owner{Parent: -1, Client: client, Origin: now}, now)
 }
 
 // startChild opens a call on e for frame fslot.
 func (g *Graph) startChild(e *Edge, fslot int32, fgen uint32) {
-	g.core.Start(e.Route, Owner{Parent: fslot, ParentGen: fgen})
+	g.core.Start(e.Route, Owner{Parent: fslot, ParentGen: fgen}, g.eng.Now())
 }
 
 // attemptDone is every backend queue's completion hook: j finished at
@@ -247,12 +247,15 @@ func (g *Graph) finishFrame(fslot int32) {
 }
 
 // HandleEvent dispatches the graph's timer events to the lifecycle.
-func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) { g.core.Fire(j.ID, g.eng.Now()) }
+func (g *Graph) HandleEvent(_ *sim.Engine, j sim.Job) {
+	now := g.eng.Now()
+	g.core.Fire(j.ID, now, now)
+}
 
 // AttemptLost reports that a queued attempt was dropped before service
 // (a crashed node's backlog): the attempt dies immediately, as if its
 // timeout had fired, and the call retries or fails under its policy.
-func (g *Graph) AttemptLost(j sim.Job) { g.core.Lost(j) }
+func (g *Graph) AttemptLost(j sim.Job) { g.core.Lost(j, g.eng.Now()) }
 
 func (g *Graph) allocFrame() int32 {
 	if n := len(g.frameFree); n > 0 {
@@ -275,7 +278,6 @@ func (g *Graph) freeFrame(slot int32) {
 // through the event loop.
 type graphSeam Graph
 
-func (s *graphSeam) Now() cycles.Cycles                { return s.eng.Now() }
 func (s *graphSeam) Rand() *sim.Rand                   { return s.rng }
 func (s *graphSeam) Pick(r *Route) int                 { return s.edges[r.id].pick() }
 func (s *graphSeam) PickOther(r *Route, avoid int) int { return s.edges[r.id].pickOther(avoid) }

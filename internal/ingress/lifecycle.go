@@ -70,9 +70,12 @@ const noHedge = 0xff
 
 // Seam is what an engine supplies to the lifecycle. Every method runs
 // on the lifecycle's goroutine, in the engine's event order.
+//
+// The engine also supplies the clock at each entry point: now is the
+// instant calls start and attempts issue, which for a batching engine
+// can be later than the instant at which the event being handled
+// happened.
 type Seam interface {
-	// Now is the instant calls start and attempts are issued at.
-	Now() cycles.Cycles
 	// Rand is the routing stream; half-open breaker probes draw from it.
 	Rand() *sim.Rand
 	// Pick chooses a replica of r's target for a fresh attempt, or -1
@@ -285,11 +288,9 @@ func (co *Lifecycle) emit(at cycles.Cycles, k obs.Kind, name uint16, track int32
 	co.sink.Emit(at, obs.Key(k, obs.LayerIngress, name, uint32(track)), a, b)
 }
 
-// Start opens a call on r for o at the seam's current instant and
-// issues its first attempt, unless the breaker or the shed valve fails
-// it fast.
-func (co *Lifecycle) Start(r *Route, o Owner) {
-	now := co.seam.Now()
+// Start opens a call on r for o at now and issues its first attempt,
+// unless the breaker or the shed valve fails it fast.
+func (co *Lifecycle) Start(r *Route, o Owner, now cycles.Cycles) {
 	r.calls++
 	if r.pol.RetryBudget > 0 {
 		r.budget = min(r.budget+r.pol.RetryBudget, retryBudgetCap)
@@ -299,7 +300,17 @@ func (co *Lifecycle) Start(r *Route, o Owner) {
 	}
 	slot := co.alloc()
 	c := &co.calls[slot]
-	*c = call{Owner: o, gen: c.gen, route: r.id, born: now, state: stateRacing, hedgeIdx: noHedge, lastBE: -1}
+	c.Owner = o
+	c.route = r.id
+	c.born = now
+	c.state = stateRacing
+	c.attempt = 0
+	c.retries = 0
+	c.hedgeIdx = noHedge
+	c.liveMask = 0
+	c.pendRetry = false
+	c.brSkip = false
+	c.lastBE = -1
 	if r.br != nil && !r.br.Admit(now, co.seam.Rand()) {
 		// Breaker fast failure: no replica cycles spent, and no outcome
 		// fed back (the call never touched a replica).
@@ -313,13 +324,13 @@ func (co *Lifecycle) Start(r *Route, o Owner) {
 		co.seam.FailEarly(slot, c.gen)
 		return
 	}
-	co.issue(slot)
+	co.issue(slot, now)
 }
 
-// issue sends the call's next attempt to a replica the seam picks. Only
-// the no-live-attempt paths (first attempt, retry) may call it: with
-// nothing routable the call fails.
-func (co *Lifecycle) issue(slot int32) {
+// issue sends the call's next attempt, at now, to a replica the seam
+// picks. Only the no-live-attempt paths (first attempt, retry) may call
+// it: with nothing routable the call fails.
+func (co *Lifecycle) issue(slot int32, now cycles.Cycles) {
 	c := &co.calls[slot]
 	r := co.routes[c.route]
 	bi := co.seam.Pick(r)
@@ -329,19 +340,18 @@ func (co *Lifecycle) issue(slot int32) {
 		co.seam.FailEarly(slot, c.gen)
 		return
 	}
-	co.issueTo(slot, bi)
+	co.issueTo(slot, bi, now)
 }
 
-// issueTo commits one attempt to replica bi and arms its timeout and,
-// on the first attempt, the hedge.
-func (co *Lifecycle) issueTo(slot int32, bi int) {
+// issueTo commits one attempt to replica bi at now and arms its timeout
+// and, on the first attempt, the hedge.
+func (co *Lifecycle) issueTo(slot int32, bi int, now cycles.Cycles) {
 	c := &co.calls[slot]
 	r := co.routes[c.route]
 	k := c.attempt
 	c.attempt++
 	c.liveMask |= 1 << k
 	c.lastBE = int32(bi)
-	now := co.seam.Now()
 	id := encodeID(kindAttempt, slot, c.gen, k)
 	if co.sink != nil {
 		co.emit(now, obs.KindSpanBegin, obs.NameAttempt, r.id, id, 0)
@@ -357,10 +367,10 @@ func (co *Lifecycle) issueTo(slot int32, bi int) {
 	}
 }
 
-// Fire handles timer id at its instant at. Every branch re-validates
-// generation and state: by the time a timer fires, its call may have
-// completed, failed, or been reused.
-func (co *Lifecycle) Fire(id uint64, at cycles.Cycles) {
+// Fire handles timer id, due at `at`, with attempts issuing at now.
+// Every branch re-validates generation and state: by the time a timer
+// fires, its call may have completed, failed, or been reused.
+func (co *Lifecycle) Fire(id uint64, at, now cycles.Cycles) {
 	kind, slot, gen, k := DecodeID(id)
 	c := &co.calls[slot]
 	if c.gen != gen || c.state != stateRacing {
@@ -386,7 +396,7 @@ func (co *Lifecycle) Fire(id uint64, at cycles.Cycles) {
 			return
 		}
 		c.pendRetry = false
-		co.issue(slot)
+		co.issue(slot, now)
 	case KindHedge:
 		if c.hedgeIdx != noHedge || c.liveMask == 0 {
 			return // already hedged, or primary gone (retry pending)
@@ -400,7 +410,7 @@ func (co *Lifecycle) Fire(id uint64, at cycles.Cycles) {
 		if co.sink != nil {
 			co.emit(at, obs.KindInstant, obs.NameHedge, r.id, encodeID(kindAttempt, slot, gen, c.attempt), 0)
 		}
-		co.issueTo(slot, bi)
+		co.issueTo(slot, bi, now)
 	case kindFail:
 		co.Finish(slot, at, false)
 	}
@@ -524,9 +534,9 @@ func (co *Lifecycle) Answer(slot int32, j sim.Job, at cycles.Cycles, erred bool)
 }
 
 // Lost reports that queued attempt j was dropped before service (a
-// crashed node's backlog): the attempt dies at once, as if its timeout
-// had fired.
-func (co *Lifecycle) Lost(j sim.Job) {
+// crashed node's backlog) at now: the attempt dies at once, as if its
+// timeout had fired.
+func (co *Lifecycle) Lost(j sim.Job, now cycles.Cycles) {
 	kind, slot, gen, k := DecodeID(j.ID)
 	if kind != kindAttempt || int(slot) >= len(co.calls) {
 		return
@@ -537,7 +547,6 @@ func (co *Lifecycle) Lost(j sim.Job) {
 	}
 	r := co.routes[c.route]
 	r.lost++
-	now := co.seam.Now()
 	if co.sink != nil {
 		// The span ends flagged lost (B = 2): no completion will close it.
 		co.emit(now, obs.KindSpanEnd, obs.NameAttempt, r.id, j.ID, 2)

@@ -125,16 +125,24 @@ func (h *Histogram) Quantile(q float64) cycles.Cycles {
 	if target < 1 {
 		target = 1
 	}
-	var cum uint64
-	for b, c := range h.counts[:h.hi+1] {
-		cum += c
-		if cum >= target {
-			ceil := bucketCeil(b)
-			if ceil > h.max {
-				ceil = h.max
-			}
-			return ceil
+	if target > h.n {
+		return h.max
+	}
+	// The answer is the lowest bucket whose running count reaches
+	// target. Tail quantiles (hedge delays, p95/p99) find it sooner
+	// scanning down from the top: bucket b qualifies once the samples
+	// at or above it outnumber the n - target that may lie beyond.
+	b := 0
+	if target <= h.n/2 {
+		var cum uint64
+		for cum += h.counts[b]; cum < target; cum += h.counts[b] {
+			b++
+		}
+	} else {
+		b = h.hi
+		for above := h.counts[b]; above <= h.n-target; above += h.counts[b] {
+			b--
 		}
 	}
-	return h.max
+	return min(bucketCeil(b), h.max)
 }

@@ -259,6 +259,34 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileScanDirection: Quantile scans down from the top
+// for tail quantiles; every answer must equal the lowest bucket whose
+// running count reaches the target, as a forward scan finds it.
+func TestHistogramQuantileScanDirection(t *testing.T) {
+	forward := func(h *Histogram, q float64) cycles.Cycles {
+		target := max(uint64(q*float64(h.n)), 1)
+		var cum uint64
+		for b, c := range h.counts[:h.hi+1] {
+			if cum += c; cum >= target {
+				return min(bucketCeil(b), h.max)
+			}
+		}
+		return h.max
+	}
+	r := NewRand(5)
+	for _, n := range []int{1, 2, 3, 10, 101, 5000} {
+		var h Histogram
+		for i := 0; i < n; i++ {
+			h.Observe(cycles.Cycles(r.Uint64() % (1 << (r.Uint64() % 30))))
+		}
+		for q := 0.0; q <= 1.0; q += 0.001 {
+			if got, want := h.Quantile(q), forward(&h, q); got != want {
+				t.Fatalf("n=%d q=%.3f: %v, forward scan gives %v", n, q, got, want)
+			}
+		}
+	}
+}
+
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
