@@ -1,9 +1,8 @@
 // Command xcbench regenerates the paper's evaluation: every table and
 // figure of §5 plus the §4.5 spawn-cost observation and the ablation
 // studies. Without arguments it runs everything. It is also the perf
-// front door: parallel scenario sweeps over rates and seeds, pprof
-// profiles of the run, and dated JSON snapshots of the event kernel's
-// throughput.
+// front door: parallel scenario sweeps over rates and seeds, and pprof
+// profiles of the run.
 //
 // Usage:
 //
@@ -12,7 +11,6 @@
 //	xcbench -exp fig3,fig8 -markdown
 //	xcbench -exp table1 -json
 //	xcbench -sweep 100000,400000 -seeds 5 -parallel 8 -app memcached
-//	xcbench -bench-json
 //	xcbench -exp fig8 -cpuprofile fig8.pprof
 package main
 
@@ -26,7 +24,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"xcontainers/internal/bench"
 	"xcontainers/xc"
@@ -62,8 +59,6 @@ func run(args []string, stdout io.Writer) error {
 
 	vcpus := fs.Int("vcpus", 0, "SMP experiments: host worker goroutines executing vCPU lanes in parallel (0 = GOMAXPROCS); changes wall-clock speed only, never results")
 
-	benchJSON := fs.Bool("bench-json", false, "measure the event kernel and write a BENCH_<date>.json snapshot")
-	benchOut := fs.String("bench-out", "", "bench-json: output path (default BENCH_<date>.json)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
@@ -107,8 +102,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "%-10s %s\n", e.ID, e.Title)
 		}
 		return nil
-	case *benchJSON:
-		return writeBenchJSON(stdout, *benchOut)
 	case *sweep != "":
 		return runSweep(stdout, sweepOptions{
 			rates: *sweep, seeds: *seeds, parallel: *parallel,
@@ -202,41 +195,5 @@ func runSweep(stdout io.Writer, o sweepOptions) error {
 		return nil
 	}
 	fmt.Fprint(stdout, rep)
-	return nil
-}
-
-// benchSnapshot is the BENCH_<date>.json document shape.
-type benchSnapshot struct {
-	Date       string             `json:"date"`
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	Benchmarks []bench.PerfResult `json:"benchmarks"`
-}
-
-// writeBenchJSON measures the kernel and writes the dated snapshot.
-func writeBenchJSON(stdout io.Writer, path string) error {
-	snap := benchSnapshot{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchmarks: bench.KernelPerf(0),
-	}
-	if path == "" {
-		path = fmt.Sprintf("BENCH_%s.json", snap.Date)
-	}
-	blob, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, b := range snap.Benchmarks {
-		fmt.Fprintf(stdout, "%-18s %12.0f events/sec %8.1f ns/event %7.4f allocs/event\n",
-			b.Name, b.EventsPerSec, b.NsPerEvent, b.AllocsPerEvent)
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
 }

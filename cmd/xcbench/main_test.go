@@ -155,38 +155,6 @@ func TestSweepBadInputs(t *testing.T) {
 	}
 }
 
-// TestBenchJSONSnapshot checks the perf-snapshot mode writes a valid
-// dated document with the kernel probes.
-func TestBenchJSONSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	if err := run([]string{"-bench-json", "-bench-out", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Date       string             `json:"date"`
-		Benchmarks []bench.PerfResult `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, blob)
-	}
-	if snap.Date == "" || len(snap.Benchmarks) < 2 {
-		t.Fatalf("snapshot incomplete: %+v", snap)
-	}
-	for _, b := range snap.Benchmarks {
-		if b.EventsPerSec <= 0 || b.Events == 0 {
-			t.Errorf("probe %s measured nothing: %+v", b.Name, b)
-		}
-	}
-	if !strings.Contains(out.String(), "events/sec") {
-		t.Errorf("bench-json printed no summary:\n%s", out.String())
-	}
-}
-
 // TestProfileFlags checks -cpuprofile/-memprofile produce non-empty
 // pprof files around a run.
 func TestProfileFlags(t *testing.T) {

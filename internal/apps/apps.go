@@ -184,12 +184,3 @@ func (a *App) BuildBinary(iters uint32, granularity int) (*arch.Text, error) {
 }
 
 func siteLabel(i int) string { return fmt.Sprintf("site%d", i) }
-
-// CallsPerIteration returns how many syscalls one main-loop iteration
-// performs at the given schedule granularity.
-func (a *App) CallsPerIteration(granularity int) int {
-	if granularity <= 0 {
-		granularity = 100
-	}
-	return granularity
-}

@@ -83,7 +83,8 @@ func warmupText(iters uint32) *arch.Text {
 
 // BenchmarkTier1SyscallLoop measures steady-state interpretation of the
 // syscall-loop microbenchmark (no patching; the decoder and stack are
-// the whole cost). The ns/instr metric is what BENCH_*.json tracks.
+// the whole cost). The ns/instr metric is what the tier1-syscall-loop
+// kernel perf probe tracks.
 func BenchmarkTier1SyscallLoop(b *testing.B) {
 	clk := &cycles.Clock{}
 	cpu := arch.NewCPU(syscallLoopText(1000), nullEnv{}, clk, &cycles.Default)

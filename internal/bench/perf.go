@@ -20,9 +20,8 @@ import (
 // allocation budget on a canonical workload shape — tier-2 events
 // through the simulation kernel, or tier-1 instructions through the
 // interpreter (for those probes an "event" is one simulated
-// instruction, so NsPerEvent is ns/instruction). These numbers seed
-// the repository's performance trajectory — xcbench -bench-json
-// snapshots them to a dated JSON file, and CI uploads it per commit.
+// instruction, so NsPerEvent is ns/instruction). The cmd/xcperf
+// benchmark reports them as its probe.* metrics.
 type PerfResult struct {
 	Name           string  `json:"name"`
 	Events         uint64  `json:"events"`

@@ -37,7 +37,7 @@ func TestShardedServePathAllocFree(t *testing.T) {
 	c.closedLoop = true
 	c.rng = sim.NewRand(7)
 	conc := 2 * c.servers * len(c.containers)
-	c.sh.start(Traffic{Seed: 7}, false, conc)
+	c.sh.start(Traffic{Seed: 7}, conc)
 
 	for i := 0; i < 2000; i++ { // warm-up: rings, arenas, and histograms grow to capacity
 		c.sh.step()

@@ -206,16 +206,10 @@ type IngressConfig struct {
 	Cores int
 }
 
-// Traffic describes the offered load, mirroring workload.TrafficLoad's
-// arrival modes: open loop (Rate or Burst) or a closed-loop population.
-type Traffic struct {
-	Rate        float64
-	Paced       bool
-	Burst       *workload.BurstSpec
-	Concurrency int // closed-loop population (0 = 2× fleet parallelism)
-	DurationSec float64
-	Seed        uint64
-}
+// Traffic is the offered load: open loop (Rate or Burst) or a
+// closed-loop population (0 = 2× fleet parallelism), over DurationSec
+// (0 = 1 s) virtual seconds.
+type Traffic = workload.Load
 
 // node is one host in the fleet — pure capacity bookkeeping against the
 // archetype's cost table; nothing is booted per node.

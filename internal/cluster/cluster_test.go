@@ -9,6 +9,7 @@ import (
 	"xcontainers/internal/core"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/runtimes"
+	"xcontainers/internal/workload"
 )
 
 func testConfig(t *testing.T, kind runtimes.Kind) Config {
@@ -346,8 +347,17 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(Traffic{Rate: -1}); err == nil {
-		t.Error("negative rate accepted")
+	for i, tr := range []Traffic{
+		{Rate: -1},
+		// Bursts that could never arrive are errors, as in the xc
+		// façade, not silent runs with no arrivals.
+		{Burst: &workload.BurstSpec{PeakRate: 0, OnSeconds: 0.01, OffSeconds: 0.01}},
+		{Burst: &workload.BurstSpec{PeakRate: 1000, OnSeconds: 0, OffSeconds: 0.01}},
+		{Burst: &workload.BurstSpec{PeakRate: 1000, OnSeconds: 0.01, OffSeconds: -0.1}},
+	} {
+		if _, err := c.Run(tr); err == nil {
+			t.Errorf("invalid traffic %d accepted", i)
+		}
 	}
 	if _, err := c.Run(Traffic{DurationSec: 0.01}); err != nil {
 		t.Errorf("valid run rejected: %v", err)

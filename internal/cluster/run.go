@@ -10,18 +10,15 @@ import (
 // Run executes one traffic experiment over the fleet and returns its
 // statistics. A Cluster is single-shot: build a fresh one per run.
 func (c *Cluster) Run(t Traffic) (*Result, error) {
-	if t.Rate < 0 || t.DurationSec < 0 || t.Concurrency < 0 {
-		return nil, fmt.Errorf("cluster: traffic rate/duration/concurrency must not be negative")
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run may be called once per Cluster")
 	}
 	c.ran = true
 
-	dur := t.DurationSec
-	if dur <= 0 {
-		dur = 1
-	}
+	dur := t.Duration()
 	c.horizon = cycles.FromSeconds(dur)
 	c.interval = cycles.FromSeconds(c.cfg.IntervalSec)
 	if c.interval == 0 {
@@ -44,11 +41,11 @@ func (c *Cluster) Run(t Traffic) (*Result, error) {
 		c.ob.arm(c.horizon, c.sh)
 	}
 
-	open := t.Rate > 0 || t.Burst != nil
-	c.closedLoop = !open
+	c.closedLoop = !t.Open()
+	conc := t.Population(c.servers * len(c.containers))
 
 	if c.sh != nil {
-		return c.runSharded(t, dur, open)
+		return c.runSharded(t, dur, conc)
 	}
 
 	// The first tick fires at the interval, or at the horizon when the
@@ -58,23 +55,9 @@ func (c *Cluster) Run(t Traffic) (*Result, error) {
 		c.chaos.armSingle()
 	}
 
-	conc := 0
-	if open {
-		var arr sim.Arrivals
-		switch {
-		case t.Burst != nil:
-			arr = sim.NewBursty(t.Burst.PeakRate, t.Burst.OnSeconds, t.Burst.OffSeconds)
-		case t.Paced:
-			arr = sim.FixedRate(t.Rate)
-		default:
-			arr = sim.PoissonRate(t.Rate)
-		}
-		c.eng.DriveArrivals(arr, sim.NewRand(t.Seed), c.horizon, c.dispatch)
+	if t.Open() {
+		c.eng.DriveArrivals(t.Arrivals(), sim.NewRand(t.Seed), c.horizon, c.dispatch)
 	} else {
-		conc = t.Concurrency
-		if conc <= 0 {
-			conc = 2 * c.servers * len(c.containers)
-		}
 		// Seed the population directly at time zero: dispatches before
 		// the first Step see the same empty-fleet state as zero-time
 		// events did, without a closure per connection.
@@ -84,21 +67,14 @@ func (c *Cluster) Run(t Traffic) (*Result, error) {
 	}
 
 	c.eng.Run(c.horizon)
-	return c.assemble(t, dur, open, conc), nil
+	return c.assemble(t, dur, conc), nil
 }
 
 // runSharded executes the run on the epoch-sharded engine: seed the
 // population or arm the central arrival stream, then drive the barrier
 // loop to the horizon.
-func (c *Cluster) runSharded(t Traffic, dur float64, open bool) (*Result, error) {
-	conc := 0
-	if !open {
-		conc = t.Concurrency
-		if conc <= 0 {
-			conc = 2 * c.servers * len(c.containers)
-		}
-	}
-	c.sh.start(t, open, conc)
+func (c *Cluster) runSharded(t Traffic, dur float64, conc int) (*Result, error) {
+	c.sh.start(t, conc)
 	for c.sh.step() {
 	}
 	c.sh.stop()
@@ -116,7 +92,7 @@ func (c *Cluster) runSharded(t Traffic, dur float64, open bool) (*Result, error)
 			latN += ss.latN
 			c.completed += ss.completed
 		}
-		res := c.assemble(t, dur, open, conc)
+		res := c.assemble(t, dur, conc)
 		if latN > 0 {
 			res.LatencyUS = float64(latSum) / float64(latN) / (cycles.Hz / 1e6)
 		}
@@ -125,14 +101,14 @@ func (c *Cluster) runSharded(t Traffic, dur float64, open bool) (*Result, error)
 	// Behind the ingress, root completions were observed centrally at
 	// barriers in canonical order — c.fleet and c.completed are already
 	// exact; only the route/service sections come from the flyweight.
-	res := c.assemble(t, dur, open, conc)
+	res := c.assemble(t, dur, conc)
 	res.Routes = c.sh.fi.routeStats()
 	res.IngressServices = c.sh.fi.serviceStats(c.horizon)
 	return res, nil
 }
 
 // assemble reads the fleet's statistics into a Result.
-func (c *Cluster) assemble(t Traffic, dur float64, open bool, conc int) *Result {
+func (c *Cluster) assemble(t Traffic, dur float64, conc int) *Result {
 	res := &c.res
 	res.Policy = c.cfg.Policy.String()
 	res.Seed = t.Seed
@@ -140,14 +116,8 @@ func (c *Cluster) assemble(t Traffic, dur float64, open bool, conc int) *Result 
 	res.PerRequest = c.per
 	res.SLOp99US = c.cfg.SLOp99US
 
-	if open {
-		res.OfferedRate = t.Rate
-		if t.Burst != nil {
-			res.OfferedRate = t.Burst.PeakRate * t.Burst.OnSeconds / (t.Burst.OnSeconds + t.Burst.OffSeconds)
-		}
-	} else {
-		res.Population = conc
-	}
+	res.OfferedRate = t.OfferedRate()
+	res.Population = conc
 
 	res.Arrived = c.dispatched
 	res.Completed = c.completed

@@ -313,7 +313,7 @@ func (s *shardRun) runShard(i int, next cycles.Cycles) {
 
 // start arms the run: barrier schedule, arrival stream or population,
 // routing stream, and the worker pool.
-func (s *shardRun) start(t Traffic, open bool, conc int) {
+func (s *shardRun) start(t Traffic, conc int) {
 	c := s.c
 	if c.cfg.EpochUS > 0 {
 		s.epoch = cycles.FromSeconds(c.cfg.EpochUS / 1e6)
@@ -327,18 +327,11 @@ func (s *shardRun) start(t Traffic, open bool, conc int) {
 		s.epoch = 1
 	}
 	s.controlDue = min(c.interval, c.horizon)
-	s.collectDone = !open && s.fi == nil
+	s.collectDone = c.closedLoop && s.fi == nil
 	s.table.rng = sim.NewRand(t.Seed ^ 0x16c4e5500) // routing stream, as on the single engine
 	s.table.rebuild()
-	if open {
-		switch {
-		case t.Burst != nil:
-			s.arr = sim.NewBursty(t.Burst.PeakRate, t.Burst.OnSeconds, t.Burst.OffSeconds)
-		case t.Paced:
-			s.arr = sim.FixedRate(t.Rate)
-		default:
-			s.arr = sim.PoissonRate(t.Rate)
-		}
+	if t.Open() {
+		s.arr = t.Arrivals()
 		s.arrRng = sim.NewRand(t.Seed)
 		s.nextArr = s.arr.Next(s.arrRng)
 		s.arrOn = true

@@ -74,10 +74,6 @@ type LibOS struct {
 	retSkip abom.ReturnSkipCache
 }
 
-// InlineDispatchStats reports the return-skip memo's inline-dispatch
-// counters.
-func (l *LibOS) InlineDispatchStats() abom.ReturnSkipStats { return l.retSkip.Stats }
-
 // New boots an X-LibOS with the given configuration.
 func New(costs *cycles.CostTable, cfg Config) *LibOS {
 	if costs == nil {

@@ -567,13 +567,3 @@ func (s *Stream) Emit(at cycles.Cycles, key, a, b uint64) {
 	s.Rec.Emit(at, key, a, b)
 	s.Smp.Feed(at, key, a, b)
 }
-
-// SortRecs sorts a batch of records in place into canonical order —
-// the barrier's merge step before ring insertion, so overwrite-oldest
-// retention stays layout-invariant. An epoch batch is a concatenation
-// of per-shard runs that are each nearly time-sorted already, a shape
-// the pattern-defeating quicksort underneath slices.SortFunc handles
-// close to linearly.
-func SortRecs(recs []Rec) {
-	slices.SortFunc(recs, cmp)
-}

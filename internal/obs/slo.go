@@ -15,8 +15,7 @@ type SLOGuard struct {
 	// guard (values < 1 act as 1).
 	Consecutive int
 
-	streak   int
-	breaches int
+	streak int
 }
 
 // Observe feeds one closed window. breach reports whether this window
@@ -29,7 +28,6 @@ func (g *SLOGuard) Observe(p99us, errRate float64) (breach, trip bool) {
 		g.streak = 0
 		return false, false
 	}
-	g.breaches++
 	g.streak++
 	need := g.Consecutive
 	if need < 1 {
@@ -38,11 +36,7 @@ func (g *SLOGuard) Observe(p99us, errRate float64) (breach, trip bool) {
 	return true, g.streak >= need
 }
 
-// Breaches is the total count of breaching windows observed.
-func (g *SLOGuard) Breaches() int { return g.breaches }
-
-// Reset clears the streak and totals (a new rollout phase).
+// Reset clears the streak (a new rollout phase).
 func (g *SLOGuard) Reset() {
 	g.streak = 0
-	g.breaches = 0
 }

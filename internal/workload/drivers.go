@@ -96,7 +96,7 @@ type LoadResult struct {
 func (l ServerLoad) Run() LoadResult {
 	res := TrafficLoad{
 		Driver: l.Driver, App: l.App, RT: l.RT,
-		Workers: l.Workers, Cores: l.Cores, Concurrency: l.Concurrency,
+		Workers: l.Workers, Cores: l.Cores, Load: Load{Concurrency: l.Concurrency},
 	}.Run()
 	// TrafficLoad measures requests/s; the paper's generators report
 	// client operations (memtier pipelines several per request).

@@ -13,7 +13,7 @@ import (
 func TestZeroDurationAutoResolves(t *testing.T) {
 	x := rt(t, runtimes.XContainer, true)
 
-	open := TrafficLoad{App: apps.Memcached(), RT: x, Rate: 10_000, DurationSec: 0, Seed: 1}.Run()
+	open := TrafficLoad{App: apps.Memcached(), RT: x, Load: Load{Rate: 10_000, DurationSec: 0, Seed: 1}}.Run()
 	if open.DurationSec != 1 {
 		t.Errorf("open-loop auto duration = %v, want 1s", open.DurationSec)
 	}
@@ -21,7 +21,7 @@ func TestZeroDurationAutoResolves(t *testing.T) {
 		t.Errorf("open-loop auto run served nothing: %+v", open)
 	}
 
-	closed := TrafficLoad{App: apps.Memcached(), RT: x, DurationSec: 0, Seed: 1}.Run()
+	closed := TrafficLoad{App: apps.Memcached(), RT: x, Load: Load{DurationSec: 0, Seed: 1}}.Run()
 	if closed.DurationSec <= 0 {
 		t.Errorf("closed-loop auto duration = %v, want > 0", closed.DurationSec)
 	}
@@ -30,7 +30,7 @@ func TestZeroDurationAutoResolves(t *testing.T) {
 	}
 
 	// A tiny explicit horizon stays explicit and still terminates.
-	tiny := TrafficLoad{App: apps.Memcached(), RT: x, Rate: 10_000, DurationSec: 1e-6, Seed: 1}.Run()
+	tiny := TrafficLoad{App: apps.Memcached(), RT: x, Load: Load{Rate: 10_000, DurationSec: 1e-6, Seed: 1}}.Run()
 	if tiny.DurationSec != 1e-6 {
 		t.Errorf("tiny duration rewritten to %v", tiny.DurationSec)
 	}
@@ -48,7 +48,7 @@ func TestOpenLoopFarAboveCapacity(t *testing.T) {
 
 	res := TrafficLoad{
 		App: app, RT: x, Workers: 1, Cores: 1,
-		Rate: 100 * capacity, DurationSec: 0.2, Seed: 9,
+		Load: Load{Rate: 100 * capacity, DurationSec: 0.2, Seed: 9},
 	}.Run()
 
 	if res.Arrived < uint64(90*capacity*0.2) {
@@ -79,8 +79,10 @@ func TestBurstZeroOffPeriod(t *testing.T) {
 	x := rt(t, runtimes.XContainer, true)
 	burst := TrafficLoad{
 		App: apps.Memcached(), RT: x, Cores: 2,
-		Burst:       &BurstSpec{PeakRate: 20_000, OnSeconds: 0.01, OffSeconds: 0},
-		DurationSec: 0.5, Seed: 4,
+		Load: Load{
+			Burst:       &BurstSpec{PeakRate: 20_000, OnSeconds: 0.01, OffSeconds: 0},
+			DurationSec: 0.5, Seed: 4,
+		},
 	}.Run()
 
 	if burst.OfferedRate != 20_000 {
@@ -98,8 +100,10 @@ func TestBurstZeroOffPeriod(t *testing.T) {
 
 	again := TrafficLoad{
 		App: apps.Memcached(), RT: x, Cores: 2,
-		Burst:       &BurstSpec{PeakRate: 20_000, OnSeconds: 0.01, OffSeconds: 0},
-		DurationSec: 0.5, Seed: 4,
+		Load: Load{
+			Burst:       &BurstSpec{PeakRate: 20_000, OnSeconds: 0.01, OffSeconds: 0},
+			DurationSec: 0.5, Seed: 4,
+		},
 	}.Run()
 	if burst != again {
 		t.Errorf("zero-off burst diverged across identical runs:\n%+v\n%+v", burst, again)

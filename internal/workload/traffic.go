@@ -10,31 +10,14 @@ import (
 	"xcontainers/internal/sim"
 )
 
-// BurstSpec modulates open-loop traffic with an on/off process: bursts
-// at PeakRate alternating with silences, exponentially distributed
-// around the given mean durations.
-type BurstSpec struct {
-	PeakRate   float64 // requests/s while bursting
-	OnSeconds  float64 // mean burst duration
-	OffSeconds float64 // mean silence duration
-}
-
 // TrafficLoad is one discrete-event server experiment: an arrival
 // process drives requests at per-request cost RequestCostN through a
 // FIFO queue per container, each with one server per usable worker.
 //
-// Two modes share the kernel:
-//
-//   - open loop (Rate > 0 or Burst set): arrivals are an external
-//     process — Poisson at Rate, fixed-gap if Paced, or bursty on/off —
-//     independent of how the server keeps up, so queueing delay and
-//     tail latency build under load exactly as they do for real
-//     internet traffic;
-//   - closed loop (otherwise): a fixed population of Concurrency
-//     connections, each immediately re-issuing on completion — the
-//     paper's saturating ab/wrk/memtier drivers. Saturated, this
-//     reproduces the analytic ServerLoad model (see
-//     ServerLoad.Analytic) as one special case.
+// Its Load selects the mode (see Load): an open-loop arrival process,
+// or a closed-loop population — the paper's saturating ab/wrk/memtier
+// drivers. Saturated, the closed loop reproduces the analytic
+// ServerLoad model (see ServerLoad.Analytic) as one special case.
 type TrafficLoad struct {
 	Driver Driver
 	App    *apps.App
@@ -43,22 +26,9 @@ type TrafficLoad struct {
 	Workers int // worker processes per container (0 = app default)
 	Cores   int // physical cores per container (0 = 1)
 
-	// Concurrency is the closed-loop population (0 = 2× parallelism).
-	Concurrency int
-
-	// Rate, when > 0, switches to open loop at that many requests/s.
-	Rate float64
-	// Paced makes open-loop gaps uniform instead of Poisson.
-	Paced bool
-	// Burst overrides Rate with an on/off modulated process.
-	Burst *BurstSpec
-
-	// DurationSec is the simulated horizon in virtual seconds
-	// (0 = auto: long enough for ~30k closed-loop completions, or 1 s
-	// open loop).
-	DurationSec float64
-	// Seed selects the arrival randomness stream (0 = 1).
-	Seed uint64
+	// Load is the offered load. A zero DurationSec in a closed loop is
+	// auto: long enough for ~30k completions.
+	Load
 	// Replicas spreads the load round-robin over that many identical
 	// containers, each with its own queue, workers, and cores
 	// (0 = 1) — the multi-container Serve experiments.
@@ -120,26 +90,19 @@ func (l TrafficLoad) Run() TrafficResult {
 	per := RequestCostN(l.RT, l.App, workers)
 	replicas := max(l.Replicas, 1)
 
-	open := l.Rate > 0 || l.Burst != nil
-	conc := l.Concurrency
-	if conc <= 0 {
-		conc = 2 * parallel * replicas
-	}
+	open := l.Open()
+	conc := l.Population(parallel * replicas)
 
-	horizon := cycles.FromSeconds(max(l.DurationSec, 0))
-	if l.DurationSec <= 0 {
-		if open {
-			horizon = cycles.FromSeconds(1)
-		} else {
-			// Auto: ~targetCompletions whole requests across all servers.
-			horizon = cycles.Cycles(targetCompletions/(parallel*replicas)+1) * per
-		}
+	horizon := cycles.FromSeconds(l.Duration())
+	if l.DurationSec <= 0 && !open {
+		// Auto: ~targetCompletions whole requests across all servers.
+		horizon = cycles.Cycles(targetCompletions/(parallel*replicas)+1) * per
 	}
 
 	eng := sim.NewEngine()
-	var ob *trafficObs
+	var ob *Observer
 	if l.Observe != nil {
-		ob = newTrafficObs(*l.Observe, horizon)
+		ob = NewObserver(*l.Observe, horizon, "load")
 	}
 	queues := make([]*sim.Queue, replicas)
 	var latency sim.Histogram
@@ -148,36 +111,24 @@ func (l TrafficLoad) Run() TrafficResult {
 		if ob == nil {
 			q.OnDone = func(j sim.Job) { latency.Observe(eng.Now() - j.Born) }
 		} else {
-			ob.traceQueue(q, uint32(i))
+			ob.TraceQueue(q, uint32(i))
 			q.OnDone = func(j sim.Job) {
 				lat := eng.Now() - j.Born
 				latency.Observe(lat)
-				ob.stream.Emit(eng.Now(), ob.kServed, uint64(lat), uint64(j.Cost))
+				ob.Served(eng.Now(), lat, j.Cost)
 			}
 		}
 		queues[i] = q
 	}
 	arrive := func(q *sim.Queue, j sim.Job) {
 		if ob != nil {
-			// Arrivals are series-only — one ring record per admission
-			// would double the trace volume for a constant counter track
-			// (queue-depth tracing covers admission visibility).
-			ob.smp.Feed(eng.Now(), ob.kArrive, j.ID, 0)
+			ob.Arrive(eng.Now(), j.ID)
 		}
 		q.Arrive(j)
 	}
 
 	if open {
-		var arr sim.Arrivals
-		switch {
-		case l.Burst != nil:
-			arr = sim.NewBursty(l.Burst.PeakRate, l.Burst.OnSeconds, l.Burst.OffSeconds)
-		case l.Paced:
-			arr = sim.FixedRate(l.Rate)
-		default:
-			arr = sim.PoissonRate(l.Rate)
-		}
-		eng.DriveArrivals(arr, sim.NewRand(l.Seed), horizon, func(id uint64) {
+		eng.DriveArrivals(l.Arrivals(), sim.NewRand(l.Seed), horizon, func(id uint64) {
 			arrive(queues[int(id-1)%replicas], sim.Job{ID: id, Cost: per, Born: eng.Now()})
 		})
 	} else {
@@ -205,16 +156,10 @@ func (l TrafficLoad) Run() TrafficResult {
 	eng.Run(horizon)
 
 	res := TrafficResult{
-		OfferedRate: l.Rate,
+		OfferedRate: l.OfferedRate(),
 		PerRequest:  per,
+		Population:  conc,
 		DurationSec: horizon.Seconds(),
-	}
-	if !open {
-		res.Population = conc
-		res.OfferedRate = 0
-	}
-	if l.Burst != nil {
-		res.OfferedRate = l.Burst.PeakRate * l.Burst.OnSeconds / (l.Burst.OnSeconds + l.Burst.OffSeconds)
 	}
 	var busy cycles.Cycles
 	for _, q := range queues {
@@ -233,50 +178,7 @@ func (l TrafficLoad) Run() TrafficResult {
 	res.P99US = latency.Quantile(0.99).Micros()
 	res.MaxUS = latency.Max().Micros()
 	if ob != nil {
-		ts := ob.smp.Finish(ob.rec)
-		ts.EventsFired = eng.Fired()
-		res.TimeSeries = ts
-		res.Trace = ob.rec
+		res.TimeSeries, res.Trace = ob.Finish(eng.Fired())
 	}
 	return res
-}
-
-// trafficObs is one traffic run's observability state: a single-engine
-// Stream (trace ring + auto-sealing sampler) fed from the event loop in
-// nondecreasing virtual time — the same sink shape the cluster's
-// unsharded path uses.
-type trafficObs struct {
-	cfg    obs.Options
-	rec    *obs.Recorder
-	smp    *obs.Sampler
-	stream obs.Stream
-
-	kArrive, kServed uint64
-}
-
-func newTrafficObs(cfg obs.Options, horizon cycles.Cycles) *trafficObs {
-	o := &trafficObs{
-		cfg:     cfg,
-		rec:     obs.NewRecorder(cfg.RingCap),
-		kArrive: obs.Key(obs.KindCounter, obs.LayerCluster, obs.NameArrive, 0),
-		kServed: obs.Key(obs.KindCounter, obs.LayerCluster, obs.NameServed, 0),
-	}
-	o.rec.Label(obs.LayerCluster, 0, "load")
-	o.smp = obs.NewSampler(cycles.FromMicros(cfg.WindowUS), horizon,
-		func() obs.Quantiler { return new(sim.Histogram) })
-	o.smp.AutoSeal = true
-	o.stream.Rec = o.rec
-	o.stream.Smp = o.smp
-	return o
-}
-
-// traceQueue labels one replica's track and, when asked for, wires its
-// depth instrumentation.
-func (o *trafficObs) traceQueue(q *sim.Queue, id uint32) {
-	o.rec.Label(obs.LayerSim, id, q.Name)
-	if o.cfg.QueueDepth {
-		q.Trace(&o.stream,
-			obs.Key(obs.KindCounter, obs.LayerSim, obs.NameEnq, id),
-			obs.Key(obs.KindCounter, obs.LayerSim, obs.NameDeq, id))
-	}
 }

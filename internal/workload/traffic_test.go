@@ -52,7 +52,7 @@ func TestOpenLoopDeterministicForSeed(t *testing.T) {
 	mk := func(seed uint64) TrafficResult {
 		return TrafficLoad{
 			App: apps.Memcached(), RT: x, Cores: 2,
-			Rate: 20_000, DurationSec: 0.5, Seed: seed,
+			Load: Load{Rate: 20_000, DurationSec: 0.5, Seed: seed},
 		}.Run()
 	}
 	a, b := mk(42), mk(42)
@@ -77,7 +77,7 @@ func TestOpenLoopLatencyGrowsTowardSaturation(t *testing.T) {
 	run := func(frac float64) TrafficResult {
 		return TrafficLoad{
 			App: app, RT: x, Cores: 1,
-			Rate: frac * cap, DurationSec: 1, Seed: 7,
+			Load: Load{Rate: frac * cap, DurationSec: 1, Seed: 7},
 		}.Run()
 	}
 	light, heavy, over := run(0.3), run(0.95), run(1.5)
@@ -110,12 +110,14 @@ func TestBurstyTrafficHasFatterTail(t *testing.T) {
 		float64(max(1, app.OpsPerRequest))
 	smooth := TrafficLoad{
 		App: app, RT: x, Cores: 1,
-		Rate: 0.5 * cap, DurationSec: 2, Seed: 11,
+		Load: Load{Rate: 0.5 * cap, DurationSec: 2, Seed: 11},
 	}.Run()
 	bursty := TrafficLoad{
 		App: app, RT: x, Cores: 1,
-		Burst:       &BurstSpec{PeakRate: 2 * cap, OnSeconds: 0.025, OffSeconds: 0.075},
-		DurationSec: 2, Seed: 11,
+		Load: Load{
+			Burst:       &BurstSpec{PeakRate: 2 * cap, OnSeconds: 0.025, OffSeconds: 0.075},
+			DurationSec: 2, Seed: 11,
+		},
 	}.Run()
 	if bursty.P99US <= smooth.P99US {
 		t.Errorf("bursty p99 %v µs must exceed smooth p99 %v µs at equal mean rate",
@@ -133,8 +135,8 @@ func TestTrafficReplicasScaleCapacity(t *testing.T) {
 	x := rt(t, runtimes.XContainer, true)
 	app := apps.Nginx()
 	cap := ServerLoad{App: app, RT: x, Cores: 1}.Analytic().Throughput
-	one := TrafficLoad{App: app, RT: x, Cores: 1, Rate: 8 * cap, DurationSec: 0.2, Seed: 3}.Run()
-	four := TrafficLoad{App: app, RT: x, Cores: 1, Replicas: 4, Rate: 8 * cap, DurationSec: 0.2, Seed: 3}.Run()
+	one := TrafficLoad{App: app, RT: x, Cores: 1, Load: Load{Rate: 8 * cap, DurationSec: 0.2, Seed: 3}}.Run()
+	four := TrafficLoad{App: app, RT: x, Cores: 1, Replicas: 4, Load: Load{Rate: 8 * cap, DurationSec: 0.2, Seed: 3}}.Run()
 	if r := four.Throughput / one.Throughput; r < 3.8 || r > 4.2 {
 		t.Errorf("4 replicas = %.2fx one, want ≈4x", r)
 	}
@@ -151,7 +153,7 @@ func TestDegenerateBurstNeverHangs(t *testing.T) {
 		b := b
 		res := TrafficLoad{
 			App: apps.Memcached(), RT: x, Cores: 1,
-			Burst: &b, DurationSec: 0.05, Seed: 1,
+			Load: Load{Burst: &b, DurationSec: 0.05, Seed: 1},
 		}.Run()
 		if res.Arrived != 0 {
 			t.Errorf("degenerate burst %+v admitted %d requests, want 0", b, res.Arrived)
@@ -162,7 +164,7 @@ func TestDegenerateBurstNeverHangs(t *testing.T) {
 func TestTrafficPercentilesOrdered(t *testing.T) {
 	x := rt(t, runtimes.Docker, true)
 	res := TrafficLoad{
-		App: apps.Redis(), RT: x, Cores: 2, Rate: 30_000, DurationSec: 0.5, Seed: 1,
+		App: apps.Redis(), RT: x, Cores: 2, Load: Load{Rate: 30_000, DurationSec: 0.5, Seed: 1},
 	}.Run()
 	if !(res.P50US <= res.P95US && res.P95US <= res.P99US && res.P99US <= res.MaxUS) {
 		t.Errorf("percentiles not ordered: p50=%v p95=%v p99=%v max=%v",

@@ -197,14 +197,7 @@ func (c *Cluster) Serve(w *Workload, spec ClusterSpec, t *TrafficSpec) (*Cluster
 	if err != nil {
 		return nil, err
 	}
-	res, err := cl.Run(cluster.Traffic{
-		Rate:        t.rate,
-		Paced:       t.paced,
-		Burst:       t.burst,
-		Concurrency: t.conns,
-		DurationSec: t.duration,
-		Seed:        t.seed,
-	})
+	res, err := cl.Run(t.load)
 	if err != nil {
 		return nil, err
 	}

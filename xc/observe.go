@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"xcontainers/internal/cycles"
 	"xcontainers/internal/obs"
-	"xcontainers/internal/sim"
 )
 
 // TimeSeries is the deterministic windowed metrics series a traced run
@@ -98,45 +96,3 @@ func (r *ClusterReport) WriteTrace(w io.Writer) error { return writeTrace(r.trac
 // trace-event JSON — load it at ui.perfetto.dev or chrome://tracing.
 // It errors unless the run was observed.
 func (r *GraphReport) WriteTrace(w io.Writer) error { return writeTrace(r.trace, w) }
-
-// graphObs is ServeGraph's observability state: the graph runs on one
-// engine, so one Stream (ring + auto-sealing sampler) receives every
-// emission in nondecreasing virtual time. The graph itself emits the
-// causal ingress spans; the driver adds the cluster-layer root series
-// (arrivals, served, erred) exactly as the cluster front door does.
-type graphObs struct {
-	cfg    obs.Options
-	rec    *obs.Recorder
-	smp    *obs.Sampler
-	stream obs.Stream
-
-	kArrive, kServed, kErred uint64
-}
-
-func newGraphObs(cfg obs.Options, horizon cycles.Cycles) *graphObs {
-	o := &graphObs{
-		cfg:     cfg,
-		rec:     obs.NewRecorder(cfg.RingCap),
-		kArrive: obs.Key(obs.KindCounter, obs.LayerCluster, obs.NameArrive, 0),
-		kServed: obs.Key(obs.KindCounter, obs.LayerCluster, obs.NameServed, 0),
-		kErred:  obs.Key(obs.KindCounter, obs.LayerCluster, obs.NameErred, 0),
-	}
-	o.rec.Label(obs.LayerCluster, 0, "graph")
-	o.smp = obs.NewSampler(cycles.FromMicros(cfg.WindowUS), horizon,
-		func() obs.Quantiler { return new(sim.Histogram) })
-	o.smp.AutoSeal = true
-	o.stream.Rec = o.rec
-	o.stream.Smp = o.smp
-	return o
-}
-
-// traceQueue labels one replica queue's track and, when asked for,
-// wires its depth instrumentation.
-func (o *graphObs) traceQueue(q *sim.Queue, id uint32) {
-	o.rec.Label(obs.LayerSim, id, q.Name)
-	if o.cfg.QueueDepth {
-		q.Trace(&o.stream,
-			obs.Key(obs.KindCounter, obs.LayerSim, obs.NameEnq, id),
-			obs.Key(obs.KindCounter, obs.LayerSim, obs.NameDeq, id))
-	}
-}

@@ -272,17 +272,14 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 	procs := max(1, t.workers)
 
 	eng := sim.NewEngine()
-	gr := ingress.NewGraph(eng, t.seed^0x16c4e5500)
+	gr := ingress.NewGraph(eng, t.load.Seed^0x16c4e5500)
 
-	dur := t.duration
-	if dur <= 0 {
-		dur = 1
-	}
+	dur := t.load.Duration()
 	horizon := cycles.FromSeconds(dur)
 
-	var ob *graphObs
+	var ob *workload.Observer
 	if g.observe != nil {
-		ob = newGraphObs(g.observe.opts, horizon)
+		ob = workload.NewObserver(g.observe.opts, horizon, "graph")
 	}
 
 	// Build services and their replica queues; wire faults.
@@ -311,7 +308,7 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 			}
 			q := sim.NewQueue(eng, fmt.Sprintf("%s/%d", spec.name, i), cores)
 			if ob != nil {
-				ob.traceQueue(q, queueID)
+				ob.TraceQueue(q, queueID)
 				queueID++
 			}
 			svc.AddBackend(q, per, w, nil)
@@ -355,7 +352,7 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 	}
 	gr.SetEntry(svcs[g.entryTo], entryPol)
 	if ob != nil {
-		gr.Observe(&ob.stream, ob.rec)
+		gr.Observe(&ob.Stream, ob.Stream.Rec)
 	}
 
 	// Drive the entry and collect root latency. With observability on,
@@ -365,63 +362,38 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 	admit := gr.Admit
 	if ob != nil {
 		admit = func(client uint64) {
-			ob.smp.Feed(eng.Now(), ob.kArrive, client, 0)
+			ob.Arrive(eng.Now(), client)
 			gr.Admit(client)
-		}
-	}
-	rootObs := func(lat cycles.Cycles, ok bool) {
-		if ob == nil {
-			return
-		}
-		if ok {
-			ob.stream.Emit(eng.Now(), ob.kServed, uint64(lat), 0)
-		} else {
-			ob.stream.Emit(eng.Now(), ob.kErred, uint64(lat), 0)
 		}
 	}
 	var (
 		rootLat   sim.Histogram
-		open      = t.rate > 0 || t.burst != nil
-		conns     = 0
-		nextConn  = uint64(0)
-		reissue   func(client uint64, lat cycles.Cycles, ok bool)
 		completed uint64
+		open      = t.load.Open()
+		conns     = t.load.Population(totalServers)
+		nextConn  uint64
 	)
+	gr.OnRootDone = func(_ uint64, lat cycles.Cycles, ok bool) {
+		if ob != nil {
+			if ok {
+				ob.Served(eng.Now(), lat, 0)
+			} else {
+				ob.Erred(eng.Now(), lat)
+			}
+		}
+		if ok {
+			rootLat.Observe(lat)
+			completed++
+		}
+		// A closed-loop connection re-issues as soon as it completes.
+		if !open && eng.Now() < horizon {
+			nextConn++
+			admit(nextConn)
+		}
+	}
 	if open {
-		gr.OnRootDone = func(_ uint64, lat cycles.Cycles, ok bool) {
-			rootObs(lat, ok)
-			if ok {
-				rootLat.Observe(lat)
-				completed++
-			}
-		}
-		var arr sim.Arrivals
-		switch {
-		case t.burst != nil:
-			arr = sim.NewBursty(t.burst.PeakRate, t.burst.OnSeconds, t.burst.OffSeconds)
-		case t.paced:
-			arr = sim.FixedRate(t.rate)
-		default:
-			arr = sim.PoissonRate(t.rate)
-		}
-		eng.DriveArrivals(arr, sim.NewRand(t.seed), horizon, admit)
+		eng.DriveArrivals(t.load.Arrivals(), sim.NewRand(t.load.Seed), horizon, admit)
 	} else {
-		conns = t.conns
-		if conns <= 0 {
-			conns = 2 * totalServers
-		}
-		reissue = func(_ uint64, lat cycles.Cycles, ok bool) {
-			rootObs(lat, ok)
-			if ok {
-				rootLat.Observe(lat)
-				completed++
-			}
-			if eng.Now() < horizon {
-				nextConn++
-				admit(nextConn)
-			}
-		}
-		gr.OnRootDone = reissue
 		for i := 0; i < conns; i++ {
 			nextConn++
 			admit(nextConn)
@@ -436,7 +408,7 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 		Patched: p.cfg.MeltdownPatched,
 
 		Entry:          g.entryTo,
-		Seed:           t.seed,
+		Seed:           t.load.Seed,
 		VirtualSeconds: dur,
 
 		Latency: LatencyStats{
@@ -456,17 +428,9 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 		Services: gr.ServiceStats(horizon),
 	}
 	rep.Throughput.RequestsPerSec = float64(completed) / dur
-	if open {
-		rep.Throughput.OfferedPerSec = t.rate
-		if t.burst != nil {
-			rep.Throughput.OfferedPerSec = t.burst.PeakRate * t.burst.OnSeconds / (t.burst.OnSeconds + t.burst.OffSeconds)
-		}
-	}
+	rep.Throughput.OfferedPerSec = t.load.OfferedRate()
 	if ob != nil {
-		ts := ob.smp.Finish(ob.rec)
-		ts.EventsFired = eng.Fired()
-		rep.TimeSeries = ts
-		rep.trace = ob.rec
+		rep.TimeSeries, rep.trace = ob.Finish(eng.Fired())
 	}
 	return rep, nil
 }

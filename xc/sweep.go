@@ -160,7 +160,7 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 	}
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
-		seeds = []uint64{base.seed}
+		seeds = []uint64{base.load.Seed}
 	}
 
 	jobs := len(points) * len(seeds)
@@ -202,7 +202,7 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 		App:         spec.Workload.Name(),
 		Kind:        KindName(spec.Kind),
 		Mode:        "platform",
-		DurationSec: base.duration,
+		DurationSec: base.load.DurationSec,
 		Seeds:       seeds,
 	}
 	if spec.Cluster != nil {
@@ -237,10 +237,10 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 			point.Label = rateLabel(pt.rate)
 		case pt.hasRate:
 			point.Label = "closed loop"
-		case base.rate > 0:
-			point.Rate = base.rate
-			point.Label = rateLabel(base.rate)
-		case base.burst != nil:
+		case base.load.Rate > 0:
+			point.Rate = base.load.Rate
+			point.Label = rateLabel(base.load.Rate)
+		case base.load.Burst != nil:
 			point.Label = "burst"
 		default:
 			point.Label = "closed loop"
@@ -257,10 +257,10 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 // one engine, one (rate, policy, seed) coordinate.
 func sweepOne(spec SweepSpec, pt sweepPoint, seed uint64, base *TrafficSpec) (sweepRun, error) {
 	t := *base
-	t.seed = seed
+	t.load.Seed = seed
 	if pt.hasRate {
-		t.rate = pt.rate
-		t.burst = nil
+		t.load.Rate = pt.rate
+		t.load.Burst = nil
 	}
 	if spec.Cluster != nil {
 		cs := *spec.Cluster

@@ -19,12 +19,7 @@ import (
 // throughput, latency percentiles, and queue-depth statistics. Runs
 // are deterministic for a fixed seed.
 type TrafficSpec struct {
-	rate       float64
-	paced      bool
-	burst      *workload.BurstSpec
-	duration   float64
-	seed       uint64
-	conns      int
+	load       workload.Load
 	workers    int
 	cores      int
 	containers int
@@ -38,13 +33,13 @@ func Traffic() *TrafficSpec { return &TrafficSpec{} }
 // Rate switches to open-loop arrivals at perSec requests per second
 // (Poisson gaps; see Paced for a perfectly spaced generator).
 func (t *TrafficSpec) Rate(perSec float64) *TrafficSpec {
-	t.rate = perSec
+	t.load.Rate = perSec
 	return t
 }
 
 // Paced makes open-loop gaps uniform instead of Poisson.
 func (t *TrafficSpec) Paced() *TrafficSpec {
-	t.paced = true
+	t.load.Paced = true
 	return t
 }
 
@@ -52,26 +47,26 @@ func (t *TrafficSpec) Paced() *TrafficSpec {
 // at peakPerSec lasting onSeconds on average, separated by silences of
 // offSeconds on average. Mean offered rate is peak·on/(on+off).
 func (t *TrafficSpec) Burst(peakPerSec, onSeconds, offSeconds float64) *TrafficSpec {
-	t.burst = &workload.BurstSpec{PeakRate: peakPerSec, OnSeconds: onSeconds, OffSeconds: offSeconds}
+	t.load.Burst = &workload.BurstSpec{PeakRate: peakPerSec, OnSeconds: onSeconds, OffSeconds: offSeconds}
 	return t
 }
 
 // Duration sets the simulated horizon in virtual seconds (0 = auto).
 func (t *TrafficSpec) Duration(seconds float64) *TrafficSpec {
-	t.duration = seconds
+	t.load.DurationSec = seconds
 	return t
 }
 
 // Seed selects the arrival randomness stream; a fixed seed makes the
 // whole run reproducible.
 func (t *TrafficSpec) Seed(n uint64) *TrafficSpec {
-	t.seed = n
+	t.load.Seed = n
 	return t
 }
 
 // Connections sets the closed-loop population (ignored in open loop).
 func (t *TrafficSpec) Connections(n int) *TrafficSpec {
-	t.conns = n
+	t.load.Concurrency = n
 	return t
 }
 
@@ -104,18 +99,11 @@ func (t *TrafficSpec) Observe(o *ObserveSpec) *TrafficSpec {
 // validate rejects specs the engine cannot give a meaningful answer
 // for, mirroring netsim.Pipeline.Simulate's input contract.
 func (t *TrafficSpec) validate() error {
-	if t.rate < 0 {
-		return fmt.Errorf("xc: traffic rate %v must not be negative", t.rate)
+	if err := t.load.Validate(); err != nil {
+		return fmt.Errorf("xc: %w", err)
 	}
-	if t.duration < 0 {
-		return fmt.Errorf("xc: traffic duration %v must not be negative", t.duration)
-	}
-	if t.conns < 0 || t.workers < 0 || t.cores < 0 || t.containers < 0 {
-		return fmt.Errorf("xc: traffic connections/workers/cores/containers must not be negative")
-	}
-	if b := t.burst; b != nil && (b.PeakRate <= 0 || b.OnSeconds <= 0 || b.OffSeconds < 0) {
-		return fmt.Errorf("xc: burst needs a positive peak rate and on-duration (and a non-negative off-duration), got peak=%v on=%v off=%v",
-			b.PeakRate, b.OnSeconds, b.OffSeconds)
+	if t.workers < 0 || t.cores < 0 || t.containers < 0 {
+		return fmt.Errorf("xc: traffic workers/cores/containers must not be negative")
 	}
 	return nil
 }
@@ -154,10 +142,8 @@ func (p *Platform) Serve(w *Workload, t *TrafficSpec) (*Report, error) {
 	}
 	res := workload.TrafficLoad{
 		App: app, RT: p.Runtime(),
-		Workers: t.workers, Cores: t.cores, Concurrency: t.conns,
-		Rate: t.rate, Paced: t.paced, Burst: t.burst,
-		DurationSec: t.duration, Seed: t.seed, Replicas: t.containers,
-		Observe: t.observe.options(),
+		Workers: t.workers, Cores: t.cores, Load: t.load,
+		Replicas: t.containers, Observe: t.observe.options(),
 	}.Run()
 
 	horizon := cycles.FromSeconds(res.DurationSec)
@@ -192,7 +178,7 @@ func (p *Platform) Serve(w *Workload, t *TrafficSpec) (*Report, error) {
 		Completed:   res.Completed,
 		Connections: res.Population,
 		Containers:  max(1, t.containers),
-		Seed:        t.seed,
+		Seed:        t.load.Seed,
 	}
 	rep.TimeSeries = res.TimeSeries
 	rep.trace = res.Trace
