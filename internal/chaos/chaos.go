@@ -106,6 +106,9 @@ func (p *Plan) Normalize() error {
 		return nil
 	}
 	if pr := p.Probes; pr != nil {
+		if !finite(pr.IntervalSec, pr.TimeoutUS) {
+			return fmt.Errorf("chaos: probes have a non-finite value: %+v", *pr)
+		}
 		if pr.IntervalSec == 0 {
 			pr.IntervalSec = 0.005
 		}
@@ -127,6 +130,9 @@ func (p *Plan) Normalize() error {
 	}
 	for i := range p.Faults {
 		f := &p.Faults[i]
+		if !finite(f.AtSec, f.DurationSec, f.Frac, f.CostFactor, f.ErrorRate, f.RecoverySec) {
+			return fmt.Errorf("chaos: fault %d (%s) has a non-finite value: %+v", i, f.Kind, *f)
+		}
 		if f.AtSec < 0 {
 			return fmt.Errorf("chaos: fault %d (%s) at %v < 0", i, f.Kind, f.AtSec)
 		}
@@ -176,6 +182,17 @@ func (p *Plan) Normalize() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is a real number. NaN passes every
+// < and > range check, and ±Inf is no time, factor or fraction.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Victims resolves a partition fault's set size against a fleet size.

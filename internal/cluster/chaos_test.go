@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -271,9 +273,21 @@ func TestProbeSweepAllocFree(t *testing.T) {
 	}
 }
 
+const fullDeploy = "canary@0.1,frac=0.2,bake=4,batch=8,p99us=900,err=0.02,after=3"
+
+// badDeploys must fail ParseDeploy; unrunnableDeploys parse but must
+// fail normalize. FuzzParseDeploy seeds from both.
+var (
+	badDeploys = []string{"rolling@x", "canary@0.1,frac", "canary@0.1,zzz=1",
+		"canary@0.1,bake=3x", "canary@0.1abc", "canary@0.1,frac=0.2zz"}
+	// NaN passes every range check, and ±Inf is no time or rate.
+	unrunnableDeploys = []string{"yolo@0.1", "canary@NaN", "canary@0.1,frac=NaN",
+		"canary@0.1,err=NaN", "rolling@Inf"}
+)
+
 // TestParseDeploy covers the DSL round trip.
 func TestParseDeploy(t *testing.T) {
-	d, err := ParseDeploy("canary@0.1,frac=0.2,bake=4,batch=8,p99us=900,err=0.02,after=3")
+	d, err := ParseDeploy(fullDeploy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +296,44 @@ func TestParseDeploy(t *testing.T) {
 	if *d != want {
 		t.Fatalf("got %+v want %+v", *d, want)
 	}
-	for _, bad := range []string{"rolling@x", "canary@0.1,frac", "canary@0.1,zzz=1"} {
+	for _, bad := range badDeploys {
 		if _, err := ParseDeploy(bad); err == nil {
 			t.Fatalf("ParseDeploy(%q) accepted", bad)
 		}
 	}
-	if d, err := ParseDeploy("yolo@0.1"); err != nil {
-		t.Fatal(err)
-	} else if err := d.normalize(0); err == nil {
-		t.Fatal("unknown strategy survived normalize")
+	for _, bad := range unrunnableDeploys {
+		if d, err := ParseDeploy(bad); err != nil {
+			t.Fatal(err)
+		} else if err := d.normalize(0); err == nil {
+			t.Fatalf("ParseDeploy(%q) survived normalize: %+v", bad, *d)
+		}
 	}
+}
+
+// FuzzParseDeploy checks that ParseDeploy never panics, is
+// deterministic, and that whatever survives normalize is a rollout the
+// controller can run.
+func FuzzParseDeploy(f *testing.F) {
+	for _, s := range append(append([]string{fullDeploy, "rolling", "bluegreen@0.2,bake=1"}, badDeploys...), unrunnableDeploys...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDeploy(s)
+		d2, err2 := ParseDeploy(s)
+		// Compare printed forms: a parsed NaN is not DeepEqual to itself.
+		if a, b := fmt.Sprintf("%+v %v", d, err), fmt.Sprintf("%+v %v", d2, err2); a != b {
+			t.Fatalf("ParseDeploy(%q) differs between runs: %s vs %s", s, a, b)
+		}
+		if err != nil || d.normalize(500) != nil {
+			return
+		}
+		for _, v := range []float64{d.StartSec, d.CanaryFrac, d.MaxP99US, d.MaxErrorRate} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseDeploy(%q) normalized to a non-finite value: %+v", s, *d)
+			}
+		}
+		if d.CanaryFrac <= 0 || d.CanaryFrac > 1 || d.BakeWindows < 1 || d.RollbackAfter < 1 {
+			t.Fatalf("ParseDeploy(%q) normalized out of range: %+v", s, *d)
+		}
+	})
 }

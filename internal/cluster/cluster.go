@@ -620,19 +620,7 @@ func (c *Cluster) routableCt(ct *container) bool {
 	return !ct.partitioned || c.cfg.Ingress != nil
 }
 
-// routable lists containers accepting new requests, in id order.
-func (c *Cluster) routable() []*container {
-	out := c.containers[:0:0]
-	for _, ct := range c.containers {
-		if c.routableCt(ct) {
-			out = append(out, ct)
-		}
-	}
-	return out
-}
-
-// routableCount counts containers accepting new requests without
-// materializing the slice — the control loop's allocation-free form.
+// routableCount counts containers accepting new requests.
 func (c *Cluster) routableCount() int {
 	n := 0
 	for _, ct := range c.containers {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"xcontainers/internal/cycles"
@@ -67,6 +68,12 @@ func (d *DeployConfig) normalize(slo float64) error {
 	default:
 		return fmt.Errorf("cluster: unknown deploy strategy %q (known: rolling|canary|bluegreen)", d.Strategy)
 	}
+	// NaN passes every range check below, and ±Inf is no time or rate.
+	for _, v := range [...]float64{d.StartSec, d.CanaryFrac, d.MaxP99US, d.MaxErrorRate} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cluster: deploy config has a non-finite value: %+v", *d)
+		}
+	}
 	if d.StartSec < 0 {
 		return fmt.Errorf("cluster: deploy start %v < 0", d.StartSec)
 	}
@@ -114,17 +121,17 @@ func ParseDeploy(s string) (*DeployConfig, error) {
 		}
 		switch k {
 		case "batch":
-			_, err = fmt.Sscanf(v, "%d", &d.BatchSize)
+			d.BatchSize, err = parseDeployInt(k, v)
 		case "frac":
 			d.CanaryFrac, err = parseDeployFloat(k, v)
 		case "bake":
-			_, err = fmt.Sscanf(v, "%d", &d.BakeWindows)
+			d.BakeWindows, err = parseDeployInt(k, v)
 		case "p99us":
 			d.MaxP99US, err = parseDeployFloat(k, v)
 		case "err":
 			d.MaxErrorRate, err = parseDeployFloat(k, v)
 		case "after":
-			_, err = fmt.Sscanf(v, "%d", &d.RollbackAfter)
+			d.RollbackAfter, err = parseDeployInt(k, v)
 		default:
 			err = fmt.Errorf("cluster: unknown deploy option %q", k)
 		}
@@ -136,11 +143,19 @@ func ParseDeploy(s string) (*DeployConfig, error) {
 }
 
 func parseDeployFloat(key, v string) (float64, error) {
-	var f float64
-	if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
 		return 0, fmt.Errorf("cluster: deploy option %s=%q: %v", key, v, err)
 	}
 	return f, nil
+}
+
+func parseDeployInt(key, v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: deploy option %s=%q: %v", key, v, err)
+	}
+	return n, nil
 }
 
 // DeployResult is the Result's rollout section.

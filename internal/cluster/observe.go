@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
@@ -277,7 +279,7 @@ func (c *Cluster) obFinish() {
 			i++
 		} else {
 			o.smp.AddMark(migs[j].AtSec*1e6, "migration",
-				migs[j].Container+": node "+itoa(migs[j].FromNode)+" -> "+itoa(migs[j].ToNode)+" ("+migs[j].Reason+")")
+				migs[j].Container+": node "+strconv.Itoa(migs[j].FromNode)+" -> "+strconv.Itoa(migs[j].ToNode)+" ("+migs[j].Reason+")")
 			j++
 		}
 	}
@@ -285,27 +287,4 @@ func (c *Cluster) obFinish() {
 	ts.EventsFired = c.EventsFired()
 	c.res.TimeSeries = ts
 	c.res.Trace = o.rec
-}
-
-// itoa is strconv.Itoa without the import weight at every call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

@@ -54,7 +54,6 @@ type Stats struct {
 	FunctionCallSyscalls uint64 // lightweight path entries
 	TrappedSyscalls      uint64 // X-Kernel-forwarded entries
 	ReturnSkips          uint64 // 9-byte-patch return-address fixups
-	Interrupts           uint64
 	ModulesLoaded        uint64
 }
 
@@ -233,17 +232,6 @@ func (l *LibOS) doSemantics(cpu *arch.CPU, n syscalls.No, proc *linuxsim.Process
 	}
 	cpu.Regs[arch.RAX] = ret
 	return arch.ActionContinue
-}
-
-// DeliverInterrupt emulates §4.2 interrupt delivery: the LibOS sees the
-// pending-event flag and builds the interrupt stack frame in user mode,
-// then returns with the user-mode iret — no X-Kernel involvement.
-func (l *LibOS) DeliverInterrupt(clk *cycles.Clock) {
-	l.mu.Lock()
-	l.Stats.Interrupts++
-	l.mu.Unlock()
-	clk.Advance(l.Costs.EventChannelUserMode)
-	clk.Advance(l.Costs.IretUserMode)
 }
 
 // Boot-time model (§4.5): the X-LibOS itself boots in ~180 ms; going

@@ -243,17 +243,3 @@ func TestBootCycles(t *testing.T) {
 		t.Errorf("fast boot = %v, want ≈184 ms", fast)
 	}
 }
-
-func TestInterruptDeliveryUserMode(t *testing.T) {
-	l := New(nil, DefaultConfig())
-	clk := &cycles.Clock{}
-	l.DeliverInterrupt(clk)
-	if l.Stats.Interrupts != 1 {
-		t.Error("interrupt not counted")
-	}
-	// Must be far cheaper than a trap-based delivery.
-	if clk.Now() >= cycles.Default.EventChannelDeliver {
-		t.Errorf("user-mode delivery cost %d not cheaper than trapping %d",
-			clk.Now(), cycles.Default.EventChannelDeliver)
-	}
-}

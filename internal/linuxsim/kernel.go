@@ -4,16 +4,12 @@ import (
 	"sync"
 
 	"xcontainers/internal/cycles"
-	"xcontainers/internal/mem"
 	"xcontainers/internal/syscalls"
 )
 
 // KernelStats counts kernel entry events.
 type KernelStats struct {
-	Syscalls        uint64
-	ContextSwitches uint64
-	Interrupts      uint64
-	PTUpdates       uint64
+	Syscalls uint64
 }
 
 // Kernel is the monolithic Linux kernel model: the host kernel under
@@ -23,14 +19,8 @@ type Kernel struct {
 	Costs *cycles.CostTable
 
 	// KPTI is the Meltdown page-table-isolation patch: every syscall
-	// and interrupt entry pays two CR3 switches plus TLB refill.
+	// entry pays two CR3 switches plus TLB refill.
 	KPTI bool
-
-	// Global reflects whether kernel mappings carry the page-table
-	// global bit. Native Linux: true. Paravirtualized Linux under
-	// stock Xen: false (§4.3), making every context switch a full
-	// flush.
-	Global bool
 
 	Services *Services
 
@@ -43,15 +33,7 @@ func NewKernel(costs *cycles.CostTable, kpti bool) *Kernel {
 	if costs == nil {
 		costs = &cycles.Default
 	}
-	return &Kernel{Costs: costs, KPTI: kpti, Global: true, Services: NewServices()}
-}
-
-// NewPVKernel boots the paravirtualized variant (guest of stock Xen):
-// global bit disabled, as required for PV security isolation.
-func NewPVKernel(costs *cycles.CostTable, kpti bool) *Kernel {
-	k := NewKernel(costs, kpti)
-	k.Global = false
-	return k
+	return &Kernel{Costs: costs, KPTI: kpti, Services: NewServices()}
 }
 
 // SyscallEntry charges one syscall mode-switch round trip (trap +
@@ -70,52 +52,6 @@ func (k *Kernel) SyscallEntry(clk *cycles.Clock) {
 // all kernels; see syscalls.HandlerCycles).
 func (k *Kernel) HandlerBody(clk *cycles.Clock, n syscalls.No) {
 	clk.Advance(cycles.Cycles(syscalls.HandlerCycles(syscalls.Classify(n))))
-}
-
-// ContextSwitch charges a switch between two processes, flushing the
-// TLB according to the global-bit configuration. tlb may be nil in
-// flow-level simulations (the flush cost is still charged).
-func (k *Kernel) ContextSwitch(clk *cycles.Clock, tlb *mem.TLB) {
-	k.mu.Lock()
-	k.Stats.ContextSwitches++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.ContextSwitchKernel)
-	if k.Global {
-		clk.Advance(k.Costs.AddressSpaceSwitch)
-		if tlb != nil {
-			tlb.FlushNonGlobal()
-		}
-	} else {
-		clk.Advance(k.Costs.AddressSpaceSwitchNoGlobal)
-		if tlb != nil {
-			tlb.FlushAll()
-		}
-	}
-	if k.KPTI {
-		// KPTI doubles the CR3 work on the way through the kernel.
-		clk.Advance(k.Costs.KPTIPerSyscall / 2)
-	}
-}
-
-// Interrupt charges one interrupt delivery.
-func (k *Kernel) Interrupt(clk *cycles.Clock) {
-	k.mu.Lock()
-	k.Stats.Interrupts++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.InterruptDeliver)
-	if k.KPTI {
-		clk.Advance(k.Costs.KPTIPerSyscall)
-	}
-}
-
-// PTUpdate charges one direct page-table update (native kernels write
-// page tables themselves; PV guests must hypercall instead — that path
-// lives in xkernel.PTUpdate).
-func (k *Kernel) PTUpdate(clk *cycles.Clock) {
-	k.mu.Lock()
-	k.Stats.PTUpdates++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.PageTableUpdateDirect)
 }
 
 // ForkPages returns how many page-table updates a fork of a process

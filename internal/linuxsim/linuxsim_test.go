@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xcontainers/internal/cycles"
-	"xcontainers/internal/mem"
 	"xcontainers/internal/syscalls"
 )
 
@@ -130,32 +129,6 @@ func TestKernelSyscallEntryCosts(t *testing.T) {
 		t.Error("stats not counted")
 	}
 }
-
-func TestKernelContextSwitchGlobalBit(t *testing.T) {
-	native := NewKernel(nil, false) // global bit on
-	pv := NewPVKernel(nil, false)   // global bit off
-
-	as := mem.NewAddressSpace(1)
-	as.Map(arch0(), mem.PTE{Frame: 1, Global: true})
-	tlbN, tlbP := mem.NewTLB(8), mem.NewTLB(8)
-	tlbN.Lookup(as, arch0())
-	tlbP.Lookup(as, arch0())
-
-	c1, c2 := &cycles.Clock{}, &cycles.Clock{}
-	native.ContextSwitch(c1, tlbN)
-	pv.ContextSwitch(c2, tlbP)
-	if c2.Now() <= c1.Now() {
-		t.Error("no-global context switch must cost more")
-	}
-	if tlbN.Len() != 1 {
-		t.Error("native kernel keeps global entries on switch")
-	}
-	if tlbP.Len() != 0 {
-		t.Error("PV kernel must flush everything on switch")
-	}
-}
-
-func arch0() uint64 { return 0xffff880000000 / mem.PageSize }
 
 func TestForkExecPageCounts(t *testing.T) {
 	if ForkPages(512) <= 0 || ExecPages(512) <= ForkPages(512) {

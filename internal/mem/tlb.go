@@ -3,7 +3,7 @@ package mem
 import "sync"
 
 // TLBEntry caches one translation together with the global bit that
-// decides whether it survives an address-space switch.
+// lets it hit from any address space.
 type TLBEntry struct {
 	VPage  uint64
 	Frame  FrameID
@@ -11,14 +11,10 @@ type TLBEntry struct {
 	ASID   uint64 // address space the entry was filled from
 }
 
-// TLBStats counts hits, misses and flushes for cost accounting.
+// TLBStats counts hits and misses for cost accounting.
 type TLBStats struct {
-	Hits            uint64
-	Misses          uint64
-	FullFlushes     uint64
-	NonGlobalFlush  uint64
-	EntriesFlushed  uint64
-	GlobalSurvivors uint64
+	Hits   uint64
+	Misses uint64
 }
 
 // TLB is a simple fully-associative TLB with FIFO replacement. One TLB
@@ -82,58 +78,9 @@ func (t *TLB) fillLocked(e TLBEntry) {
 	t.entries[e.VPage] = e
 }
 
-// FlushNonGlobal drops all non-global entries — the hardware behaviour
-// of a CR3 write. It returns how many entries were flushed (the refill
-// cost driver).
-func (t *TLB) FlushNonGlobal() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Stats.NonGlobalFlush++
-	n := 0
-	keep := t.order[:0]
-	for _, vp := range t.order {
-		if e, ok := t.entries[vp]; ok && e.Global {
-			keep = append(keep, vp)
-			t.Stats.GlobalSurvivors++
-			continue
-		}
-		delete(t.entries, vp)
-		n++
-	}
-	t.order = keep
-	t.Stats.EntriesFlushed += uint64(n)
-	return n
-}
-
-// FlushAll drops every entry, global or not — a full flush as on a
-// cross-container switch or a CR4.PGE toggle.
-func (t *TLB) FlushAll() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Stats.FullFlushes++
-	n := len(t.entries)
-	t.entries = make(map[uint64]TLBEntry)
-	t.order = t.order[:0]
-	t.Stats.EntriesFlushed += uint64(n)
-	return n
-}
-
 // Len returns the number of live entries.
 func (t *TLB) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.entries)
-}
-
-// HasGlobalEntries reports whether any global entries are cached
-// (isolation tests assert none survive a cross-container FlushAll).
-func (t *TLB) HasGlobalEntries() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range t.entries {
-		if e.Global {
-			return true
-		}
-	}
-	return false
 }

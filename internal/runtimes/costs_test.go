@@ -87,6 +87,31 @@ func TestInterruptCostOrdering(t *testing.T) {
 	}
 }
 
+func TestCtxSwitchPaperProperties(t *testing.T) {
+	kinds := []Kind{Docker, XenContainer, XContainer, GVisor, ClearContainer,
+		Unikernel, Graphene, XenPVVM, XenHVMVM}
+	for _, patched := range []bool{false, true} {
+		cs := func(kind Kind, same bool) cycles.Cycles {
+			return MustNew(Config{Kind: kind, Patched: patched, Cloud: LocalCluster}).CtxSwitch(same)
+		}
+		// §4.3: X-LibOS mappings keep the global bit, so an intra-container
+		// switch flushes less than a PV guest's, which cannot use it.
+		if x, xen := cs(XContainer, true), cs(XenContainer, true); x >= xen {
+			t.Errorf("patched=%v: X-Container intra-container switch %d, want below Xen-Container's %d", patched, x, xen)
+		}
+		for _, kind := range kinds {
+			intra, cross := cs(kind, true), cs(kind, false)
+			hier := MustNew(Config{Kind: kind, Cloud: LocalCluster}).Hierarchical()
+			switch {
+			case hier && cross <= intra:
+				t.Errorf("%v patched=%v: cross-container switch %d, want above intra-container %d", kind, patched, cross, intra)
+			case !hier && cross != intra:
+				t.Errorf("%v patched=%v: flat scheduling, want equal switches, got intra %d cross %d", kind, patched, intra, cross)
+			}
+		}
+	}
+}
+
 func TestHierarchicalClassification(t *testing.T) {
 	hier := map[Kind]bool{
 		Docker: false, GVisor: false, Graphene: false,

@@ -136,10 +136,9 @@ type Runtime struct {
 	Host *linuxsim.Kernel
 	// Hyper is the hypervisor (Xen variants and X-Container).
 	Hyper *xkernel.Kernel
-	// GuestTemplate is the guest-kernel configuration cloned per
-	// container for VM-based runtimes.
-	guestKPTI   bool
-	guestGlobal bool
+	// guestKPTI is the guest-kernel configuration cloned per container
+	// for VM-based runtimes.
+	guestKPTI bool
 
 	nextID int
 }
@@ -159,21 +158,12 @@ func New(cfg Config) (*Runtime, error) {
 		// the nested VM stays unpatched.
 		r.Host = linuxsim.NewKernel(costs, cfg.Patched)
 		r.guestKPTI = false
-		r.guestGlobal = true
-	case XenContainer, XenPVVM:
+	case XenContainer, XenPVVM, XenHVMVM:
 		r.Hyper = xkernel.New(xkernel.Config{
 			Mode: xkernel.ModeXenPV, Costs: costs, XPTI: cfg.Patched,
 			Blanket: cfg.Cloud != LocalCluster, MachineFrames: cfg.MachineFrames,
 		})
 		r.guestKPTI = cfg.Patched
-		r.guestGlobal = false // PV guests cannot use the global bit (§4.3)
-	case XenHVMVM:
-		r.Hyper = xkernel.New(xkernel.Config{
-			Mode: xkernel.ModeXenPV, Costs: costs, XPTI: cfg.Patched,
-			Blanket: cfg.Cloud != LocalCluster, MachineFrames: cfg.MachineFrames,
-		})
-		r.guestKPTI = cfg.Patched
-		r.guestGlobal = true // HVM guests keep hardware paging features
 	case XContainer:
 		r.Hyper = xkernel.New(xkernel.Config{
 			Mode: xkernel.ModeXKernel, Costs: costs, XPTI: cfg.Patched,
@@ -283,8 +273,7 @@ func (r *Runtime) NewContainer(name string, vcpus int, packed bool) (*Container,
 			return nil, err
 		}
 		c.Dom = dom
-		c.Guest = linuxsim.NewPVKernel(r.Costs, r.guestKPTI)
-		c.Guest.Global = r.guestGlobal
+		c.Guest = linuxsim.NewKernel(r.Costs, r.guestKPTI)
 		c.Svc = c.Guest.Services
 	case ClearContainer:
 		c.Guest = linuxsim.NewKernel(r.Costs, r.guestKPTI)

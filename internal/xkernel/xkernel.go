@@ -60,13 +60,9 @@ const (
 type Stats struct {
 	Hypercalls        uint64
 	SyscallsForwarded uint64 // syscalls that trapped into the hypervisor
-	EventsDelivered   uint64
-	EventsUserMode    uint64 // X-Container user-mode deliveries (no trap)
-	IretHypercalls    uint64
+	EventsDelivered   uint64 // no writer: interrupts are charged in tier 2 (runtimes.InterruptCost)
 	PTUpdates         uint64
 	PTViolations      uint64 // rejected cross-domain mappings
-	VCPUSwitches      uint64
-	ModeChecks        uint64 // stack-pointer mode determinations
 }
 
 // Kernel is one hypervisor instance managing one physical machine.
@@ -196,15 +192,6 @@ func (k *Kernel) Domains() int {
 	return len(k.domains)
 }
 
-// Hypercall charges one hypercall from a guest kernel.
-func (k *Kernel) Hypercall(clk *cycles.Clock, h Hypercall) {
-	k.mu.Lock()
-	k.Stats.Hypercalls++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.Hypercall + k.trapTax())
-	_ = h
-}
-
 // RegisterAddressSpace validates and installs a page table for a
 // domain. Every PTE must reference a frame the domain owns; this is the
 // exokernel's isolation guarantee and the invariant tests attack it
@@ -284,86 +271,4 @@ func (k *Kernel) ForwardSyscallX(clk *cycles.Clock, text *arch.Text, sysRIP, rax
 		clk.Advance(k.Costs.ABOMPatch)
 	}
 	return res
-}
-
-// GuestMode is the hypervisor's view of what a vCPU was executing.
-type GuestMode uint8
-
-const (
-	GuestUser GuestMode = iota
-	GuestKernel
-)
-
-// ClassifyMode implements §4.2's mode detection: with lightweight
-// syscalls the X-Kernel can no longer track guest user/kernel switches
-// via a flag, so it inspects the interrupted stack pointer — kernel
-// half of the address space means guest kernel mode.
-func (k *Kernel) ClassifyMode(rsp uint64) GuestMode {
-	k.mu.Lock()
-	k.Stats.ModeChecks++
-	k.mu.Unlock()
-	if arch.InKernelHalf(rsp) {
-		return GuestKernel
-	}
-	return GuestUser
-}
-
-// DeliverEvent delivers one pending event-channel event. In stock PV the
-// guest hypercalls into Xen for delivery; in an X-Container the X-LibOS
-// observes the shared pending flag and emulates the interrupt frame in
-// user mode (§4.2).
-func (k *Kernel) DeliverEvent(clk *cycles.Clock, userMode bool) {
-	k.mu.Lock()
-	k.Stats.EventsDelivered++
-	if userMode {
-		k.Stats.EventsUserMode++
-	}
-	k.mu.Unlock()
-	if userMode && k.Mode == ModeXKernel {
-		clk.Advance(k.Costs.EventChannelUserMode)
-		return
-	}
-	clk.Advance(k.Costs.EventChannelDeliver + k.trapTax())
-}
-
-// Iret charges a return-from-interrupt. Stock PV must hypercall for
-// atomicity when switching privilege levels; the X-Kernel variant runs
-// entirely in user mode with an ordinary ret (§4.2).
-func (k *Kernel) Iret(clk *cycles.Clock) {
-	if k.Mode == ModeXKernel {
-		clk.Advance(k.Costs.IretUserMode)
-		return
-	}
-	k.mu.Lock()
-	k.Stats.IretHypercalls++
-	k.Stats.Hypercalls++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.IretHypercall + k.trapTax())
-}
-
-// VCPUSwitch charges a world switch between two vCPUs, including the
-// TLB consequences decided by whether they belong to the same domain.
-// The tlb may be nil in flow-level simulations.
-func (k *Kernel) VCPUSwitch(clk *cycles.Clock, tlb *mem.TLB, sameDomain bool) {
-	k.mu.Lock()
-	k.Stats.VCPUSwitches++
-	k.mu.Unlock()
-	clk.Advance(k.Costs.VCPUSwitch)
-	if sameDomain {
-		return
-	}
-	clk.Advance(k.Costs.CrossContainerSwitch)
-	if tlb != nil {
-		tlb.FlushAll()
-	}
-}
-
-// SplitDriverIO charges one split-driver ring round trip (front-end to
-// back-end), plus the Xen-Blanket layer when nested in a cloud VM.
-func (k *Kernel) SplitDriverIO(clk *cycles.Clock) {
-	c := k.Costs.SplitDriverRing
-	if k.Blanket {
-		c += k.Costs.SplitDriverRing / 4
-	}
-	clk.Advance(c)
 }

@@ -134,19 +134,6 @@ func TestGlobalBitAppliedToKernelHalf(t *testing.T) {
 	}
 }
 
-func TestClassifyMode(t *testing.T) {
-	k := newXK(t)
-	if k.ClassifyMode(arch.UserStackTop) != GuestUser {
-		t.Error("user stack must classify as guest user")
-	}
-	if k.ClassifyMode(arch.KernelStackTop) != GuestKernel {
-		t.Error("kernel stack must classify as guest kernel")
-	}
-	if k.Stats.ModeChecks != 2 {
-		t.Errorf("mode checks = %d", k.Stats.ModeChecks)
-	}
-}
-
 func TestSyscallForwardCosts(t *testing.T) {
 	pv := New(Config{Mode: ModeXenPV})
 	xk := newXK(t)
@@ -166,61 +153,6 @@ func TestXPTITaxesTraps(t *testing.T) {
 	patched.ForwardSyscallPV(c2)
 	if c2.Now() <= c1.Now() {
 		t.Error("XPTI must tax hypervisor traps")
-	}
-}
-
-func TestIretModes(t *testing.T) {
-	pv := New(Config{Mode: ModeXenPV})
-	xk := newXK(t)
-	c1, c2 := &cycles.Clock{}, &cycles.Clock{}
-	pv.Iret(c1)
-	xk.Iret(c2)
-	if pv.Stats.IretHypercalls != 1 {
-		t.Error("stock PV iret must hypercall")
-	}
-	if xk.Stats.IretHypercalls != 0 {
-		t.Error("X-Kernel iret must not hypercall (§4.2 user-mode iret)")
-	}
-	if c2.Now() >= c1.Now() {
-		t.Error("user-mode iret must be cheaper")
-	}
-}
-
-func TestEventDelivery(t *testing.T) {
-	xk := newXK(t)
-	c1, c2 := &cycles.Clock{}, &cycles.Clock{}
-	xk.DeliverEvent(c1, false) // trap path
-	xk.DeliverEvent(c2, true)  // user-mode emulation
-	if c2.Now() >= c1.Now() {
-		t.Error("user-mode event delivery must be cheaper than trapping")
-	}
-	if xk.Stats.EventsDelivered != 2 || xk.Stats.EventsUserMode != 1 {
-		t.Errorf("stats = %+v", xk.Stats)
-	}
-}
-
-func TestVCPUSwitchTLBBehaviour(t *testing.T) {
-	xk := newXK(t)
-	tlb := mem.NewTLB(8)
-	as := mem.NewAddressSpace(1)
-	as.Map(5, mem.PTE{Frame: 1, Global: true})
-	as.Map(6, mem.PTE{Frame: 2})
-	tlb.Lookup(as, 5)
-	tlb.Lookup(as, 6)
-
-	clk := &cycles.Clock{}
-	// Same-domain switch: global entries survive.
-	xk.VCPUSwitch(clk, tlb, true)
-	if tlb.Len() != 2 {
-		t.Errorf("same-domain switch flushed TLB: len=%d", tlb.Len())
-	}
-	// Cross-container switch: full flush, even global entries.
-	xk.VCPUSwitch(clk, tlb, false)
-	if tlb.Len() != 0 {
-		t.Errorf("cross-container switch must flush all: len=%d", tlb.Len())
-	}
-	if tlb.HasGlobalEntries() {
-		t.Error("no global entries may survive a cross-container switch")
 	}
 }
 

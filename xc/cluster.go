@@ -82,7 +82,8 @@ type ClusterSpec struct {
 	// routing and control to epochs, so it differs from Shards == 0.
 	Shards int
 	// EpochMicros is the sharded engine's barrier period in virtual
-	// microseconds (default 500) — a model parameter, unlike Shards.
+	// microseconds (0 = twice the per-request cost, capped at 500) — a
+	// model parameter, unlike Shards.
 	EpochMicros float64
 	// ShardWorkers bounds the goroutines driving shard engines
 	// (0 = min(Shards, GOMAXPROCS)). Purely a wall-clock knob.

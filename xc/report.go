@@ -40,6 +40,9 @@ type SyscallStats struct {
 // HyperStats summarizes hypervisor-side event counts attributable to
 // this run (boot included, warm-up and earlier runs excluded), for
 // runtimes that boot a hypervisor (Xen variants and X-Containers).
+// EventsDelivered reads 0: no run delivers events through the
+// hypervisor model, because interrupts are charged in tier 2
+// (runtimes' InterruptCost).
 type HyperStats struct {
 	Hypercalls        uint64 `json:"hypercalls"`
 	SyscallsForwarded uint64 `json:"syscalls_forwarded"`
