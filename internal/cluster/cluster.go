@@ -252,11 +252,15 @@ type container struct {
 	// blackout (or stranding) bumps it, so the Resume of an earlier,
 	// superseded migration cannot prematurely unfreeze the queue.
 	freezeGen int
-	// epochBusy accumulates service demand started since the last
-	// barrier (sharded engine only): shard goroutines touch only their
-	// own replicas, and barriers fold the sums into node accounting in
-	// replica-id order.
+	// epochBusy accumulates service demand started since the last fold
+	// (sharded engine only): shard goroutines touch only their own
+	// replicas, and barriers that run a chaos or control step fold the
+	// sums into node accounting (shardRun.fold).
 	epochBusy cycles.Cycles
+	// mark is the route-table generation in which the replica's shard
+	// last listed it as having completed a job (sharded engine only;
+	// see fleetTable.noteDone).
+	mark uint32
 
 	// Chaos and rollout state. version is the deploy version the
 	// replica runs (1 until a rollout moves it). gray is the active

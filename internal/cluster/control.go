@@ -128,6 +128,8 @@ func (c *Cluster) scaleDown(now cycles.Cycles) {
 	c.event(now, "remove-replica", fmt.Sprintf("%s draining on node %d", victim.name, victim.node.id))
 	if victim.q.Depth() == 0 {
 		c.retire(victim)
+	} else if c.sh != nil {
+		c.sh.noteDraining(victim)
 	}
 }
 

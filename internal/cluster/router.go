@@ -25,6 +25,18 @@ const tableBuckets = 4096
 // only ever moves up between rebuilds. The FIFO order doubles as the
 // rotating tie-break — equal-depth replicas take turns in the order the
 // rebuild enqueued them.
+//
+// The snapshot is incremental. Between barriers a replica's queue
+// depth moves only when a barrier assigned it work (listed in picked)
+// or it completed a job (listed by its shard, see noteDone), and
+// membership moves only in chaos and control steps, which mark the
+// table dirty or rebuild it outright. A barrier therefore re-reads the
+// listed replicas alone (refresh) and rescans the fleet only when
+// membership changed (rebuild); both leave the same table. A list
+// stops growing at listCap entries: refresh then reads every queue in
+// one sequential pass, which beats scattered reads once a quarter of
+// the fleet is listed (a saturated closed loop completes on nearly
+// every replica each epoch).
 type fleetTable struct {
 	c  *Cluster
 	lb ingress.Policy // JSQ for the plain front door; the route's LB behind ingress
@@ -34,51 +46,156 @@ type fleetTable struct {
 
 	depth []int32 // effective depth: barrier snapshot + epoch assignments
 	ups   []int32 // routable replica indices in id order
+	pos   []int32 // replica index -> its position in ups, -1 when not routable
+	sum   int     // Σ depth over ups: the routable backlog
 	next  []int32 // intrusive bucket list, -1 terminated
 	head  [tableBuckets]int32
 	tail  [tableBuckets]int32
 	cur   int // lowest possibly non-empty bucket
+	top   int // highest bucket enqueued since the last refill
+
+	// picked lists the replicas assigned work since the last snapshot,
+	// once each: listed[rep] == gen marks the listed ones. Every
+	// snapshot opens a new generation, which empties the list, and the
+	// shards' completion lists with it. Completion marks live on the
+	// containers, which the completing shard already holds, because
+	// neighbouring replica indices belong to different shards; pick
+	// marks stay in this dense array, off the containers' cache lines.
+	picked  []int32
+	listed  []uint32
+	gen     uint32
+	listCap int // length at which a touched list stops growing
 
 	rr    int  // rotating cursor for rr/weighted picks
 	dirty bool // membership changed since the last rebuild
 }
 
 func newFleetTable(c *Cluster, lb ingress.Policy) *fleetTable {
-	return &fleetTable{c: c, lb: lb, dirty: true}
+	// top starts at the last bucket: the first refill clears them all.
+	return &fleetTable{c: c, lb: lb, dirty: true, top: tableBuckets - 1}
 }
 
-// rebuild resnapshots every replica's depth and routability. Called at
-// each epoch barrier (and again after control actions change
-// membership); O(replicas).
+// rebuild resnapshots every replica's depth and routability: O(fleet).
+// Called when membership may have changed — at the run's start, and at
+// a barrier whose chaos or control step ran or that found the table
+// dirty.
 func (t *fleetTable) rebuild() {
 	n := len(t.c.containers)
 	if cap(t.depth) < n {
 		t.depth = make([]int32, n, 2*n)
 		t.next = make([]int32, n, 2*n)
+		t.pos = make([]int32, n, 2*n)
+		t.listed = make([]uint32, n, 2*n)
 		t.ups = make([]int32, 0, 2*n)
 	}
 	t.depth = t.depth[:n]
 	t.next = t.next[:n]
+	t.pos = t.pos[:n]
+	t.listed = t.listed[:n]
+	t.listCap = (n + 3) / 4
 	t.ups = t.ups[:0]
-	jsq := t.lb == ingress.JSQ
-	if jsq {
-		for b := range t.head {
-			t.head[b] = -1
-			t.tail[b] = -1
-		}
-		t.cur = 0
-	}
+	t.sum = 0
 	for i, ct := range t.c.containers {
 		t.depth[i] = int32(ct.q.Depth())
+		t.pos[i] = -1
 		if !t.c.routableCt(ct) {
 			continue
 		}
+		t.pos[i] = int32(len(t.ups))
 		t.ups = append(t.ups, int32(i))
-		if jsq {
-			t.enqueue(int32(i), bucketFor(t.depth[i]))
-		}
+		t.sum += int(t.depth[i])
 	}
 	t.dirty = false
+	t.settle()
+}
+
+// refresh resnapshots the fleet at a barrier whose membership is
+// unchanged: only listed replicas are re-read, so the cost is
+// O(touched), plus O(routable) for the JSQ refill.
+func (t *fleetTable) refresh() {
+	if t.dirty {
+		t.rebuild()
+		return
+	}
+	shards := t.c.sh.shards
+	n := len(t.picked)
+	for i := range shards {
+		n += len(shards[i].touched)
+	}
+	if n >= t.listCap {
+		t.sum = 0
+		for i, ct := range t.c.containers {
+			t.depth[i] = int32(ct.q.Depth())
+			if t.pos[i] >= 0 {
+				t.sum += int(t.depth[i])
+			}
+		}
+	} else {
+		t.reread(t.picked)
+		for i := range shards {
+			t.reread(shards[i].touched)
+		}
+	}
+	t.settle()
+}
+
+// reread refreshes the listed replicas' depths and the routable sum.
+func (t *fleetTable) reread(reps []int32) {
+	for _, r := range reps {
+		d := int32(t.c.containers[r].q.Depth())
+		if t.pos[r] >= 0 {
+			t.sum += int(d - t.depth[r])
+		}
+		t.depth[r] = d
+	}
+}
+
+// settle closes a snapshot: it empties the touched lists, opens the
+// next generation, and refills the JSQ buckets in ups (id) order.
+func (t *fleetTable) settle() {
+	t.picked = t.picked[:0]
+	shards := t.c.sh.shards
+	for i := range shards {
+		shards[i].touched = shards[i].touched[:0]
+	}
+	t.gen++
+	if t.lb != ingress.JSQ {
+		return
+	}
+	for b := 0; b <= t.top; b++ {
+		t.head[b] = -1
+		t.tail[b] = -1
+	}
+	t.cur, t.top = 0, 0
+	for _, u := range t.ups {
+		t.enqueue(u, bucketFor(t.depth[u]))
+	}
+}
+
+// assign records one request routed to rep since the snapshot and
+// lists rep for the next refresh.
+func (t *fleetTable) assign(rep int32) {
+	t.depth[rep]++
+	if t.pos[rep] >= 0 {
+		t.sum++
+	}
+	if t.listed[rep] != t.gen && len(t.picked) < t.listCap {
+		t.listed[rep] = t.gen
+		t.picked = append(t.picked, rep)
+	}
+}
+
+// noteDone lists ct for the next refresh after it completed a job. It
+// runs on ct's shard goroutine and writes only ct and that shard's
+// list, so it needs no synchronisation: the table fields it reads
+// change only at barriers, and the barrier reads what it wrote after
+// the worker handshake. Once picked is full the refresh reads every
+// queue anyway, so nothing more is listed.
+func (t *fleetTable) noteDone(ct *container, ss *shardState) {
+	if ct.mark != t.gen && len(ss.touched) < t.listCap && len(t.picked) < t.listCap {
+		ct.mark = t.gen
+		ss.touched = append(ss.touched, int32(ct.id-1))
+	}
 }
 
 func bucketFor(d int32) int {
@@ -100,6 +217,9 @@ func (t *fleetTable) enqueue(rep int32, b int) {
 	}
 	if b < t.cur {
 		t.cur = b
+	}
+	if b > t.top {
+		t.top = b
 	}
 }
 
@@ -134,7 +254,7 @@ func (t *fleetTable) pickJSQ() int {
 	if t.head[t.cur] < 0 {
 		t.tail[t.cur] = -1
 	}
-	t.depth[rep]++
+	t.assign(rep)
 	t.enqueue(rep, bucketFor(t.depth[rep]))
 	return int(rep)
 }
@@ -151,7 +271,7 @@ func (t *fleetTable) pickRR() int {
 			continue
 		}
 		t.rr = idx + 1
-		t.depth[idx]++
+		t.assign(int32(idx))
 		return idx
 	}
 	return -1
@@ -175,18 +295,16 @@ func (t *fleetTable) pickP2C() int {
 			a = b
 		}
 	}
-	t.depth[a]++
+	t.assign(a)
 	return int(a)
 }
 
 // nextUp returns the routable replica after rep in ups order,
 // cyclically — the "different replica" fallback of p2c resampling and
-// hedging.
+// hedging — or rep itself when it is not routable.
 func (t *fleetTable) nextUp(rep int32) int32 {
-	for i, u := range t.ups {
-		if u == rep {
-			return t.ups[(i+1)%len(t.ups)]
-		}
+	if p := t.pos[rep]; p >= 0 {
+		return t.ups[(int(p)+1)%len(t.ups)]
 	}
 	return rep
 }
@@ -196,8 +314,11 @@ func (t *fleetTable) pickOther(avoid int) int {
 	idx := t.pick()
 	if idx == avoid && idx >= 0 {
 		if alt := t.nextUp(int32(idx)); int(alt) != idx {
-			t.depth[avoid]-- // the assignment moves to the alternate
-			t.depth[alt]++
+			// The assignment moves to the alternate; avoid is routable,
+			// since nextUp found it in ups.
+			t.depth[avoid]--
+			t.sum--
+			t.assign(alt)
 			return int(alt)
 		}
 	}

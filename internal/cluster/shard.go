@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
@@ -55,6 +58,10 @@ type shardState struct {
 	erred     uint64 // gray-failure errors since the last barrier
 
 	fleetCompleted uint64 // ingress: attempts completed at this shard's replicas
+
+	// touched lists this shard's replicas that completed a job since the
+	// last table snapshot, once each (fleetTable.noteDone).
+	touched []int32
 
 	done  []doneRec  // plain closed-loop completions this epoch
 	fdone []fdoneRec // ingress attempt completions this epoch
@@ -121,9 +128,18 @@ type shardRun struct {
 	collectDone bool      // buffer completions for closed-loop re-issue
 	merge       doneMerge // reused S-way merge of the shards' done runs
 
+	// drain holds the draining replicas still serving a backlog, in id
+	// order; each barrier retires the ones that emptied.
+	drain []*container
+
+	// The worker pool: the coordinating goroutine runs shards itself
+	// alongside workers-1 helpers. Each epoch wakes every helper once;
+	// all of them claim shard indices from claim until none is left,
+	// and each helper acks once.
 	workers int
-	work    chan int32
+	wake    chan struct{}
 	ack     chan struct{}
+	claim   atomic.Int32
 	target  cycles.Cycles
 }
 
@@ -176,6 +192,7 @@ func (s *shardRun) shardOf(rep int) int32 { return int32(rep % len(s.engines)) }
 // barrier.
 func (s *shardRun) replicaDone(ct *container, j sim.Job) {
 	ss := &s.shards[ct.shard]
+	s.table.noteDone(ct, ss)
 	now := ss.eng.Now()
 	lat := now - j.Born
 	if ct.errRate > 0 && ct.errRng.Float64() < ct.errRate {
@@ -228,6 +245,7 @@ func (s *shardRun) accScan(i int) {
 // quantile, like the single-engine graph).
 func (s *shardRun) attemptDone(ct *container, j sim.Job) {
 	ss := &s.shards[ct.shard]
+	s.table.noteDone(ct, ss)
 	ss.fleetCompleted++
 	// The gray-failure coin is drawn at completion time from the
 	// replica's private stream: its completions are engine-local, so
@@ -353,12 +371,12 @@ func (s *shardRun) start(t Traffic, conc int) {
 	}
 	s.workers = w
 	if w > 1 {
-		s.work = make(chan int32, len(s.engines))
-		s.ack = make(chan struct{}, len(s.engines))
-		for i := 0; i < w; i++ {
+		s.wake = make(chan struct{}, w-1)
+		s.ack = make(chan struct{}, w-1)
+		for i := 1; i < w; i++ {
 			go func() {
-				for idx := range s.work {
-					s.runShard(int(idx), s.target)
+				for range s.wake {
+					s.runClaimed()
 					s.ack <- struct{}{}
 				}
 			}()
@@ -396,16 +414,16 @@ func (s *shardRun) step() bool {
 
 // stop releases the worker pool.
 func (s *shardRun) stop() {
-	if s.work != nil {
-		close(s.work)
-		s.work = nil
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
 	}
 }
 
 // barrier is the serial phase at virtual instant s.now: fold shard
-// accumulators in replica-id order, resnapshot routing, apply buffered
-// cross-shard effects canonically, then any control-plane actions due
-// at this instant.
+// accumulators when a step below reads them, retire finished drains,
+// resnapshot routing, apply buffered cross-shard effects canonically,
+// then any chaos and control-plane actions due at this instant.
 func (s *shardRun) barrier() {
 	c := s.c
 	if c.ob != nil {
@@ -416,27 +434,13 @@ func (s *shardRun) barrier() {
 		// the next batch — batch boundaries are model properties.
 		c.ob.drain(s, s.now)
 	}
-	for _, ct := range c.containers {
-		if ct.epochBusy != 0 {
-			c.winBusy += ct.epochBusy
-			ct.node.busy += ct.epochBusy
-			ct.node.winBusy += ct.epochBusy
-			ct.epochBusy = 0
-		}
-		if ct.draining && !ct.gone && ct.q.Depth() == 0 {
-			c.retire(ct)
-		}
+	chaosDue := c.chaos != nil && c.chaos.dueAt(s.now)
+	controlDue := s.controlDue != 0 && s.now >= s.controlDue
+	if chaosDue || controlDue {
+		s.fold()
 	}
-	for i := range s.shards {
-		ss := &s.shards[i]
-		c.win.Merge(&ss.win)
-		ss.win.Reset()
-		// Fold the epoch's gray errors centrally: the deploy guard
-		// reads c.erred per control window.
-		c.erred += ss.erred
-		ss.erred = 0
-	}
-	s.table.rebuild()
+	s.retireDrained()
+	s.table.refresh()
 	if s.fi != nil {
 		s.fi.processEpoch()
 	} else if s.collectDone {
@@ -448,11 +452,11 @@ func (s *shardRun) barrier() {
 	// horizon is always a control instant, so the closing rebuild and
 	// the final assembly see every admission too.
 	mutated := false
-	if x := c.chaos; x != nil && x.dueAt(s.now) {
+	if chaosDue {
 		s.flushPend()
-		mutated = x.atBarrier(s.now)
+		mutated = c.chaos.atBarrier(s.now)
 	}
-	if s.controlDue != 0 && s.now >= s.controlDue {
+	if controlDue {
 		s.flushPend()
 		c.controlStep(s.now)
 		if next := min(s.now+c.interval, c.horizon); next > s.now {
@@ -465,6 +469,58 @@ func (s *shardRun) barrier() {
 	if mutated || s.table.dirty {
 		s.table.rebuild()
 	}
+}
+
+// fold moves the shard accumulators into the cluster's control-window
+// state: busy cycles into the fleet and node integrals, window
+// latencies into c.win, gray errors into c.erred. Only the control
+// step, the deploy guard and the horizon's report read that state, and
+// only chaos and control steps move a replica to another node, so the
+// barrier folds just before those steps. It must run at the barrier's
+// start, before processEpoch, processDone or any flushPend: admissions
+// there start service at this instant, and that busy time belongs to
+// the next control window.
+func (s *shardRun) fold() {
+	c := s.c
+	for _, ct := range c.containers {
+		if ct.epochBusy != 0 {
+			c.winBusy += ct.epochBusy
+			ct.node.busy += ct.epochBusy
+			ct.node.winBusy += ct.epochBusy
+			ct.epochBusy = 0
+		}
+	}
+	for i := range s.shards {
+		ss := &s.shards[i]
+		c.win.Merge(&ss.win)
+		ss.win.Reset()
+		c.erred += ss.erred
+		ss.erred = 0
+	}
+}
+
+// noteDraining adds a replica that scale-down drained with a backlog
+// to the drain list, keeping it in id order.
+func (s *shardRun) noteDraining(ct *container) {
+	i, _ := slices.BinarySearchFunc(s.drain, ct.id, func(d *container, id int) int { return cmp.Compare(d.id, id) })
+	s.drain = slices.Insert(s.drain, i, ct)
+}
+
+// retireDrained retires, in id order, the draining replicas whose
+// backlog emptied during the epoch, and forgets any that left the
+// fleet another way (a node failure strands them).
+func (s *shardRun) retireDrained() {
+	kept := s.drain[:0]
+	for _, ct := range s.drain {
+		if !ct.gone && ct.q.Depth() == 0 {
+			s.c.retire(ct)
+		}
+		if !ct.gone {
+			kept = append(kept, ct)
+		}
+	}
+	clear(s.drain[len(kept):])
+	s.drain = kept
 }
 
 // processDone re-issues the epoch's closed-loop completions in
@@ -544,10 +600,25 @@ func (s *shardRun) runTo(next cycles.Cycles) {
 		return
 	}
 	s.target = next
-	for i := range s.engines {
-		s.work <- int32(i)
+	s.claim.Store(0)
+	for i := 1; i < s.workers; i++ {
+		s.wake <- struct{}{}
 	}
-	for range s.engines {
+	s.runClaimed()
+	for i := 1; i < s.workers; i++ {
 		<-s.ack
+	}
+}
+
+// runClaimed runs shards until every index of this epoch is claimed.
+// A shard is private to the goroutine that claimed it until the
+// coordinator has collected every helper's ack.
+func (s *shardRun) runClaimed() {
+	for {
+		i := int(s.claim.Add(1)) - 1
+		if i >= len(s.engines) {
+			return
+		}
+		s.runShard(i, s.target)
 	}
 }

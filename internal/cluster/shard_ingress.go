@@ -240,13 +240,11 @@ func (fi *fleetIngress) PickOther(_ *ingress.Route, avoid int) int {
 }
 
 // Backlog reads the epoch route table: effective depth (barrier
-// snapshot + this barrier's assignments) over the routable fleet.
+// snapshot + this barrier's assignments) over the routable fleet, kept
+// as a running sum.
 func (fi *fleetIngress) Backlog(*ingress.Route) (depth, up int) {
 	t := fi.c.sh.table
-	for _, i := range t.ups {
-		depth += int(t.depth[i])
-	}
-	return depth, len(t.ups)
+	return t.sum, len(t.ups)
 }
 
 // Send enqueues the attempt at the barrier instant; a partitioned

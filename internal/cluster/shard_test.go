@@ -259,6 +259,47 @@ func TestShardedClosedLoopFlushInvariance(t *testing.T) {
 	}
 }
 
+// TestShardedScaleDownDrain: a scale-down whose victim still holds a
+// request keeps serving it and retires at a later barrier, not at the
+// control step that drained it. Here every replica has a job in
+// service at each control barrier (one closed-loop connection per
+// replica, two servers each, so the fleet never reads as backlogged),
+// which makes every victim drain with a backlog; emptying a node then
+// releases it one epoch later. A node failure mid-run reschedules
+// replicas on top. Any shard count must give the bytes the
+// barrier produced when it scanned every container for finished
+// drains, pinned below.
+func TestShardedScaleDownDrain(t *testing.T) {
+	const pinned = "5d33eed8866680410931c4f4c115041d0bf3916599397174770b3e2d59b7a0cf"
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 1, 4, 8
+	cfg.NodeCores, cfg.ReplicaCores = 4, 2
+	cfg.Autoscale = true
+	cfg.EpochUS = 200
+	cfg.IntervalSec = 0.01
+	cfg.FailNodeAtSec = 0.045
+	tr := Traffic{Concurrency: 8, DurationSec: 0.2, Seed: 4}
+
+	got := assertShardInvariant(t, cfg, tr, []int{1, 2, 8})
+	assertPinned(t, "scale-down drain report", got, pinned)
+	var res Result
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	// The scenario must reach the path it pins: a drained node released
+	// at a barrier that ran no control step.
+	late := false
+	for i, e := range res.ScaleEvents {
+		if e.Action == "remove-node" && i > 0 && res.ScaleEvents[i-1].Action == "remove-replica" &&
+			e.AtSec > res.ScaleEvents[i-1].AtSec {
+			late = true
+		}
+	}
+	if !late {
+		t.Fatalf("no drain retired at a later barrier: %+v", res.ScaleEvents)
+	}
+}
+
 // TestShardedSelfDeterminism: same sharded config run twice is
 // bit-identical (the in-run guarantee, independent of the cross-shard
 // one).
