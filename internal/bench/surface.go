@@ -38,8 +38,9 @@ func RunSurface() (*Report, error) {
 		return nil, err
 	}
 	evil := mem.NewAddressSpace(attacker.Dom.Owner)
+	stolen, _ := rt.Hyper.Frames.Nth(victim.Dom.Owner, 0)
 	attackErr := rt.Hyper.PTUpdate(&cycles.Clock{}, attacker.Dom, evil, 0x1000, mem.PTE{
-		Frame: victim.Dom.Frames[0], User: true, Writable: true,
+		Frame: stolen, User: true, Writable: true,
 	})
 	verdict := "VULNERABLE: mapping accepted"
 	if attackErr != nil {

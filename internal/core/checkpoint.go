@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"xcontainers/internal/arch"
@@ -119,9 +120,13 @@ func (p *Platform) Restore(ck *Checkpoint) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild kernel-visible state.
-	inst.Container.Svc.FS.RestoreSnapshot(ck.FS)
-	inst.Proc.OS.FDs.RestoreSnapshot(ck.FDTable)
+	// Rebuild kernel-visible state; a malformed snapshot undoes the boot.
+	if err := errors.Join(
+		inst.Container.Svc.FS.RestoreSnapshot(ck.FS),
+		inst.Proc.OS.FDs.RestoreSnapshot(ck.FDTable),
+	); err != nil {
+		return nil, errors.Join(fmt.Errorf("core: restore: %w", err), p.Destroy(inst))
+	}
 	inst.Proc.OS.Pages = ck.PIDPages
 
 	// Rebuild architectural state.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xcontainers/internal/arch"
+	"xcontainers/internal/fs"
 	"xcontainers/internal/runtimes"
 	"xcontainers/internal/syscalls"
 )
@@ -122,7 +123,7 @@ func TestCheckpointPreservesFilesystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Container.Svc.FS.Create("/state/counter", []byte("42"), 0644)
+	inst.Container.Svc.FS.Create("/state/counter", 2, 0644)
 	ck, err := src.Checkpoint(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +137,72 @@ func TestCheckpointPreservesFilesystem(t *testing.T) {
 	}
 	if n, _ := restored.Container.Svc.FS.Size("/state/counter"); n != 2 {
 		t.Fatalf("file size = %d", n)
+	}
+}
+
+// TestRestoreRejectsMalformedSnapshots: a decoded checkpoint comes from
+// outside the process, so restore must return an error for state that
+// would later panic or corrupt the descriptor table, and must leave the
+// destination platform with no instance booted.
+func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
+	src := xcPlatform(t)
+	inst, err := src.Boot(Image{Name: "bad", Program: pausableProgram()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Container.Svc.FS.Create("/f", 10, 0644)
+	if _, err := inst.Proc.OS.FDs.Open("/f"); err != nil {
+		t.Fatal(err)
+	}
+	inst.Proc.OS.FDs.NewPipe(16)
+	ck, err := src.Checkpoint(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fdOf := func(ck *Checkpoint, kind fs.FDKind) *fs.FDSnapshot {
+		for i := range ck.FDTable.FDs {
+			if e := &ck.FDTable.FDs[i]; e.Kind == kind {
+				return e
+			}
+		}
+		t.Fatalf("checkpoint has no descriptor of kind %d", kind)
+		return nil
+	}
+	for name, corrupt := range map[string]func(*Checkpoint){
+		"negative file size":  func(ck *Checkpoint) { ck.FS.Files["/f"] = fs.FileSnapshot{Size: -1} },
+		"negative offset":     func(ck *Checkpoint) { fdOf(ck, fs.FDFile).Offset = -5 },
+		"negative pipe fill":  func(ck *Checkpoint) { ck.FDTable.Pipes[0].Buffered = -1 },
+		"overfull pipe":       func(ck *Checkpoint) { ck.FDTable.Pipes[0].Buffered = 17 },
+		"unknown pipe":        func(ck *Checkpoint) { fdOf(ck, fs.FDPipeRead).PipeID = 7 },
+		"pipe end with no id": func(ck *Checkpoint) { fdOf(ck, fs.FDPipeWrite).PipeID = -1 },
+		"file naming a pipe":  func(ck *Checkpoint) { fdOf(ck, fs.FDFile).PipeID = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad, err := DecodeCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupt(bad)
+			dst := xcPlatform(t)
+			if _, err := dst.Restore(bad); err == nil {
+				t.Fatal("malformed checkpoint restored")
+			}
+			if n := dst.Runtime().Hyper.Domains(); n != 0 {
+				t.Fatalf("rejected restore left %d domains booted", n)
+			}
+		})
+	}
+	// The untouched blob still restores.
+	good, err := DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xcPlatform(t).Restore(good); err != nil {
+		t.Fatal(err)
 	}
 }
 

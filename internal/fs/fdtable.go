@@ -65,7 +65,7 @@ func (t *FDTable) Open(path string) (int, error) {
 // OpenCreate creates the file if missing, then opens it.
 func (t *FDTable) OpenCreate(path string) (int, error) {
 	if !t.fs.Exists(path) {
-		t.fs.Create(path, nil, 0644)
+		t.fs.Create(path, 0, 0644)
 	}
 	return t.Open(path)
 }
@@ -113,42 +113,53 @@ func (t *FDTable) Len() int {
 	return len(t.fds)
 }
 
-// Read reads up to len(p) bytes from fd, advancing the cursor.
-func (t *FDTable) Read(fd int, p []byte) (int, error) {
-	t.mu.Lock()
-	f, ok := t.fds[fd]
-	t.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("fdtable: read %d: bad descriptor", fd)
+// Read reads up to n bytes from fd, advancing the cursor, and returns
+// how many it read.
+func (t *FDTable) Read(fd, n int) (int, error) {
+	f, err := t.io(fd, n, "read")
+	if err != nil {
+		return 0, err
 	}
 	switch f.Kind {
 	case FDFile:
-		n, err := t.fs.readAt(f.Path, f.Offset, p)
-		f.Offset += n
-		return n, err
+		nr, err := t.fs.readAt(f.Path, f.Offset, n)
+		f.Offset += nr
+		return nr, err
 	case FDPipeRead:
-		return f.Pipe.Read(p)
+		return f.Pipe.Read(n), nil
 	}
 	return 0, fmt.Errorf("fdtable: read %d: wrong descriptor kind", fd)
 }
 
-// Write writes p to fd.
-func (t *FDTable) Write(fd int, p []byte) (int, error) {
+// Write writes n bytes to fd and returns how many were accepted.
+func (t *FDTable) Write(fd, n int) (int, error) {
+	f, err := t.io(fd, n, "write")
+	if err != nil {
+		return 0, err
+	}
+	switch f.Kind {
+	case FDFile:
+		nw, err := t.fs.writeAt(f.Path, f.Offset, n)
+		f.Offset += nw
+		return nw, err
+	case FDPipeWrite:
+		return f.Pipe.Write(n), nil
+	}
+	return 0, fmt.Errorf("fdtable: write %d: wrong descriptor kind", fd)
+}
+
+// io looks up fd for a read or write of n bytes.
+func (t *FDTable) io(fd, n int, op string) (*FD, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("fdtable: %s %d: negative count %d", op, fd, n)
+	}
 	t.mu.Lock()
 	f, ok := t.fds[fd]
 	t.mu.Unlock()
 	if !ok {
-		return 0, fmt.Errorf("fdtable: write %d: bad descriptor", fd)
+		return nil, fmt.Errorf("fdtable: %s %d: bad descriptor", op, fd)
 	}
-	switch f.Kind {
-	case FDFile:
-		n, err := t.fs.writeAt(f.Path, f.Offset, p)
-		f.Offset += n
-		return n, err
-	case FDPipeWrite:
-		return f.Pipe.Write(p)
-	}
-	return 0, fmt.Errorf("fdtable: write %d: wrong descriptor kind", fd)
+	return f, nil
 }
 
 // NewPipe creates a pipe and returns (readFD, writeFD).
@@ -164,11 +175,12 @@ func (t *FDTable) NewPipe(capacity int) (int, int) {
 }
 
 // Pipe is a bounded byte buffer connecting two descriptors; the Pipe
-// Throughput and Context Switching UnixBench tests run over it.
+// Throughput and Context Switching UnixBench tests run over it. It
+// holds only its fill level.
 type Pipe struct {
-	mu  sync.Mutex
-	buf []byte
-	cap int
+	mu       sync.Mutex
+	buffered int
+	cap      int
 }
 
 // DefaultPipeCapacity matches Linux's 64 KiB default.
@@ -182,38 +194,22 @@ func NewPipe(capacity int) *Pipe {
 	return &Pipe{cap: capacity}
 }
 
-// Write appends up to free-space bytes of p, returning how many were
-// accepted; 0 means the pipe is full (caller blocks).
-func (p *Pipe) Write(b []byte) (int, error) {
+// Write accepts up to free-space bytes of an n-byte write, returning
+// how many were accepted; 0 means the pipe is full (caller blocks).
+func (p *Pipe) Write(n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	free := p.cap - len(p.buf)
-	if free <= 0 {
-		return 0, nil
-	}
-	n := len(b)
-	if n > free {
-		n = free
-	}
-	p.buf = append(p.buf, b[:n]...)
-	return n, nil
+	n = min(n, p.cap-p.buffered)
+	p.buffered += n
+	return n
 }
 
-// Read removes up to len(b) bytes; 0 means the pipe is empty.
-func (p *Pipe) Read(b []byte) (int, error) {
+// Read removes up to n bytes and returns how many; 0 means the pipe is
+// empty.
+func (p *Pipe) Read(n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.buf) == 0 {
-		return 0, nil
-	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
-	return n, nil
-}
-
-// Buffered returns the number of bytes waiting in the pipe.
-func (p *Pipe) Buffered() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.buf)
+	n = min(n, p.buffered)
+	p.buffered -= n
+	return n
 }

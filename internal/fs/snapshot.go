@@ -1,5 +1,7 @@
 package fs
 
+import "fmt"
+
 // Snapshot support: the checkpoint/restore and live-migration features
 // (paper §3.3 lists them among the Xen-ecosystem technologies
 // X-Containers inherit) need to freeze and rebuild filesystem and
@@ -12,7 +14,7 @@ type FSSnapshot struct {
 
 // FileSnapshot is one frozen file.
 type FileSnapshot struct {
-	Data []byte
+	Size int
 	Mode uint32
 }
 
@@ -22,23 +24,34 @@ func (fs *FileSystem) Snapshot() FSSnapshot {
 	defer fs.mu.RUnlock()
 	snap := FSSnapshot{Files: make(map[string]FileSnapshot, len(fs.files))}
 	for p, f := range fs.files {
-		d := make([]byte, len(f.data))
-		copy(d, f.data)
-		snap.Files[p] = FileSnapshot{Data: d, Mode: f.mode}
+		snap.Files[p] = FileSnapshot{Size: f.size, Mode: f.mode}
 	}
 	return snap
 }
 
-// RestoreSnapshot replaces the filesystem contents with snap.
-func (fs *FileSystem) RestoreSnapshot(snap FSSnapshot) {
+// validate reports the first file with a negative size.
+func (snap FSSnapshot) validate() error {
+	for p, f := range snap.Files {
+		if f.Size < 0 {
+			return fmt.Errorf("fs: snapshot: %s has negative size %d", p, f.Size)
+		}
+	}
+	return nil
+}
+
+// RestoreSnapshot replaces the filesystem contents with snap. A
+// malformed snapshot changes nothing and returns an error.
+func (fs *FileSystem) RestoreSnapshot(snap FSSnapshot) error {
+	if err := snap.validate(); err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files = make(map[string]*file, len(snap.Files))
 	for p, f := range snap.Files {
-		d := make([]byte, len(f.Data))
-		copy(d, f.Data)
-		fs.files[p] = &file{data: d, mode: f.Mode}
+		fs.files[p] = &file{size: f.Size, mode: f.Mode}
 	}
+	return nil
 }
 
 // FDSnapshot is one frozen descriptor.
@@ -51,11 +64,11 @@ type FDSnapshot struct {
 	Sock   int
 }
 
-// PipeSnapshot is one frozen pipe with its buffered bytes.
+// PipeSnapshot is one frozen pipe with its fill level.
 type PipeSnapshot struct {
 	ID       int
 	Capacity int
-	Buffered []byte
+	Buffered int
 }
 
 // TableSnapshot is a frozen descriptor table.
@@ -80,9 +93,7 @@ func (t *FDTable) Snapshot() TableSnapshot {
 				id = len(pipeIDs)
 				pipeIDs[f.Pipe] = id
 				f.Pipe.mu.Lock()
-				buf := make([]byte, len(f.Pipe.buf))
-				copy(buf, f.Pipe.buf)
-				snap.Pipes = append(snap.Pipes, PipeSnapshot{ID: id, Capacity: f.Pipe.cap, Buffered: buf})
+				snap.Pipes = append(snap.Pipes, PipeSnapshot{ID: id, Capacity: f.Pipe.cap, Buffered: f.Pipe.buffered})
 				f.Pipe.mu.Unlock()
 			}
 			e.PipeID = id
@@ -92,9 +103,37 @@ func (t *FDTable) Snapshot() TableSnapshot {
 	return snap
 }
 
+// validate reports the first descriptor with a negative offset, the
+// first pipe whose fill lies outside [0, Capacity], and any descriptor
+// whose pipe is missing: a pipe end must name a pipe in the snapshot,
+// and every other descriptor must name none.
+func (snap TableSnapshot) validate() error {
+	pipes := make(map[int]bool, len(snap.Pipes))
+	for _, p := range snap.Pipes {
+		if p.Buffered < 0 || p.Buffered > p.Capacity {
+			return fmt.Errorf("fs: snapshot: pipe %d holds %d bytes, capacity %d", p.ID, p.Buffered, p.Capacity)
+		}
+		pipes[p.ID] = true
+	}
+	for _, e := range snap.FDs {
+		if e.Offset < 0 {
+			return fmt.Errorf("fs: snapshot: fd %d has negative offset %d", e.FD, e.Offset)
+		}
+		isPipe := e.Kind == FDPipeRead || e.Kind == FDPipeWrite
+		if isPipe != (e.PipeID != -1) || isPipe && !pipes[e.PipeID] {
+			return fmt.Errorf("fs: snapshot: fd %d (kind %d) names unknown pipe %d", e.FD, e.Kind, e.PipeID)
+		}
+	}
+	return nil
+}
+
 // RestoreSnapshot rebuilds the descriptor table from snap, reattaching
-// shared pipes.
-func (t *FDTable) RestoreSnapshot(snap TableSnapshot) {
+// shared pipes. A malformed snapshot changes nothing and returns an
+// error.
+func (t *FDTable) RestoreSnapshot(snap TableSnapshot) error {
+	if err := snap.validate(); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next = snap.Next
@@ -102,14 +141,15 @@ func (t *FDTable) RestoreSnapshot(snap TableSnapshot) {
 	pipes := make(map[int]*Pipe, len(snap.Pipes))
 	for _, p := range snap.Pipes {
 		np := NewPipe(p.Capacity)
-		np.buf = append(np.buf, p.Buffered...)
+		np.buffered = p.Buffered
 		pipes[p.ID] = np
 	}
 	for _, e := range snap.FDs {
 		fd := &FD{Kind: e.Kind, Path: e.Path, Offset: e.Offset, Sock: e.Sock}
-		if e.PipeID >= 0 {
+		if e.PipeID != -1 {
 			fd.Pipe = pipes[e.PipeID]
 		}
 		t.fds[e.FD] = fd
 	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package linuxsim
 
 import (
-	"bytes"
 	"testing"
 
 	"xcontainers/internal/cycles"
@@ -58,7 +57,7 @@ func TestServicesSyscallSemantics(t *testing.T) {
 	}
 	// open via registered path handle.
 	id := s.RegisterPath("/etc/hosts")
-	s.FS.Create("/etc/hosts", []byte("localhost"), 0644)
+	s.FS.Create("/etc/hosts", 9, 0644)
 	fd, _ = s.Do(p, syscalls.Open, id, 0, 0)
 	if int64(fd) < 3 {
 		t.Fatalf("open = %d", fd)
@@ -95,24 +94,65 @@ func TestReadWriteHugeCountIsError(t *testing.T) {
 	}
 }
 
-func TestWriteTransfersZeros(t *testing.T) {
+// TestWriteReadBackCounts: what write(2) puts in a file, read(2) gets
+// back, counted from a descriptor that did not write it.
+func TestWriteReadBackCounts(t *testing.T) {
 	s := NewServices()
 	p := s.NewProcess(10)
-	// Fill the process's read buffer with non-zero bytes first.
-	s.FS.Create("/src", []byte("nonzero payload"), 0644)
-	src, _ := s.Do(p, syscalls.Open, s.RegisterPath("/src"), 0, 0)
-	s.Do(p, syscalls.Read, src, 0, 15)
 	fd, _ := s.Do(p, syscalls.Open, s.RegisterPath("/out"), 0, 0)
-	for _, size := range []uint64{64, 100 << 10} { // from the shared source, and past it
+	for _, size := range []uint64{64, 100 << 10} {
 		if n, _ := s.Do(p, syscalls.Write, fd, 0, size); n != size {
 			t.Fatalf("write(%d) = %d", size, n)
 		}
 	}
-	tbl := s.NewProcess(1).FDs
-	rd, _ := tbl.Open("/out")
-	buf := make([]byte, 200<<10)
-	if n, _ := tbl.Read(rd, buf); n != 64+100<<10 || !bytes.Equal(buf[:n], make([]byte, n)) {
-		t.Fatalf("read back %d bytes, want %d zeros", n, 64+100<<10)
+	q := s.NewProcess(1)
+	rd, _ := s.Do(q, syscalls.Open, s.RegisterPath("/out"), 0, 0)
+	if n, _ := s.Do(q, syscalls.Read, rd, 0, 200<<10); n != 64+100<<10 {
+		t.Fatalf("read back %d bytes, want %d", n, 64+100<<10)
+	}
+	if n, _ := s.Do(q, syscalls.Read, rd, 0, 1); n != 0 {
+		t.Fatalf("read past the end = %d, want 0", n)
+	}
+}
+
+// TestHugeCountsAreBounded: any binary can pass read(2) and write(2) a
+// count in the tens of gigabytes. The calls must return promptly with
+// the byte counts a real kernel would give, and must not allocate in
+// proportion to the count.
+func TestHugeCountsAreBounded(t *testing.T) {
+	const huge = 1 << 36
+	s := NewServices()
+	p := s.NewProcess(10)
+	s.FS.Create("/big", 4<<20, 0644)
+	src, _ := s.Do(p, syscalls.Open, s.RegisterPath("/big"), 0, 0)
+	dst, _ := s.Do(p, syscalls.Open, s.RegisterPath("/out"), 0, 0)
+	r, _ := s.Do(p, syscalls.Pipe, 0, 0, 0)
+	calls := []struct {
+		n        syscalls.No
+		fd, want uint64
+	}{
+		{syscalls.Write, 1, huge},         // stdout: /dev/null
+		{syscalls.Write, dst, huge},       // grows /out to 64 GiB
+		{syscalls.Read, src, 4 << 20},     // all of /big
+		{syscalls.Write, r + 1, 64 << 10}, // fills the pipe
+		{syscalls.Read, r, 64 << 10},      // drains it
+		{syscalls.Read, src, 0},           // at EOF
+	}
+	for _, c := range calls {
+		if got, err := s.Do(p, c.n, c.fd, 0, huge); got != c.want || err != nil {
+			t.Fatalf("%v(fd %d, 2^36) = %d, %v; want %d", c.n, c.fd, got, err, c.want)
+		}
+	}
+	if n, _ := s.FS.Size("/out"); n != huge {
+		t.Fatalf("/out holds %d bytes, want 2^36", n)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, c := range calls {
+			s.Do(p, c.n, c.fd, 0, huge)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("huge read/write allocated %v times per round, want 0", allocs)
 	}
 }
 

@@ -27,30 +27,6 @@ type Process struct {
 	Pages  int
 	Exited bool
 	Status int
-
-	rbuf []byte // read(2) destination, reused across calls
-}
-
-// readBuf returns an n-byte destination for read(2). Register-only
-// binaries have no user memory, so the bytes read are discarded and one
-// buffer per process serves every call.
-func (p *Process) readBuf(n int) []byte {
-	if cap(p.rbuf) < n {
-		p.rbuf = make([]byte, n)
-	}
-	return p.rbuf[:n]
-}
-
-// zeroSrc is the shared, never-written payload of write(2): register-only
-// binaries have no user memory, so every write transfers zeros.
-var zeroSrc [fs.DefaultPipeCapacity]byte
-
-// zeros returns n zero bytes, from zeroSrc when it is large enough.
-func zeros(n int) []byte {
-	if n <= len(zeroSrc) {
-		return zeroSrc[:n]
-	}
-	return make([]byte, n)
 }
 
 // Services implements system-call semantics over the fs substrate. One
@@ -78,7 +54,7 @@ func NewServices() *Services {
 		nextPath: 1,
 		umask:    0022,
 	}
-	s.FS.Create("/dev/null", nil, 0666)
+	s.FS.Create("/dev/null", 0, 0666)
 	return s
 }
 
@@ -187,7 +163,7 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		if int(a3) < 0 {
 			return errno(fmt.Errorf("read: count %#x out of range", a3)), nil
 		}
-		nr, err := p.FDs.Read(int(a1), p.readBuf(int(a3)))
+		nr, err := p.FDs.Read(int(a1), int(a3))
 		if err != nil {
 			return errno(err), nil
 		}
@@ -196,7 +172,7 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		if int(a3) < 0 {
 			return errno(fmt.Errorf("write: count %#x out of range", a3)), nil
 		}
-		nw, err := p.FDs.Write(int(a1), zeros(int(a3)))
+		nw, err := p.FDs.Write(int(a1), int(a3))
 		if err != nil {
 			return errno(err), nil
 		}

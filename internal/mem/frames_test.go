@@ -8,7 +8,8 @@ import (
 
 // refFrames is the reference model FuzzFrameAllocator checks the
 // extent-based allocator against: one map entry per live frame, with
-// AllocN as n single allocations followed by a rollback on failure.
+// AllocN as n single-frame allocations followed by a rollback on
+// failure, and an owner's frames found by scanning the map.
 type refFrames struct {
 	next   FrameID
 	owners map[FrameID]OwnerID
@@ -19,53 +20,57 @@ func newRefFrames(limit int) *refFrames {
 	return &refFrames{next: 1, owners: make(map[FrameID]OwnerID), limit: limit}
 }
 
-func (r *refFrames) alloc(owner OwnerID) (FrameID, error) {
-	if r.limit > 0 && len(r.owners) >= r.limit {
-		return 0, fmt.Errorf("mem: out of machine frames (%d allocated)", len(r.owners))
-	}
-	id := r.next
-	r.next++
-	r.owners[id] = owner
-	return id, nil
-}
-
-func (r *refFrames) allocN(owner OwnerID, n int) ([]FrameID, error) {
-	frames := make([]FrameID, 0, n)
+func (r *refFrames) allocN(owner OwnerID, n int) (FrameID, error) {
+	first := r.next
+	var frames []FrameID
 	for i := 0; i < n; i++ {
-		f, err := r.alloc(owner)
-		if err != nil {
-			r.freeAll(frames)
-			return nil, err
+		if r.limit > 0 && len(r.owners) >= r.limit {
+			for _, f := range frames {
+				delete(r.owners, f)
+			}
+			return 0, fmt.Errorf("mem: out of machine frames (%d allocated)", len(r.owners)+len(frames))
 		}
-		frames = append(frames, f)
+		r.owners[r.next] = owner
+		frames = append(frames, r.next)
+		r.next++
 	}
-	return frames, nil
+	return first, nil
 }
 
-func (r *refFrames) freeAll(fs []FrameID) {
-	for _, f := range fs {
+// held returns owner's frames in id order.
+func (r *refFrames) held(owner OwnerID) []FrameID {
+	var out []FrameID
+	for f, o := range r.owners {
+		if o == owner {
+			out = append(out, f)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (r *refFrames) freeTail(owner OwnerID, k int) {
+	fs := r.held(owner)
+	for _, f := range fs[len(fs)-min(k, len(fs)):] {
 		delete(r.owners, f)
 	}
 }
 
 // Operation codes of the byte programs runFrameProgram decodes.
 const (
-	opAlloc    = iota // owner
-	opAllocN          // owner, n%64
-	opFree            // id
-	opFreeRun         // lo, len%32: the sorted run [lo, lo+len)
-	opFreeList        // k%8, then k ids: unsorted, possibly duplicate or free
-	opFreeTail        // which earlier AllocN result, k: free its last k (0 = all)
-	opOwner           // id
+	opAllocN    = iota // owner, n%64
+	opNth              // owner, i
+	opFreeTail         // owner, k: balloon down by k
+	opFreeOwner        // owner: destroy
+	opOwner            // id
 	numOps
 )
 
-// Ids in programs are taken modulo (next+2) of the reference model, so
-// they cover every issued id plus ids never issued.
+// Owners in programs are arg%3 + 1. Ids are taken modulo (next+2) of the
+// reference model, so they cover every issued id plus ids never issued.
 func runFrameProgram(t *testing.T, limit int, prog []byte) {
 	t.Helper()
 	fa, ref := NewFrameAllocator(limit), newRefFrames(limit)
-	var held [][]FrameID
 	pos := 0
 	arg := func() byte {
 		if pos >= len(prog) {
@@ -84,54 +89,33 @@ func runFrameProgram(t *testing.T, limit int, prog []byte) {
 	}
 	for step := 0; pos < len(prog); step++ {
 		switch op := arg() % numOps; op {
-		case opAlloc:
-			o := owner()
-			got, gerr := fa.Alloc(o)
-			want, werr := ref.alloc(o)
-			if got != want || errText(gerr) != errText(werr) {
-				t.Fatalf("step %d: Alloc(%d) = %d, %v; want %d, %v", step, o, got, gerr, want, werr)
-			}
 		case opAllocN:
 			o, n := owner(), int(arg()%64)
 			got, gerr := fa.AllocN(o, n)
 			want, werr := ref.allocN(o, n)
-			if !slices.Equal(got, want) || (got == nil) != (want == nil) || errText(gerr) != errText(werr) {
-				t.Fatalf("step %d: AllocN(%d, %d) = %v, %v; want %v, %v", step, o, n, got, gerr, want, werr)
+			if got != want || errText(gerr) != errText(werr) {
+				t.Fatalf("step %d: AllocN(%d, %d) = %d, %v; want %d, %v", step, o, n, got, gerr, want, werr)
 			}
-			if gerr == nil {
-				held = append(held, got)
+		case opNth:
+			o, i := owner(), int(arg())
+			got, gok := fa.Nth(o, i)
+			var want FrameID
+			held := ref.held(o)
+			wok := i < len(held)
+			if wok {
+				want = held[i]
 			}
-		case opFree:
-			f := id()
-			fa.Free(f)
-			ref.freeAll([]FrameID{f})
-		case opFreeRun:
-			lo, n := id(), FrameID(arg()%32)
-			run := make([]FrameID, 0, n)
-			for f := lo; f < lo+n; f++ {
-				run = append(run, f)
+			if got != want || gok != wok {
+				t.Fatalf("step %d: Nth(%d, %d) = %d, %v; want %d, %v", step, o, i, got, gok, want, wok)
 			}
-			fa.FreeAll(run)
-			ref.freeAll(run)
-		case opFreeList:
-			ids := make([]FrameID, arg()%8)
-			for i := range ids {
-				ids[i] = id()
-			}
-			fa.FreeAll(ids)
-			ref.freeAll(ids)
 		case opFreeTail:
-			which, k := int(arg()), int(arg())
-			if len(held) == 0 {
-				continue
-			}
-			frames := held[which%len(held)]
-			if k == 0 || k > len(frames) {
-				k = len(frames)
-			}
-			tail := frames[len(frames)-k:]
-			fa.FreeAll(tail)
-			ref.freeAll(tail)
+			o, k := owner(), int(arg())
+			fa.FreeTail(o, k)
+			ref.freeTail(o, k)
+		case opFreeOwner:
+			o := owner()
+			fa.FreeOwner(o)
+			ref.freeTail(o, len(ref.owners))
 		case opOwner:
 			f := id()
 			got, gok := fa.Owner(f)
@@ -152,10 +136,10 @@ func runFrameProgram(t *testing.T, limit int, prog []byte) {
 		}
 	}
 	// The next id issued must match too: failed AllocNs consume ids.
-	got, gerr := fa.Alloc(1)
-	want, werr := ref.alloc(1)
+	got, gerr := fa.AllocN(1, 1)
+	want, werr := ref.allocN(1, 1)
 	if got != want || errText(gerr) != errText(werr) {
-		t.Fatalf("final: Alloc = %d, %v; want %d, %v", got, gerr, want, werr)
+		t.Fatalf("final: AllocN(1, 1) = %d, %v; want %d, %v", got, gerr, want, werr)
 	}
 }
 
@@ -163,20 +147,27 @@ func runFrameProgram(t *testing.T, limit int, prog []byte) {
 // unlimited, and small enough that AllocN fails part-way.
 var fuzzLimits = []int{0, 40}
 
-// frameSeeds are the allocator's boundary cases, as byte programs.
+// frameSeeds are the allocator's boundary cases, as byte programs. Owner
+// arguments 0, 1 and 2 name owners 1, 2 and 3.
 var frameSeeds = map[string][]byte{
-	"split in the middle":     {opAllocN, 1, 10, opFree, 5, opOwner, 4, opOwner, 6},
-	"trim at the low end":     {opAllocN, 1, 10, opFree, 1, opOwner, 2},
-	"trim at the high end":    {opAllocN, 1, 10, opFree, 10, opOwner, 9},
-	"free across two extents": {opAllocN, 1, 5, opAllocN, 2, 5, opFreeRun, 3, 6},
-	"balloon down a tail":     {opAllocN, 1, 10, opAllocN, 2, 4, opFreeTail, 0, 3, opAlloc, 1},
-	"free a whole domain":     {opAllocN, 1, 8, opAllocN, 2, 8, opFreeTail, 0, 0, opFreeTail, 1, 0},
-	"duplicate and free ids":  {opAllocN, 1, 6, opFreeList, 5, 3, 3, 7, 2, 0, opFree, 3},
-	"unsorted free list":      {opAllocN, 1, 9, opFreeList, 4, 8, 2, 5, 3},
-	"over-limit rollback":     {opAllocN, 1, 30, opAllocN, 2, 20, opAlloc, 3, opAllocN, 3, 10},
-	"exhausted then freed":    {opAllocN, 1, 39, opAlloc, 1, opAlloc, 2, opFree, 7, opAlloc, 2},
-	"same-owner adjacency":    {opAlloc, 1, opAlloc, 1, opAllocN, 1, 3, opFree, 2, opAlloc, 1},
-	"gap-spanning run":        {opAllocN, 1, 4, opAllocN, 2, 4, opFree, 5, opFreeRun, 2, 7},
+	// Owner 1's frames are split by owner 2's extent; Nth steps over it.
+	"split in the middle": {opAllocN, 0, 10, opAllocN, 1, 4, opAllocN, 0, 6, opNth, 0, 9, opNth, 0, 10, opOwner, 12},
+	// A balloon-down frees owner 1's high extent and trims its low one.
+	"trim at the low end":  {opAllocN, 0, 5, opAllocN, 1, 3, opAllocN, 0, 3, opFreeTail, 0, 5, opNth, 0, 2, opNth, 0, 3, opOwner, 3, opOwner, 4},
+	"trim at the high end": {opAllocN, 0, 10, opFreeTail, 0, 1, opOwner, 10, opOwner, 9, opNth, 0, 8, opNth, 0, 9},
+	// One balloon-down frees across two of owner 1's extents.
+	"free across two extents": {opAllocN, 0, 5, opAllocN, 1, 5, opAllocN, 0, 5, opFreeTail, 0, 8, opNth, 0, 1, opNth, 0, 2},
+	"balloon down a tail":     {opAllocN, 0, 10, opAllocN, 1, 4, opFreeTail, 0, 3, opAllocN, 0, 1, opNth, 0, 7, opNth, 0, 8},
+	"free a whole domain":     {opAllocN, 0, 8, opAllocN, 1, 8, opFreeOwner, 0, opFreeOwner, 1, opAllocN, 2, 1},
+	// Frees of frames already free, or of more than an owner holds.
+	"duplicate and free ids": {opAllocN, 0, 6, opFreeTail, 0, 3, opFreeTail, 0, 3, opFreeTail, 0, 9, opFreeOwner, 0, opFreeOwner, 2, opOwner, 3, opOwner, 7, opNth, 0, 0},
+	// Domains torn down in an order other than the one they booted in.
+	"unsorted free list":   {opAllocN, 0, 3, opAllocN, 1, 3, opAllocN, 2, 3, opFreeOwner, 1, opFreeOwner, 2, opNth, 0, 2, opFreeOwner, 0, opOwner, 2},
+	"over-limit rollback":  {opAllocN, 0, 30, opAllocN, 1, 20, opAllocN, 2, 1, opAllocN, 2, 10},
+	"exhausted then freed": {opAllocN, 0, 39, opAllocN, 0, 1, opAllocN, 1, 1, opFreeTail, 0, 7, opAllocN, 1, 1, opNth, 1, 0},
+	"same-owner adjacency": {opAllocN, 0, 1, opAllocN, 0, 1, opAllocN, 0, 3, opFreeTail, 0, 2, opAllocN, 0, 1, opNth, 0, 3},
+	// A balloon-down spanning the gap another owner's freed frames left.
+	"gap-spanning run": {opAllocN, 0, 4, opAllocN, 1, 4, opAllocN, 0, 4, opFreeTail, 1, 2, opFreeTail, 0, 6, opNth, 0, 1, opOwner, 5},
 }
 
 func TestFrameAllocatorSeeds(t *testing.T) {
@@ -207,17 +198,21 @@ func FuzzFrameAllocator(f *testing.F) {
 
 func TestFrameExtentsStayCompact(t *testing.T) {
 	fa := NewFrameAllocator(0)
-	a, _ := fa.AllocN(1, 1000)
-	b, _ := fa.AllocN(2, 1000)
+	fa.AllocN(1, 1000)
+	fa.AllocN(2, 1000)
 	if len(fa.live) != 2 {
 		t.Fatalf("two domains hold %d extents, want 2", len(fa.live))
 	}
-	fa.Free(a[500])
-	if len(fa.live) != 3 {
-		t.Fatalf("after a split: %d extents, want 3", len(fa.live))
+	fa.FreeTail(1, 500)
+	if len(fa.live) != 2 {
+		t.Fatalf("after a balloon down: %d extents, want 2", len(fa.live))
 	}
-	fa.FreeAll(a)
-	fa.FreeAll(b)
+	fa.AllocN(1, 10)
+	if len(fa.live) != 3 {
+		t.Fatalf("after a balloon up: %d extents, want 3", len(fa.live))
+	}
+	fa.FreeOwner(1)
+	fa.FreeOwner(2)
 	if len(fa.live) != 0 || fa.InUse() != 0 {
 		t.Fatalf("after destroy: %d extents, %d frames in use", len(fa.live), fa.InUse())
 	}
@@ -228,7 +223,7 @@ func TestAllocNRejectsNegativeCount(t *testing.T) {
 	if _, err := fa.AllocN(1, -1); err == nil {
 		t.Fatal("AllocN(-1) must fail")
 	}
-	if f, _ := fa.Alloc(1); f != 1 {
+	if f, _ := fa.AllocN(1, 1); f != 1 {
 		t.Fatalf("a rejected AllocN consumed ids: next frame %d, want 1", f)
 	}
 }

@@ -16,6 +16,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -38,7 +39,9 @@ type OwnerID uint32
 // live frames form a sorted set of disjoint id ranges. Ownership is
 // kept as those ranges (extents) rather than one entry per frame:
 // booting a domain with its static reservation (§4.5: 32k–131k pages)
-// appends one extent, and destroying it removes one.
+// appends one extent, and destroying it removes one. It is the only
+// record of a domain's frames: callers ask Nth for the frames they map,
+// FreeTail to balloon down, and FreeOwner to tear a domain down.
 type FrameAllocator struct {
 	mu    sync.Mutex
 	next  FrameID
@@ -59,128 +62,93 @@ func NewFrameAllocator(limit int) *FrameAllocator {
 	return &FrameAllocator{next: 1, limit: limit}
 }
 
-// Alloc allocates one frame for owner. It fails when machine memory is
-// exhausted — the mechanism behind the paper's observation that only
-// ~250 PV / ~200 HVM instances fit on a 96 GB host (Fig. 8).
-func (fa *FrameAllocator) Alloc(owner OwnerID) (FrameID, error) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	if fa.limit > 0 && fa.inUse >= fa.limit {
-		return 0, fa.exhausted(fa.inUse)
-	}
-	id := fa.next
-	fa.issueLocked(owner, 1)
-	return id, nil
-}
-
-// AllocN allocates n consecutive frames, rolling back on failure. A
-// failed call still consumes the ids of the frames that fit before the
-// limit was hit, exactly as n single Allocs followed by a rollback
-// would, so the ids issued afterwards do not depend on how the
-// allocation was batched.
-func (fa *FrameAllocator) AllocN(owner OwnerID, n int) ([]FrameID, error) {
+// AllocN allocates n consecutive frames for owner and returns the first
+// id. It fails when machine memory is exhausted — the mechanism behind
+// the paper's observation that only ~250 PV / ~200 HVM instances fit on
+// a 96 GB host (Fig. 8). A failed call still consumes the ids of the
+// frames that fit before the limit was hit, exactly as n single-frame
+// allocations followed by a rollback would, so the ids issued
+// afterwards do not depend on how the allocation was batched.
+func (fa *FrameAllocator) AllocN(owner OwnerID, n int) (FrameID, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("mem: negative frame count %d", n)
+		return 0, fmt.Errorf("mem: negative frame count %d", n)
 	}
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
 	if fa.limit > 0 && fa.inUse+n > fa.limit {
 		// The frames up to the limit fit (inUse never exceeds limit).
 		fa.next += FrameID(fa.limit - fa.inUse)
-		return nil, fa.exhausted(fa.limit)
+		return 0, fmt.Errorf("mem: out of machine frames (%d allocated)", fa.limit)
 	}
 	lo := fa.next
-	fa.issueLocked(owner, n)
-	frames := make([]FrameID, n)
-	for i := range frames {
-		frames[i] = lo + FrameID(i)
-	}
-	return frames, nil
-}
-
-func (fa *FrameAllocator) exhausted(allocated int) error {
-	return fmt.Errorf("mem: out of machine frames (%d allocated)", allocated)
-}
-
-// issueLocked hands the next n ids to owner, extending the last extent
-// when it ends at the first new id and has the same owner.
-func (fa *FrameAllocator) issueLocked(owner OwnerID, n int) {
 	if n == 0 {
-		return
+		return lo, nil
 	}
-	lo := fa.next
 	fa.next += FrameID(n)
 	fa.inUse += n
+	// Extend the last extent when it ends at lo and has the same owner.
 	if last := len(fa.live) - 1; last >= 0 && fa.live[last].hi == lo && fa.live[last].owner == owner {
 		fa.live[last].hi = fa.next
-		return
+	} else {
+		fa.live = append(fa.live, extent{lo: lo, hi: fa.next, owner: owner})
 	}
-	fa.live = append(fa.live, extent{lo: lo, hi: fa.next, owner: owner})
-}
-
-// search returns the index of the first extent ending after f.
-func (fa *FrameAllocator) search(f FrameID) int {
-	return sort.Search(len(fa.live), func(i int) bool { return fa.live[i].hi > f })
+	return lo, nil
 }
 
 // Owner reports the owning domain of a frame.
 func (fa *FrameAllocator) Owner(f FrameID) (OwnerID, bool) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	if i := fa.search(f); i < len(fa.live) && fa.live[i].lo <= f {
+	i := sort.Search(len(fa.live), func(i int) bool { return fa.live[i].hi > f })
+	if i < len(fa.live) && fa.live[i].lo <= f {
 		return fa.live[i].owner, true
 	}
 	return 0, false
 }
 
-// Free releases one frame. Freeing a frame that is not live does
-// nothing.
-func (fa *FrameAllocator) Free(f FrameID) {
+// Nth returns owner's i-th frame in id order, counting from 0, and
+// whether owner holds that many.
+func (fa *FrameAllocator) Nth(owner OwnerID, i int) (FrameID, bool) {
 	fa.mu.Lock()
 	defer fa.mu.Unlock()
-	fa.freeLocked(f, f+1)
-}
-
-// FreeAll releases a set of frames, in any order, ignoring frames that
-// are not live. Consecutive ids are released as one range, so freeing a
-// domain's whole reservation is a single extent removal.
-func (fa *FrameAllocator) FreeAll(fs []FrameID) {
-	fa.mu.Lock()
-	defer fa.mu.Unlock()
-	for len(fs) > 0 {
-		lo, n := fs[0], 1
-		for n < len(fs) && fs[n] == lo+FrameID(n) {
-			n++
+	if i < 0 {
+		return 0, false
+	}
+	for _, e := range fa.live {
+		if e.owner != owner {
+			continue
 		}
-		fa.freeLocked(lo, lo+FrameID(n))
-		fs = fs[n:]
+		if i < int(e.hi-e.lo) {
+			return e.lo + FrameID(i), true
+		}
+		i -= int(e.hi - e.lo)
+	}
+	return 0, false
+}
+
+// FreeTail releases owner's n highest frames, or all of them when it
+// holds fewer: a balloon returning memory to the hypervisor.
+func (fa *FrameAllocator) FreeTail(owner OwnerID, n int) {
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	for i := len(fa.live) - 1; i >= 0 && n > 0; i-- {
+		e := &fa.live[i]
+		if e.owner != owner {
+			continue
+		}
+		k := min(n, int(e.hi-e.lo))
+		e.hi -= FrameID(k)
+		fa.inUse -= k
+		n -= k
+		if e.hi == e.lo {
+			fa.live = slices.Delete(fa.live, i, i+1)
+		}
 	}
 }
 
-// freeLocked releases every live frame in [lo, hi): extents inside the
-// range are removed, and those straddling its ends are trimmed or split.
-func (fa *FrameAllocator) freeLocked(lo, hi FrameID) {
-	i := fa.search(lo)
-	j := i
-	for j < len(fa.live) && fa.live[j].lo < hi {
-		e := fa.live[j]
-		fa.inUse -= int(min(e.hi, hi) - max(e.lo, lo))
-		j++
-	}
-	if i == j {
-		return
-	}
-	var keep [2]extent
-	n := 0
-	if first := fa.live[i]; first.lo < lo {
-		keep[n] = extent{lo: first.lo, hi: lo, owner: first.owner}
-		n++
-	}
-	if last := fa.live[j-1]; last.hi > hi {
-		keep[n] = extent{lo: hi, hi: last.hi, owner: last.owner}
-		n++
-	}
-	fa.live = slices.Replace(fa.live, i, j, keep[:n]...)
+// FreeOwner releases every frame owner holds: a destroyed domain.
+func (fa *FrameAllocator) FreeOwner(owner OwnerID) {
+	fa.FreeTail(owner, math.MaxInt)
 }
 
 // InUse returns the number of allocated frames.

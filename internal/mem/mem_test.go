@@ -7,20 +7,23 @@ import (
 
 func TestFrameAllocatorOwnership(t *testing.T) {
 	fa := NewFrameAllocator(0)
-	f1, err := fa.Alloc(1)
+	f1, err := fa.AllocN(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _ := fa.Alloc(2)
+	f2, _ := fa.AllocN(2, 1)
 	if f1 == f2 {
 		t.Fatal("frames must be unique")
 	}
 	if o, ok := fa.Owner(f1); !ok || o != 1 {
 		t.Fatalf("owner(f1) = %d,%v", o, ok)
 	}
-	fa.Free(f1)
+	fa.FreeOwner(1)
 	if _, ok := fa.Owner(f1); ok {
 		t.Fatal("freed frame must have no owner")
+	}
+	if o, ok := fa.Owner(f2); !ok || o != 2 {
+		t.Fatalf("freeing owner 1 disturbed f2: owner %d,%v", o, ok)
 	}
 }
 

@@ -26,8 +26,9 @@ func TestAttackCrossContainerFrameMapping(t *testing.T) {
 	}
 	evil := mem.NewAddressSpace(attacker.Dom.Owner)
 	clk := &cycles.Clock{}
+	target, _ := rt.Hyper.Frames.Nth(victim.Dom.Owner, 0)
 	err = rt.Hyper.PTUpdate(clk, attacker.Dom, evil, 0x1000, mem.PTE{
-		Frame: victim.Dom.Frames[0], User: true, Writable: true,
+		Frame: target, User: true, Writable: true,
 	})
 	if err == nil {
 		t.Fatal("cross-container mapping accepted: isolation broken")
@@ -46,7 +47,7 @@ func TestAttackFreedFrameReuse(t *testing.T) {
 	// with fresh ownership.
 	rt := MustNew(Config{Kind: XContainer, Patched: true, Cloud: LocalCluster})
 	victim, _ := rt.NewContainer("victim", 1, false)
-	stolen := victim.Dom.Frames[0]
+	stolen, _ := rt.Hyper.Frames.Nth(victim.Dom.Owner, 0)
 	if err := rt.Destroy(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestFilesystemIsolationStructure(t *testing.T) {
 	xc := MustNew(Config{Kind: XContainer, Patched: true, Cloud: LocalCluster})
 	a, _ := xc.NewContainer("a", 1, false)
 	b, _ := xc.NewContainer("b", 1, false)
-	a.Svc.FS.Create("/secret", []byte("x"), 0600)
+	a.Svc.FS.Create("/secret", 1, 0600)
 	if b.Svc.FS.Exists("/secret") {
 		t.Fatal("X-Container filesystem leaked across containers")
 	}
@@ -105,7 +106,7 @@ func TestFilesystemIsolationStructure(t *testing.T) {
 	dk := MustNew(Config{Kind: Docker, Patched: true, Cloud: LocalCluster})
 	da, _ := dk.NewContainer("a", 1, false)
 	db, _ := dk.NewContainer("b", 1, false)
-	da.Svc.FS.Create("/shared-kernel-state", []byte("x"), 0600)
+	da.Svc.FS.Create("/shared-kernel-state", 1, 0600)
 	if !db.Svc.FS.Exists("/shared-kernel-state") {
 		t.Fatal("Docker containers must share kernel state in this model")
 	}
@@ -168,7 +169,7 @@ func TestMemoryExhaustionIsContained(t *testing.T) {
 		t.Fatal("third container must not fit")
 	}
 	// a is still intact.
-	if len(a.Dom.Frames) != rt.MemoryPagesPerInstance(false) {
+	if _, ok := rt.Hyper.Frames.Nth(a.Dom.Owner, rt.MemoryPagesPerInstance(false)-1); !ok {
 		t.Fatal("existing container lost frames")
 	}
 }

@@ -44,14 +44,18 @@ func (r *Runtime) StartProcess(c *Container, text *arch.Text, clk *cycles.Clock)
 	if c.Dom != nil && r.Hyper != nil {
 		as := mem.NewAddressSpace(c.Dom.Owner)
 		textPages := text.Size()/arch.PageSize + 1
-		if textPages > len(c.Dom.Frames) {
-			return nil, fmt.Errorf("runtimes: image needs %d pages, domain has %d", textPages, len(c.Dom.Frames))
+		pages := textPages
+		if r.Cfg.Kind == XContainer {
+			pages++ // the vsyscall page
 		}
+		if pages > c.Dom.MemoryPages {
+			return nil, fmt.Errorf("runtimes: image needs %d pages, domain has %d", pages, c.Dom.MemoryPages)
+		}
+		// The domain holds MemoryPages frames, so each Nth below exists.
 		for i := 0; i < textPages; i++ {
 			vp := text.Base/arch.PageSize + uint64(i)
-			if err := r.Hyper.PTUpdate(clk, c.Dom, as, vp, mem.PTE{
-				Frame: c.Dom.Frames[i], User: true,
-			}); err != nil {
+			f, _ := r.Hyper.Frames.Nth(c.Dom.Owner, i)
+			if err := r.Hyper.PTUpdate(clk, c.Dom, as, vp, mem.PTE{Frame: f, User: true}); err != nil {
 				return nil, err
 			}
 		}
@@ -59,9 +63,8 @@ func (r *Runtime) StartProcess(c *Container, text *arch.Text, clk *cycles.Clock)
 			// Map the vsyscall page in the kernel half: the X-Kernel
 			// grants it the global bit (§4.3).
 			vs := arch.VsyscallBase / arch.PageSize
-			if err := r.Hyper.PTUpdate(clk, c.Dom, as, vs, mem.PTE{
-				Frame: c.Dom.Frames[textPages], User: true,
-			}); err != nil {
+			f, _ := r.Hyper.Frames.Nth(c.Dom.Owner, textPages)
+			if err := r.Hyper.PTUpdate(clk, c.Dom, as, vs, mem.PTE{Frame: f, User: true}); err != nil {
 				return nil, err
 			}
 		}

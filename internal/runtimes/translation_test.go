@@ -95,18 +95,25 @@ func TestDockerFetchUntranslated(t *testing.T) {
 
 func TestImageLargerThanDomainMemoryRejected(t *testing.T) {
 	rt := MustNew(Config{Kind: XContainer, Patched: true, Cloud: LocalCluster})
-	c, err := rt.NewContainer("small", 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shrink the domain to fewer frames than the image needs.
-	c.Dom.Frames = c.Dom.Frames[:1]
 	a := arch.NewAssembler(arch.UserTextBase)
 	for i := 0; i < 3*int(arch.PageSize); i++ {
 		a.Nop()
 	}
 	a.Hlt()
-	if _, err := rt.StartProcess(c, a.MustAssemble(), &cycles.Clock{}); err == nil {
-		t.Fatal("image exceeding domain memory must be rejected")
+	text := a.MustAssemble() // four text pages, plus the vsyscall page
+	// Balloon each domain down to fewer frames than the image maps:
+	// far fewer, and exactly its text with no room for the vsyscall page.
+	// A 5-page domain fits it exactly.
+	for _, pages := range []int{1, 4, 5} {
+		c, err := rt.NewContainer("small", 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Hyper.BalloonAdjust(c.Dom, pages-c.Dom.MemoryPages); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.StartProcess(c, text, &cycles.Clock{}); (err == nil) != (pages == 5) {
+			t.Fatalf("5-page image in a %d-page domain: err = %v", pages, err)
+		}
 	}
 }

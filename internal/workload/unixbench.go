@@ -189,13 +189,13 @@ func RunUnixBench(rt *runtimes.Runtime, test UnixBenchTest, concurrent bool) (Sc
 		opsPerIter = SyscallsPerIteration
 	case TestExecl:
 		id := c.Svc.RegisterPath("/bin/looper")
-		c.Svc.FS.CreateSized("/bin/looper", 64*1024, 0755)
+		c.Svc.FS.Create("/bin/looper", 64*1024, 0755)
 		text = ExeclProgram(iters, id)
 		opsPerIter = 1
 	case TestFileCopy:
 		src := c.Svc.RegisterPath("/tmp/src")
 		dst := c.Svc.RegisterPath("/tmp/dst")
-		c.Svc.FS.CreateSized("/tmp/src", 4*1024*1024, 0644)
+		c.Svc.FS.Create("/tmp/src", 4*1024*1024, 0644)
 		text = FileCopyProgram(iters, src, dst)
 		opsPerIter = 1
 	case TestPipe:

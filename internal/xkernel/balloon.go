@@ -16,21 +16,17 @@ func (k *Kernel) BalloonAdjust(d *Domain, delta int) error {
 	case delta == 0:
 		return nil
 	case delta > 0:
-		frames, err := k.Frames.AllocN(d.Owner, delta)
-		if err != nil {
+		if _, err := k.Frames.AllocN(d.Owner, delta); err != nil {
 			return fmt.Errorf("xkernel: balloon up %q by %d: %w", d.Name, delta, err)
 		}
-		d.Frames = append(d.Frames, frames...)
 		d.MemoryPages += delta
 		return nil
 	default:
 		n := -delta
-		if n > len(d.Frames) {
-			return fmt.Errorf("xkernel: balloon down %q by %d: only %d pages held", d.Name, n, len(d.Frames))
+		if n > d.MemoryPages {
+			return fmt.Errorf("xkernel: balloon down %q by %d: only %d pages held", d.Name, n, d.MemoryPages)
 		}
-		victim := d.Frames[len(d.Frames)-n:]
-		d.Frames = d.Frames[:len(d.Frames)-n]
-		k.Frames.FreeAll(victim)
+		k.Frames.FreeTail(d.Owner, n)
 		d.MemoryPages -= n
 		return nil
 	}

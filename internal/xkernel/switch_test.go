@@ -23,11 +23,13 @@ func TestVCPUSwitchTLBBehaviour(t *testing.T) {
 	kernPage := arch.KernelSpaceStart/mem.PageSize + 42
 	userPage := arch.UserTextBase / mem.PageSize
 	p1, p2 := mem.NewAddressSpace(d.Owner), mem.NewAddressSpace(d.Owner)
+	kernFrame, _ := k.Frames.Nth(d.Owner, 0)
+	userFrame, _ := k.Frames.Nth(d.Owner, 1)
 	for _, as := range []*mem.AddressSpace{p1, p2} {
-		if err := k.PTUpdate(clk, d, as, kernPage, mem.PTE{Frame: d.Frames[0]}); err != nil {
+		if err := k.PTUpdate(clk, d, as, kernPage, mem.PTE{Frame: kernFrame}); err != nil {
 			t.Fatal(err)
 		}
-		if err := k.PTUpdate(clk, d, as, userPage, mem.PTE{Frame: d.Frames[1], User: true}); err != nil {
+		if err := k.PTUpdate(clk, d, as, userPage, mem.PTE{Frame: userFrame, User: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

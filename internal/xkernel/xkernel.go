@@ -97,9 +97,10 @@ type Domain struct {
 	Type  DomainType
 	Owner mem.OwnerID
 	// MemoryPages is the static memory allocation (§4.5: "each
-	// X-Container is configured with a static memory size").
+	// X-Container is configured with a static memory size"). The frames
+	// themselves are recorded only by the hypervisor's FrameAllocator,
+	// under Owner.
 	MemoryPages int
-	Frames      []mem.FrameID
 	VCPUs       int
 	// Spaces are the address spaces (page tables) the domain's guest
 	// kernel has registered with the hypervisor.
@@ -156,13 +157,12 @@ func (k *Kernel) CreateDomain(name string, typ DomainType, memPages, vcpus int) 
 	if typ == DomXContainer && k.Mode != ModeXKernel {
 		return nil, fmt.Errorf("xkernel: X-Container domains require ModeXKernel, running %v", k.Mode)
 	}
-	frames, err := k.Frames.AllocN(mem.OwnerID(id), memPages)
-	if err != nil {
+	if _, err := k.Frames.AllocN(mem.OwnerID(id), memPages); err != nil {
 		return nil, fmt.Errorf("xkernel: create domain %q: %w", name, err)
 	}
 	d := &Domain{
 		ID: id, Name: name, Type: typ, Owner: mem.OwnerID(id),
-		MemoryPages: memPages, Frames: frames, VCPUs: vcpus,
+		MemoryPages: memPages, VCPUs: vcpus,
 	}
 	k.mu.Lock()
 	k.domains[id] = d
@@ -181,7 +181,7 @@ func (k *Kernel) DestroyDomain(id DomID) error {
 	if !ok {
 		return fmt.Errorf("xkernel: destroy: no domain %d", id)
 	}
-	k.Frames.FreeAll(d.Frames)
+	k.Frames.FreeOwner(d.Owner)
 	return nil
 }
 

@@ -13,14 +13,24 @@ func newXK(t *testing.T) *Kernel {
 	return New(Config{Mode: ModeXKernel})
 }
 
+// frameOf returns the i-th frame d holds, in id order.
+func frameOf(t *testing.T, k *Kernel, d *Domain, i int) mem.FrameID {
+	t.Helper()
+	f, ok := k.Frames.Nth(d.Owner, i)
+	if !ok {
+		t.Fatalf("domain %q holds no frame %d", d.Name, i)
+	}
+	return f
+}
+
 func TestDomainLifecycle(t *testing.T) {
 	k := newXK(t)
 	d, err := k.CreateDomain("c1", DomXContainer, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Domains() != 1 || len(d.Frames) != 64 {
-		t.Fatalf("domains=%d frames=%d", k.Domains(), len(d.Frames))
+	if k.Domains() != 1 || k.Frames.InUse() != 64 || d.MemoryPages != 64 {
+		t.Fatalf("domains=%d frames=%d pages=%d", k.Domains(), k.Frames.InUse(), d.MemoryPages)
 	}
 	if err := k.DestroyDomain(d.ID); err != nil {
 		t.Fatal(err)
@@ -63,11 +73,11 @@ func TestIsolationCrossDomainMappingRejected(t *testing.T) {
 	as := mem.NewAddressSpace(d1.Owner)
 
 	// Mapping d1's own frame is fine.
-	if err := k.PTUpdate(clk, d1, as, 100, mem.PTE{Frame: d1.Frames[0], User: true}); err != nil {
+	if err := k.PTUpdate(clk, d1, as, 100, mem.PTE{Frame: frameOf(t, k, d1, 0), User: true}); err != nil {
 		t.Fatalf("own-frame mapping rejected: %v", err)
 	}
 	// Mapping d2's frame from d1 must be rejected and not installed.
-	if err := k.PTUpdate(clk, d1, as, 101, mem.PTE{Frame: d2.Frames[0], User: true}); err == nil {
+	if err := k.PTUpdate(clk, d1, as, 101, mem.PTE{Frame: frameOf(t, k, d2, 0), User: true}); err == nil {
 		t.Fatal("cross-domain mapping must be rejected")
 	}
 	if _, ok := as.Lookup(101); ok {
@@ -84,13 +94,13 @@ func TestRegisterAddressSpaceValidation(t *testing.T) {
 	d2, _ := k.CreateDomain("c2", DomXContainer, 16, 1)
 
 	good := mem.NewAddressSpace(d1.Owner)
-	good.Map(1, mem.PTE{Frame: d1.Frames[0]})
+	good.Map(1, mem.PTE{Frame: frameOf(t, k, d1, 0)})
 	if err := k.RegisterAddressSpace(d1, good); err != nil {
 		t.Fatalf("valid space rejected: %v", err)
 	}
 
 	evil := mem.NewAddressSpace(d1.Owner)
-	evil.Map(1, mem.PTE{Frame: d2.Frames[3]})
+	evil.Map(1, mem.PTE{Frame: frameOf(t, k, d2, 3)})
 	if err := k.RegisterAddressSpace(d1, evil); err == nil {
 		t.Fatal("space mapping foreign frames must be rejected")
 	}
@@ -106,10 +116,10 @@ func TestGlobalBitAppliedToKernelHalf(t *testing.T) {
 
 	userPage := arch.UserTextBase / mem.PageSize
 	kernPage := arch.KernelSpaceStart/mem.PageSize + 42
-	if err := k.PTUpdate(clk, d, as, userPage, mem.PTE{Frame: d.Frames[0], User: true}); err != nil {
+	if err := k.PTUpdate(clk, d, as, userPage, mem.PTE{Frame: frameOf(t, k, d, 0), User: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.PTUpdate(clk, d, as, kernPage, mem.PTE{Frame: d.Frames[1]}); err != nil {
+	if err := k.PTUpdate(clk, d, as, kernPage, mem.PTE{Frame: frameOf(t, k, d, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	u, _ := as.Lookup(userPage)
@@ -125,7 +135,7 @@ func TestGlobalBitAppliedToKernelHalf(t *testing.T) {
 	pv := New(Config{Mode: ModeXenPV})
 	dpv, _ := pv.CreateDomain("vm", DomPVGuest, 16, 1)
 	aspv := mem.NewAddressSpace(dpv.Owner)
-	if err := pv.PTUpdate(clk, dpv, aspv, kernPage, mem.PTE{Frame: dpv.Frames[0]}); err != nil {
+	if err := pv.PTUpdate(clk, dpv, aspv, kernPage, mem.PTE{Frame: frameOf(t, pv, dpv, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := aspv.Lookup(kernPage)
