@@ -21,6 +21,8 @@ import (
 // the route table's touched lists, the drain list, the worker pool's
 // wake-ups and shard claims — is held to the same budget, inline and
 // with a helper worker, on the plain front door and behind the ingress.
+// The open-loop JSQ cases are canary-rollout in miniature, where each
+// barrier moves the epoch's touched replicas between the JSQ sets.
 func TestShardedServePathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc budget not measurable")
@@ -29,6 +31,12 @@ func TestShardedServePathAllocFree(t *testing.T) {
 		cfg := testConfig(t, runtimes.XContainer)
 		cfg.Nodes, cfg.Replicas = 4, 8
 		cfg.Shards = 2
+		return cfg
+	}
+	openJSQ := func(t *testing.T) Config {
+		cfg := testConfig(t, runtimes.XContainer)
+		cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 8, 8, 32
+		cfg.Shards = 8
 		return cfg
 	}
 	// ingressFleet is fleet-ingress in miniature: p2c behind the L7
@@ -58,6 +66,8 @@ func TestShardedServePathAllocFree(t *testing.T) {
 	}{
 		{"closed-loop/inline", closed, 1, Traffic{Seed: 7}},
 		{"closed-loop/2-workers", closed, 2, Traffic{Seed: 7}},
+		{"open-loop-jsq/inline", openJSQ, 1, Traffic{Rate: 400_000, Seed: 7}},
+		{"open-loop-jsq/2-workers", openJSQ, 2, Traffic{Rate: 400_000, Seed: 7}},
 		{"ingress-open-loop/2-workers", ingressFleet, 2, Traffic{Rate: 400_000, Seed: 7}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

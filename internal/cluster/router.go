@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"xcontainers/internal/ingress"
 	"xcontainers/internal/sim"
 )
@@ -19,12 +21,18 @@ const tableBuckets = 4096
 // read this table instead, so routing is a pure function of
 // barrier-time state and therefore identical for any shard layout.
 //
-// JSQ picks are O(1): replicas hang off per-depth FIFO buckets
-// (intrusive lists through the next array), a pick pops the shallowest
-// bucket's head and reinserts one bucket deeper, and the bucket cursor
-// only ever moves up between rebuilds. The FIFO order doubles as the
-// rotating tie-break — equal-depth replicas take turns in the order the
-// rebuild enqueued them.
+// JSQ picks are O(1) amortized: a pick pops the front of the
+// shallowest non-empty depth bucket and reinserts the replica at the
+// tail of the bucket one deeper, and the bucket cursor only ever moves
+// up between snapshots. A bucket reads front to back as its snapshot
+// members in id order, then the epoch's reinserts in FIFO order, which
+// doubles as the rotating tie-break: equal-depth replicas take turns
+// by id. The two parts are stored apart. Snapshot members sit in a
+// per-bucket id bitset (sets; in records which set holds a replica),
+// and a pop takes the lowest set bit before it falls back to the FIFO
+// (intrusive lists through the next array). The sets outlive the
+// snapshot: a replica's set is stale only when it was picked or its
+// depth moved, and those replicas are exactly the listed ones below.
 //
 // The snapshot is incremental. Between barriers a replica's queue
 // depth moves only when a barrier assigned it work (listed in picked)
@@ -36,7 +44,10 @@ const tableBuckets = 4096
 // stops growing at listCap entries: refresh then reads every queue in
 // one sequential pass, which beats scattered reads once a quarter of
 // the fleet is listed (a saturated closed loop completes on nearly
-// every replica each epoch).
+// every replica each epoch). Refresh moves only the listed replicas
+// between JSQ sets and empties the FIFOs, so a barrier costs what the
+// epoch touched; rebuild and the full pass refill the sets from ups in
+// the same sequential pass that read the queues.
 type fleetTable struct {
 	c  *Cluster
 	lb ingress.Policy // JSQ for the plain front door; the route's LB behind ingress
@@ -48,11 +59,14 @@ type fleetTable struct {
 	ups   []int32 // routable replica indices in id order
 	pos   []int32 // replica index -> its position in ups, -1 when not routable
 	sum   int     // Σ depth over ups: the routable backlog
-	next  []int32 // intrusive bucket list, -1 terminated
+	sets  [tableBuckets]idSet
+	in    []int32 // replica index -> the bucket whose set holds it, -1 when none
+	hi    int     // highest bucket whose set was filled since the last refill
+	next  []int32 // intrusive FIFO list of the epoch's reinserts, -1 terminated
 	head  [tableBuckets]int32
 	tail  [tableBuckets]int32
 	cur   int // lowest possibly non-empty bucket
-	top   int // highest bucket enqueued since the last refill
+	top   int // highest bucket whose FIFO was appended to since the last snapshot
 
 	// picked lists the replicas assigned work since the last snapshot,
 	// once each: listed[rep] == gen marks the listed ones. Every
@@ -70,8 +84,16 @@ type fleetTable struct {
 	dirty bool // membership changed since the last rebuild
 }
 
+// idSet is one JSQ bucket's snapshot members: a bitset over replica
+// indices, sized to the fleet when the bucket is first filled.
+type idSet struct {
+	words []uint64
+	n     int32 // members
+	lo    int32 // while n > 0, no member sits below word lo
+}
+
 func newFleetTable(c *Cluster, lb ingress.Policy) *fleetTable {
-	// top starts at the last bucket: the first refill clears them all.
+	// top starts at the last bucket: the first snapshot clears every FIFO.
 	return &fleetTable{c: c, lb: lb, dirty: true, top: tableBuckets - 1}
 }
 
@@ -85,12 +107,14 @@ func (t *fleetTable) rebuild() {
 		t.depth = make([]int32, n, 2*n)
 		t.next = make([]int32, n, 2*n)
 		t.pos = make([]int32, n, 2*n)
+		t.in = make([]int32, n, 2*n)
 		t.listed = make([]uint32, n, 2*n)
 		t.ups = make([]int32, 0, 2*n)
 	}
 	t.depth = t.depth[:n]
 	t.next = t.next[:n]
 	t.pos = t.pos[:n]
+	t.in = t.in[:n]
 	t.listed = t.listed[:n]
 	t.listCap = (n + 3) / 4
 	t.ups = t.ups[:0]
@@ -98,6 +122,7 @@ func (t *fleetTable) rebuild() {
 	for i, ct := range t.c.containers {
 		t.depth[i] = int32(ct.q.Depth())
 		t.pos[i] = -1
+		t.in[i] = -1
 		if !t.c.routableCt(ct) {
 			continue
 		}
@@ -106,12 +131,13 @@ func (t *fleetTable) rebuild() {
 		t.sum += int(t.depth[i])
 	}
 	t.dirty = false
-	t.settle()
+	t.settle(true)
 }
 
 // refresh resnapshots the fleet at a barrier whose membership is
-// unchanged: only listed replicas are re-read, so the cost is
-// O(touched), plus O(routable) for the JSQ refill.
+// unchanged: only listed replicas are re-read and re-placed, so the
+// cost is O(touched) — or one sequential O(fleet) pass once the lists
+// overflowed.
 func (t *fleetTable) refresh() {
 	if t.dirty {
 		t.rebuild()
@@ -130,29 +156,39 @@ func (t *fleetTable) refresh() {
 				t.sum += int(t.depth[i])
 			}
 		}
-	} else {
-		t.reread(t.picked)
-		for i := range shards {
-			t.reread(shards[i].touched)
-		}
+		t.settle(true)
+		return
 	}
-	t.settle()
+	t.reread(t.picked)
+	for i := range shards {
+		t.reread(shards[i].touched)
+	}
+	t.settle(false)
 }
 
-// reread refreshes the listed replicas' depths and the routable sum.
+// reread refreshes the listed replicas' depths and the routable sum,
+// and moves each routable one into the JSQ set of its depth: out of
+// its old set if it is still there, and off the FIFOs, which settle
+// empties. A replica listed twice is moved twice, to the same set.
 func (t *fleetTable) reread(reps []int32) {
+	jsq := t.lb == ingress.JSQ
 	for _, r := range reps {
 		d := int32(t.c.containers[r].q.Depth())
 		if t.pos[r] >= 0 {
 			t.sum += int(d - t.depth[r])
+			if jsq {
+				t.unplace(r)
+				t.place(r, bucketFor(d))
+			}
 		}
 		t.depth[r] = d
 	}
 }
 
 // settle closes a snapshot: it empties the touched lists, opens the
-// next generation, and refills the JSQ buckets in ups (id) order.
-func (t *fleetTable) settle() {
+// next generation and the JSQ FIFOs, and with refill refills the JSQ
+// sets from ups.
+func (t *fleetTable) settle(refill bool) {
 	t.picked = t.picked[:0]
 	shards := t.c.sh.shards
 	for i := range shards {
@@ -167,8 +203,18 @@ func (t *fleetTable) settle() {
 		t.tail[b] = -1
 	}
 	t.cur, t.top = 0, 0
+	if !refill {
+		return
+	}
+	for b := 0; b <= t.hi; b++ {
+		if s := &t.sets[b]; s.n > 0 {
+			clear(s.words[s.lo:])
+			s.n = 0
+		}
+	}
+	t.hi = 0
 	for _, u := range t.ups {
-		t.enqueue(u, bucketFor(t.depth[u]))
+		t.place(u, bucketFor(t.depth[u]))
 	}
 }
 
@@ -205,19 +251,66 @@ func bucketFor(d int32) int {
 	return int(d)
 }
 
-// enqueue appends rep to bucket b's FIFO.
+// place adds rep to bucket b's set.
+func (t *fleetTable) place(rep int32, b int) {
+	s := &t.sets[b]
+	w := rep >> 6
+	if int(w) >= len(s.words) {
+		words := make([]uint64, (len(t.in)+63)/64, (cap(t.in)+63)/64)
+		copy(words, s.words)
+		s.words = words
+	}
+	s.words[w] |= 1 << (rep & 63)
+	if s.n == 0 || w < s.lo {
+		s.lo = w
+	}
+	s.n++
+	t.in[rep] = int32(b)
+	if b > t.hi {
+		t.hi = b
+	}
+}
+
+// unplace takes rep out of the set holding it, if any.
+func (t *fleetTable) unplace(rep int32) {
+	b := t.in[rep]
+	if b < 0 {
+		return
+	}
+	s := &t.sets[b]
+	s.words[rep>>6] &^= 1 << (rep & 63)
+	s.n--
+	t.in[rep] = -1
+}
+
+// popSet takes the lowest id out of bucket b's non-empty set.
+func (t *fleetTable) popSet(b int) int32 {
+	s := &t.sets[b]
+	w := s.lo
+	for s.words[w] == 0 {
+		w++
+	}
+	s.lo = w
+	rep := w<<6 | int32(bits.TrailingZeros64(s.words[w]))
+	s.words[w] &^= 1 << (rep & 63)
+	s.n--
+	t.in[rep] = -1
+	return rep
+}
+
+// enqueue appends rep to bucket b's FIFO. Reinserts never land below
+// the cursor: a replica's depth is at least its bucket's minus one
+// (only pickOther lowers a depth, by one, right after a reinsert), so
+// the assigned depth of a popped replica maps back to at least its
+// bucket.
 func (t *fleetTable) enqueue(rep int32, b int) {
 	t.next[rep] = -1
 	if t.tail[b] < 0 {
 		t.head[b] = rep
-		t.tail[b] = rep
 	} else {
 		t.next[t.tail[b]] = rep
-		t.tail[b] = rep
 	}
-	if b < t.cur {
-		t.cur = b
-	}
+	t.tail[b] = rep
 	if b > t.top {
 		t.top = b
 	}
@@ -237,22 +330,27 @@ func (t *fleetTable) pick() int {
 	return t.pickRR()
 }
 
-// pickJSQ pops the shallowest bucket's head and reinserts it one
-// deeper — O(1) amortized, FIFO rotation on ties.
+// pickJSQ pops the shallowest bucket's front and reinserts it one
+// deeper — O(1) amortized, rotation by id on ties.
 func (t *fleetTable) pickJSQ() int {
-	for t.cur < tableBuckets && t.head[t.cur] < 0 {
+	for t.cur < tableBuckets && t.sets[t.cur].n == 0 && t.head[t.cur] < 0 {
 		t.cur++
 	}
 	if t.cur == tableBuckets {
 		t.cur = tableBuckets - 1 // park on the top bucket for reinserts
-		if t.head[t.cur] < 0 {
+		if t.sets[t.cur].n == 0 && t.head[t.cur] < 0 {
 			return -1
 		}
 	}
-	rep := t.head[t.cur]
-	t.head[t.cur] = t.next[rep]
-	if t.head[t.cur] < 0 {
-		t.tail[t.cur] = -1
+	var rep int32
+	if t.sets[t.cur].n > 0 {
+		rep = t.popSet(t.cur)
+	} else {
+		rep = t.head[t.cur]
+		t.head[t.cur] = t.next[rep]
+		if t.head[t.cur] < 0 {
+			t.tail[t.cur] = -1
+		}
 	}
 	t.assign(rep)
 	t.enqueue(rep, bucketFor(t.depth[rep]))

@@ -100,7 +100,8 @@ func routableSum(t *fleetTable) int {
 }
 
 // compareFleetTables checks a freshly snapshotted table against a full
-// rebuild of the same fleet.
+// rebuild of the same fleet: the snapshot fields, every JSQ bucket's
+// pick order, and the picks both tables make from here on.
 func compareFleetTables(t *testing.T, a *fleetTable) {
 	t.Helper()
 	b := newFleetTable(a.c, a.lb)
@@ -123,17 +124,71 @@ func compareFleetTables(t *testing.T, a *fleetTable) {
 	if a.cur != b.cur {
 		t.Fatalf("bucket cursor %d, rebuild %d", a.cur, b.cur)
 	}
+	checkSets(t, a)
 	for k := range a.head {
-		if fa, fb := bucketFIFO(a, k), bucketFIFO(b, k); !slices.Equal(fa, fb) {
-			t.Fatalf("bucket %d holds %v, rebuild %v", k, fa, fb)
+		if oa, ob := bucketOrder(a, k), bucketOrder(b, k); !slices.Equal(oa, ob) {
+			t.Fatalf("bucket %d picks %v, rebuild %v", k, oa, ob)
 		}
-		if a.tail[k] != b.tail[k] {
-			t.Fatalf("bucket %d tail %d, rebuild %d", k, a.tail[k], b.tail[k])
+		if fa, fb := bucketFIFO(a, k), bucketFIFO(b, k); !slices.Equal(fa, fb) || a.tail[k] != b.tail[k] {
+			t.Fatalf("bucket %d FIFO %v tail %d, rebuild %v tail %d", k, fa, a.tail[k], fb, b.tail[k])
 		}
+	}
+	n := 2 * len(a.c.containers)
+	if pa, pb := drainJSQ(cloneFleetTable(a), n), drainJSQ(b, n); !slices.Equal(pa, pb) {
+		t.Fatalf("refreshed table picks %v, rebuild %v", pa, pb)
 	}
 }
 
-// bucketFIFO lists bucket k's replicas in FIFO order.
+// checkSets checks the JSQ sets' bookkeeping: each set's member count
+// and lowest-word hint, and that in names the set holding each replica.
+func checkSets(t *testing.T, a *fleetTable) {
+	t.Helper()
+	held := 0
+	for k := range a.sets {
+		s := &a.sets[k]
+		m := setMembers(a, k)
+		if len(m) != int(s.n) {
+			t.Fatalf("bucket %d set holds %v, counts %d", k, m, s.n)
+		}
+		if len(m) > 0 && m[0]>>6 < s.lo {
+			t.Fatalf("bucket %d set holds %d below its hint, word %d", k, m[0], s.lo)
+		}
+		for _, r := range m {
+			if a.in[r] != int32(k) {
+				t.Fatalf("bucket %d set holds %d, in says %d", k, r, a.in[r])
+			}
+		}
+		held += len(m)
+	}
+	named := 0
+	for r, k := range a.in {
+		if k < 0 {
+			continue
+		}
+		named++
+		if a.pos[r] < 0 {
+			t.Fatalf("unroutable replica %d in bucket %d's set", r, k)
+		}
+	}
+	if named != held {
+		t.Fatalf("in names %d replicas, the sets hold %d", named, held)
+	}
+}
+
+// setMembers lists bucket k's snapshot set in id order.
+func setMembers(t *fleetTable, k int) []int32 {
+	var out []int32
+	for w, word := range t.sets[k].words {
+		for b := int32(0); b < 64; b++ {
+			if word&(1<<b) != 0 {
+				out = append(out, int32(w)<<6|b)
+			}
+		}
+	}
+	return out
+}
+
+// bucketFIFO lists bucket k's reinserts in FIFO order.
 func bucketFIFO(t *fleetTable, k int) []int32 {
 	var out []int32
 	for r := t.head[k]; r >= 0; r = t.next[r] {
@@ -142,9 +197,47 @@ func bucketFIFO(t *fleetTable, k int) []int32 {
 	return out
 }
 
+// bucketOrder lists bucket k's replicas in the order JSQ pops them:
+// the snapshot set by id, then the FIFO.
+func bucketOrder(t *fleetTable, k int) []int32 {
+	return append(setMembers(t, k), bucketFIFO(t, k)...)
+}
+
+// cloneFleetTable deep-copies everything a JSQ pick writes, so picks
+// on the copy leave t as it was.
+func cloneFleetTable(t *fleetTable) *fleetTable {
+	c := *t
+	c.depth = slices.Clone(t.depth)
+	c.in = slices.Clone(t.in)
+	c.next = slices.Clone(t.next)
+	c.picked = slices.Clone(t.picked)
+	c.listed = slices.Clone(t.listed)
+	for k := range c.sets {
+		c.sets[k].words = slices.Clone(t.sets[k].words)
+	}
+	return &c
+}
+
+// drainJSQ makes up to n picks and lists them, stopping after the
+// first that finds nothing routable.
+func drainJSQ(t *fleetTable, n int) []int {
+	var out []int
+	for i := 0; i < n; i++ {
+		rep := t.pick()
+		out = append(out, rep)
+		if rep < 0 {
+			break
+		}
+	}
+	return out
+}
+
 // tableSeeds are byte programs over the table's cases: each balancer,
 // refreshes with few and with most replicas touched, membership flips,
-// growth, and hedges that avoid a replica.
+// growth, hedges that avoid a replica, and the JSQ sets' corner cases —
+// a replica picked twice in an epoch, one both picked and completed,
+// completions that push a refresh past listCap, and a hedge whose
+// assignment moves to nextUp.
 var tableSeeds = map[string][]byte{
 	"jsq few touched":     {0, 1, 30, 0, 1, 0, 1, 6, 0, 4, 7, 6, 0, 0, 1, 4, 2, 6, 0},
 	"jsq most touched":    {0, 2, 2, 0, 1, 0, 1, 0, 1, 4, 5, 6, 0, 0, 1, 4, 7, 6, 0},
@@ -152,6 +245,10 @@ var tableSeeds = map[string][]byte{
 	"rr growth":           {2, 0, 5, 0, 1, 7, 0x90, 0, 1, 0, 1, 6, 0, 7, 0x81, 5, 0, 7, 0, 0, 1},
 	"hedge avoids":        {1, 1, 7, 0, 1, 3, 0, 3, 1, 3, 2, 4, 3, 6, 0, 3, 0, 6, 0},
 	"jsq eject all but 1": {0, 3, 1, 5, 0, 5, 1, 0, 1, 6, 0, 5, 1, 0, 1, 6, 0, 4, 7, 6, 0},
+	"jsq picked twice":    {0, 0, 0, 0, 1, 0, 1, 0, 1, 6, 0, 0, 1, 0, 1, 0, 1, 6, 0},
+	"jsq picked and done": {0, 1, 28, 0, 1, 0, 1, 4, 7, 0, 1, 6, 0, 0, 1, 4, 7, 6, 0},
+	"jsq done past cap":   {0, 3, 28, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 4, 7, 6, 0, 0, 1, 6, 0},
+	"jsq hedge to next":   {0, 1, 5, 3, 0, 3, 0, 6, 0, 3, 2, 0, 1, 3, 1, 6, 0},
 }
 
 func TestFleetTableSeeds(t *testing.T) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"xcontainers/internal/sim"
 )
@@ -44,24 +45,30 @@ type Load struct {
 }
 
 // Validate rejects loads no driver can give a meaningful answer for:
-// negative rates, horizons or populations, and bursts that could never
-// arrive.
+// negative or non-finite rates and horizons, negative populations, and
+// bursts that could never arrive. An infinite rate would clamp every
+// gap to one cycle and queue arrivals until memory runs out; NaN
+// compares false against every bound and would silently run a closed
+// loop.
 func (l Load) Validate() error {
-	if l.Rate < 0 {
-		return fmt.Errorf("traffic rate %v must not be negative", l.Rate)
+	if !finite(l.Rate) || l.Rate < 0 {
+		return fmt.Errorf("traffic rate %v must be finite and not negative", l.Rate)
 	}
-	if l.DurationSec < 0 {
-		return fmt.Errorf("traffic duration %v must not be negative", l.DurationSec)
+	if !finite(l.DurationSec) || l.DurationSec < 0 {
+		return fmt.Errorf("traffic duration %v must be finite and not negative", l.DurationSec)
 	}
 	if l.Concurrency < 0 {
 		return fmt.Errorf("traffic connections %d must not be negative", l.Concurrency)
 	}
-	if b := l.Burst; b != nil && (b.PeakRate <= 0 || b.OnSeconds <= 0 || b.OffSeconds < 0) {
-		return fmt.Errorf("burst needs a positive peak rate and on-duration (and a non-negative off-duration), got peak=%v on=%v off=%v",
+	if b := l.Burst; b != nil && !(finite(b.PeakRate) && finite(b.OnSeconds) && finite(b.OffSeconds) &&
+		b.PeakRate > 0 && b.OnSeconds > 0 && b.OffSeconds >= 0) {
+		return fmt.Errorf("burst needs a finite positive peak rate and on-duration (and a finite non-negative off-duration), got peak=%v on=%v off=%v",
 			b.PeakRate, b.OnSeconds, b.OffSeconds)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Duration resolves the horizon in virtual seconds: DurationSec, or
 // 1 s when unset.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"xcontainers/internal/sim"
@@ -62,6 +63,13 @@ func TestLoadValidateRejects(t *testing.T) {
 		{Burst: &BurstSpec{PeakRate: 0, OnSeconds: 0.01, OffSeconds: 0.01}},    // no peak rate
 		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: 0, OffSeconds: 0.01}},    // zero-length bursts
 		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: 0.01, OffSeconds: -0.1}}, // negative silence
+		{Rate: math.Inf(1)},
+		{Rate: math.NaN()},
+		{DurationSec: math.Inf(1)},
+		{DurationSec: math.NaN()},
+		{Burst: &BurstSpec{PeakRate: math.NaN(), OnSeconds: 0.01}},
+		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: math.Inf(1)}},
+		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: 0.01, OffSeconds: math.NaN()}},
 	} {
 		if err := l.Validate(); err == nil {
 			t.Errorf("invalid load %d accepted", i)

@@ -3,6 +3,7 @@ package xc
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,11 @@ func TestClusterServeValidation(t *testing.T) {
 	}
 	if _, err := c.Serve(App("memcached"), ClusterSpec{}, Traffic().Rate(-5)); err == nil {
 		t.Error("negative rate accepted")
+	}
+	for _, tr := range []*TrafficSpec{Traffic().Rate(math.Inf(1)).Duration(1e-6), Traffic().Rate(math.NaN()).Duration(1e-6)} {
+		if _, err := c.Serve(App("memcached"), ClusterSpec{}, tr); err == nil {
+			t.Error("non-finite rate accepted")
+		}
 	}
 	if _, err := c.Serve(App("memcached"), ClusterSpec{NodeCores: 1}, Traffic().Cores(4)); err == nil {
 		t.Error("replica wider than a node accepted")

@@ -309,13 +309,17 @@ func rateLabel(r float64) string {
 }
 
 // ParseRates parses a comma-separated rate list — the shared flag
-// syntax of xcbench -sweep and xctl -sweep-rates.
+// syntax of xcbench -sweep and xctl -sweep-rates. Every rate must be
+// finite: strconv.ParseFloat also accepts "Inf" and "NaN".
 func ParseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, part := range strings.Split(s, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("xc: bad sweep rate %q: %w", part, err)
+		}
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, fmt.Errorf("xc: sweep rate %q is not finite", part)
 		}
 		rates = append(rates, r)
 	}

@@ -2,6 +2,7 @@ package xc
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,14 @@ func TestServeRejectsInvalidSpecs(t *testing.T) {
 		Traffic().Burst(0, 0.01, 0.01),    // no peak rate
 		Traffic().Burst(1000, 0, 0.01),    // zero-length bursts
 		Traffic().Burst(1000, 0.01, -0.1), // negative silence
+		// Non-finite values: an infinite rate would queue one arrival a
+		// cycle until memory ran out (the short horizon bounds the run
+		// should the check regress), and NaN would run a closed loop.
+		Traffic().Rate(math.Inf(1)).Duration(1e-6),
+		Traffic().Rate(math.NaN()).Duration(1e-6),
+		Traffic().Rate(1000).Duration(math.Inf(1)),
+		Traffic().Rate(1000).Duration(math.NaN()),
+		Traffic().Burst(math.NaN(), 0.01, 0.01).Duration(1e-6),
 	}
 	for i, spec := range bad {
 		if _, err := p.Serve(w, spec); err == nil {
