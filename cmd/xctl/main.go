@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer) error {
 	deploySpec := fs.String("deploy", "", "cluster: SLO-guarded rollout, e.g. \"canary@0.1,frac=0.1,err=0.02\" (strategies: rolling|canary|bluegreen)")
 	shards := fs.Int("shards", 0, "cluster: run on the epoch-sharded engine with this many shards (0 = single engine; reports are identical for any value >= 1)")
 	epochUS := fs.Float64("epoch-us", 0, "cluster sharded engine: barrier period in virtual microseconds (0 = twice the per-request cost, capped at 500)")
-	shardWorkers := fs.Int("shard-workers", 0, "cluster sharded engine: goroutines driving shards (0 = min(shards, cores); wall-clock only)")
+	shardWorkers := fs.Int("shard-workers", 0, "cluster sharded engine: goroutines driving shards, at most n; epochs too small to repay a handoff run inline (0 = min(shards, cores); wall-clock only)")
 	ingressPolicy := fs.String("ingress-policy", "", "cluster: front the fleet with the L7 ingress tier using this load balancer ("+xc.LBUsage()+"; empty = built-in JSQ front door)")
 	breakerRate := fs.Float64("breaker-rate", 0, "cluster ingress: circuit-breaker failure-rate trip threshold in (0,1] (0 = off)")
 	shedDepth := fs.Int("shed-depth", 0, "cluster ingress: shed calls when mean backlog per replica exceeds this depth (0 = off)")

@@ -77,6 +77,7 @@ func TestShardedServePathAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.sh.poolMin = 0 // pool every epoch the 2-worker cases run
 			openRun(t, c, tc.tr)
 			for i := 0; i < 2000; i++ { // warm-up: rings, arenas, and histograms grow to capacity
 				c.sh.step()
@@ -94,6 +95,7 @@ func TestShardedServePathAllocFree(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("sharded serve path allocates: %.2f allocs per 20-epoch batch, want 0", avg)
 			}
+			assertPooled(t, c)
 		})
 	}
 }
@@ -102,7 +104,7 @@ func TestShardedServePathAllocFree(t *testing.T) {
 // epochs can be stepped under the alloc counter (Run drives the same
 // loop to the horizon in one call). The horizon is far away: steps
 // never hit it.
-func openRun(t *testing.T, c *Cluster, tr Traffic) {
+func openRun(t testing.TB, c *Cluster, tr Traffic) {
 	t.Helper()
 	c.ran = true
 	c.horizon = cycles.FromSeconds(1000)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"xcontainers/internal/apps"
@@ -105,4 +107,64 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, nil) })
 	b.Run("traced", func(b *testing.B) { run(b, &ObserveConfig{WindowUS: 1000}) })
+}
+
+// BenchmarkShardEpoch sizes poolMinEvents: it steps an open-loop fleet
+// (8 shards, 2 workers, 32 replicas at 2M req/s, two events per
+// request) through epochs of about 16, 256, 1,024, 2,048 and 4,096
+// events, each size run inline and pooled. ns/op is the cost of one
+// epoch, barrier included; the crossover is the smallest size at which
+// the pooled run is the faster one.
+func BenchmarkShardEpoch(b *testing.B) {
+	app, err := apps.ByName("memcached")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rate = 2_000_000
+	for _, events := range []int{16, 256, 1024, 2048, 4096} {
+		for _, pooled := range []bool{false, true} {
+			mode := "inline"
+			if pooled {
+				mode = "pooled"
+			}
+			b.Run(fmt.Sprintf("events=%d/%s", events, mode), func(b *testing.B) {
+				c, err := New(Config{
+					Platform: core.PlatformConfig{
+						Kind: runtimes.XContainer, MeltdownPatched: true,
+						Cloud: runtimes.LocalCluster, FastToolstack: true,
+					},
+					App:          app,
+					Nodes:        8,
+					MaxNodes:     8,
+					NodeCores:    4,
+					Replicas:     32,
+					Shards:       8,
+					ShardWorkers: 2,
+					EpochUS:      float64(events) / 2 / rate * 1e6,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.sh.poolMin = math.MaxUint64
+				if pooled {
+					c.sh.poolMin = 0
+				}
+				openRun(b, c, Traffic{Rate: rate, Seed: 1})
+				for c.EventsFired() < 20_000 { // warm-up: fill the queues and grow the rings
+					c.sh.step()
+				}
+				fired := c.EventsFired()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.sh.step()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(c.EventsFired()-fired)/float64(b.N), "events/epoch")
+				if pooled != (c.sh.pooled > 0) {
+					b.Fatalf("pooled=%v but the pool ran %d epochs", pooled, c.sh.pooled)
+				}
+			})
+		}
+	}
 }

@@ -184,7 +184,8 @@ type Config struct {
 	// ShardWorkers.
 	EpochUS float64
 	// ShardWorkers bounds the worker pool driving shard engines between
-	// barriers (0 = min(Shards, GOMAXPROCS); 1 = run shards inline).
+	// barriers: at most n; epochs too small to repay a handoff run
+	// inline (0 = min(Shards, GOMAXPROCS); 1 = every epoch inline).
 	// Purely a wall-clock knob — results are identical for any value.
 	ShardWorkers int
 

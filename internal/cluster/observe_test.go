@@ -21,7 +21,7 @@ import (
 // bytes: the Perfetto trace JSON, the time-series JSON, and its CSV.
 func observedArtifacts(t *testing.T, cfg Config, tr Traffic) (trace, ts, csv []byte) {
 	t.Helper()
-	res := mustRun(t, cfg, tr)
+	res := mustRunPooled(t, cfg, tr)
 	if res.Trace == nil || res.TimeSeries == nil {
 		t.Fatal("Observe was configured but Trace/TimeSeries are nil")
 	}

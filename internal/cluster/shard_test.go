@@ -24,12 +24,44 @@ import (
 
 func runJSON(t *testing.T, cfg Config, tr Traffic) []byte {
 	t.Helper()
-	res := mustRun(t, cfg, tr)
+	res := mustRunPooled(t, cfg, tr)
 	b, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// mustRunPooled is mustRun with every epoch of a sharded run handed to
+// the worker pool, however few events it carries, so that the pool's
+// wake, claim and ack stay under test (runTo otherwise runs the small
+// epochs of test-sized fleets inline). It fails if a run with more than
+// one worker never used the pool.
+func mustRunPooled(t *testing.T, cfg Config, tr Traffic) *Result {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.sh != nil {
+		c.sh.poolMin = 0
+	}
+	res, err := c.Run(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPooled(t, c)
+	return res
+}
+
+// assertPooled fails if c ran a sharded pool wider than one worker but
+// handed it no epoch.
+func assertPooled(t *testing.T, c *Cluster) {
+	t.Helper()
+	if c.sh != nil && c.sh.workers > 1 && c.sh.pooled == 0 {
+		t.Fatalf("%d shards, %d workers: %d epochs, none of them pooled",
+			len(c.sh.engines), c.sh.workers, c.sh.inline)
+	}
 }
 
 // assertShardInvariant runs cfg at each shard count, fails on any
@@ -164,6 +196,56 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestShardedMixedEpochs: at the real poolMinEvents a bursty open
+// loop runs its on-periods through the worker pool and its silences
+// inline, switching back and forth within one run, and still gives the
+// bytes of the always-inline ShardWorkers = 1 run.
+func TestShardedMixedEpochs(t *testing.T) {
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 4, 16
+	cfg.Shards = 4
+	cfg.EpochUS = 400 // ~3,200 events per on-period epoch, a few per silent one
+	cfg.Observe = &ObserveConfig{WindowUS: 5_000}
+	tr := Traffic{DurationSec: 0.05, Seed: 3}
+	tr.Burst = &workload.BurstSpec{PeakRate: 4_000_000, OnSeconds: 0.002, OffSeconds: 0.004}
+
+	var want []byte
+	for _, w := range []int{1, 2} {
+		cf := cfg
+		cf.ShardWorkers = w
+		c, err := New(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tb bytes.Buffer
+		if err := res.Trace.WriteTrace(&tb); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tb.Bytes()...)
+		if want == nil {
+			if c.sh.pooled != 0 {
+				t.Fatalf("ShardWorkers=1 pooled %d epochs", c.sh.pooled)
+			}
+			want = got
+			continue
+		}
+		if c.sh.inline == 0 || c.sh.pooled == 0 {
+			t.Fatalf("want both kinds of epoch, got %d inline and %d pooled", c.sh.inline, c.sh.pooled)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("ShardWorkers=%d diverged from ShardWorkers=1:\n%s", w, firstDiff(want, got))
+		}
+	}
+}
+
 // TestShardedClosedLoopFlushInvariance: closed-loop re-admissions are
 // routed at a barrier but applied by each shard's worker before the
 // next epoch, except at barriers that read live queues first — fault
@@ -204,10 +286,12 @@ func TestShardedClosedLoopFlushInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.sh.poolMin = 0
 			res, err := c.Run(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertPooled(t, c)
 			for i := range c.sh.shards {
 				if n := len(c.sh.shards[i].pend); n != 0 {
 					t.Fatalf("Shards=%d: shard %d ended the run with %d staged admissions", shards, i, n)

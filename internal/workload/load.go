@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"xcontainers/internal/cycles"
 	"xcontainers/internal/sim"
 )
 
@@ -45,14 +46,16 @@ type Load struct {
 }
 
 // Validate rejects loads no driver can give a meaningful answer for:
-// negative or non-finite rates and horizons, negative populations, and
-// bursts that could never arrive. An infinite rate would clamp every
-// gap to one cycle and queue arrivals until memory runs out; NaN
-// compares false against every bound and would silently run a closed
-// loop.
+// negative or non-finite rates and horizons, rates above one arrival
+// per virtual cycle, negative populations, and bursts that could never
+// arrive. A rate above cycles.Hz would clamp every gap to one cycle, so
+// every such rate would offer the same load under a different label,
+// and an infinite one would also queue arrivals until memory runs out;
+// NaN compares false against every bound and would silently run a
+// closed loop.
 func (l Load) Validate() error {
-	if !finite(l.Rate) || l.Rate < 0 {
-		return fmt.Errorf("traffic rate %v must be finite and not negative", l.Rate)
+	if !finite(l.Rate) || l.Rate < 0 || l.Rate > cycles.Hz {
+		return fmt.Errorf("traffic rate %v must be finite, not negative and at most %v (one arrival per cycle)", l.Rate, float64(cycles.Hz))
 	}
 	if !finite(l.DurationSec) || l.DurationSec < 0 {
 		return fmt.Errorf("traffic duration %v must be finite and not negative", l.DurationSec)
@@ -61,9 +64,9 @@ func (l Load) Validate() error {
 		return fmt.Errorf("traffic connections %d must not be negative", l.Concurrency)
 	}
 	if b := l.Burst; b != nil && !(finite(b.PeakRate) && finite(b.OnSeconds) && finite(b.OffSeconds) &&
-		b.PeakRate > 0 && b.OnSeconds > 0 && b.OffSeconds >= 0) {
-		return fmt.Errorf("burst needs a finite positive peak rate and on-duration (and a finite non-negative off-duration), got peak=%v on=%v off=%v",
-			b.PeakRate, b.OnSeconds, b.OffSeconds)
+		b.PeakRate > 0 && b.PeakRate <= cycles.Hz && b.OnSeconds > 0 && b.OffSeconds >= 0) {
+		return fmt.Errorf("burst needs a finite positive peak rate of at most %v and a finite positive on-duration (and a finite non-negative off-duration), got peak=%v on=%v off=%v",
+			float64(cycles.Hz), b.PeakRate, b.OnSeconds, b.OffSeconds)
 	}
 	return nil
 }

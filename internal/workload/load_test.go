@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"xcontainers/internal/cycles"
 	"xcontainers/internal/sim"
 )
 
@@ -70,9 +71,18 @@ func TestLoadValidateRejects(t *testing.T) {
 		{Burst: &BurstSpec{PeakRate: math.NaN(), OnSeconds: 0.01}},
 		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: math.Inf(1)}},
 		{Burst: &BurstSpec{PeakRate: 1000, OnSeconds: 0.01, OffSeconds: math.NaN()}},
+		{Rate: cycles.Hz * 1.0000001}, // above one arrival per cycle
+		{Rate: 1e300},
+		{Burst: &BurstSpec{PeakRate: 2 * cycles.Hz, OnSeconds: 0.01}},
 	} {
 		if err := l.Validate(); err == nil {
 			t.Errorf("invalid load %d accepted", i)
+		}
+	}
+	// One arrival per cycle is the fastest rate the clock can represent.
+	for _, l := range []Load{{Rate: cycles.Hz}, {Burst: &BurstSpec{PeakRate: cycles.Hz, OnSeconds: 0.01}}} {
+		if err := l.Validate(); err != nil {
+			t.Errorf("load at one arrival per cycle rejected: %v", err)
 		}
 	}
 }

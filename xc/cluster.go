@@ -85,7 +85,8 @@ type ClusterSpec struct {
 	// microseconds (0 = twice the per-request cost, capped at 500) — a
 	// model parameter, unlike Shards.
 	EpochMicros float64
-	// ShardWorkers bounds the goroutines driving shard engines
+	// ShardWorkers bounds the goroutines driving shard engines: at
+	// most n; epochs too small to repay a handoff run inline
 	// (0 = min(Shards, GOMAXPROCS)). Purely a wall-clock knob.
 	ShardWorkers int
 	// Observe, when non-nil, arms the observability layer: the report

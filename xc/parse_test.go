@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"xcontainers/internal/cycles"
 )
 
 func TestParseRatesRejectsNonFinite(t *testing.T) {
@@ -14,9 +16,20 @@ func TestParseRatesRejectsNonFinite(t *testing.T) {
 			t.Errorf("ParseRates(%q) = %v, want an error", s, r)
 		}
 	}
-	r, err := ParseRates("0, 1e300,250000")
-	if err != nil || !slices.Equal(r, []float64{0, 1e300, 250000}) {
-		t.Errorf("ParseRates = %v, %v; want [0 1e300 250000]", r, err)
+	r, err := ParseRates("0, 2.9e9,250000")
+	if err != nil || !slices.Equal(r, []float64{0, 2.9e9, 250000}) {
+		t.Errorf("ParseRates = %v, %v; want [0 2.9e9 250000]", r, err)
+	}
+}
+
+// TestParseRatesRejectsSubCycleGaps: a rate above cycles.Hz asks for
+// arrivals less than one virtual cycle apart, which the clock cannot
+// represent.
+func TestParseRatesRejectsSubCycleGaps(t *testing.T) {
+	for _, s := range []string{"1e300", "2900000001", "1000,3e9", "1e10, 0"} {
+		if r, err := ParseRates(s); err == nil {
+			t.Errorf("ParseRates(%q) = %v, want an error", s, r)
+		}
 	}
 }
 
@@ -25,13 +38,13 @@ func TestParseRatesRejectsNonFinite(t *testing.T) {
 // spellings in any case, and accepts only plain names (lower-case
 // letters, digits, hyphens and spaces once trimmed and folded) that map
 // into its value set; an accepted kind round-trips through KindName; and
-// ParseRates returns one finite rate per comma-separated part or an
-// error.
+// ParseRates returns one finite rate of at most cycles.Hz per
+// comma-separated part or an error.
 func FuzzParsers(f *testing.F) {
 	for _, s := range []string{
 		"", " ", "docker", " X-Container ", "xen-pv", "kind-9", "ec2", "GCP", "mars",
 		"binpack", "Latency-Aware", "jsq", "P2C", "wrr", "100000,200000", "1e6, 0",
-		"Inf", "NaN", "-1", "1e400", "0x1p-2", ",", "1,,2",
+		"Inf", "NaN", "-1", "1e400", "0x1p-2", ",", "1,,2", "2.9e9", "2900000001",
 	} {
 		f.Add(s)
 	}
@@ -90,18 +103,18 @@ func FuzzParsers(f *testing.F) {
 		valid := true
 		for _, p := range parts {
 			r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			valid = valid && err == nil && !math.IsNaN(r) && !math.IsInf(r, 0)
+			valid = valid && err == nil && !math.IsNaN(r) && !math.IsInf(r, 0) && r <= cycles.Hz
 		}
 		rates, err := ParseRates(s)
 		if (err == nil) != valid {
-			t.Fatalf("ParseRates(%q) = %v, %v; each part finite: %v", s, rates, err, valid)
+			t.Fatalf("ParseRates(%q) = %v, %v; each part finite and at most cycles.Hz: %v", s, rates, err, valid)
 		}
 		if err == nil && len(rates) != len(parts) {
 			t.Fatalf("ParseRates(%q) = %v, want %d rates", s, rates, len(parts))
 		}
 		for _, r := range rates {
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				t.Fatalf("ParseRates(%q) accepted the non-finite rate %v", s, r)
+			if math.IsNaN(r) || math.IsInf(r, 0) || r > cycles.Hz {
+				t.Fatalf("ParseRates(%q) accepted the rate %v", s, r)
 			}
 		}
 	})

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"xcontainers/internal/cycles"
 )
 
 // SweepSpec describes a family of independent replications — a rate
@@ -310,7 +312,9 @@ func rateLabel(r float64) string {
 
 // ParseRates parses a comma-separated rate list — the shared flag
 // syntax of xcbench -sweep and xctl -sweep-rates. Every rate must be
-// finite: strconv.ParseFloat also accepts "Inf" and "NaN".
+// finite (strconv.ParseFloat also accepts "Inf" and "NaN") and at most
+// one arrival per virtual cycle: faster rates all clamp to a one-cycle
+// gap, so they would offer one load under different labels.
 func ParseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, part := range strings.Split(s, ",") {
@@ -320,6 +324,9 @@ func ParseRates(s string) ([]float64, error) {
 		}
 		if math.IsNaN(r) || math.IsInf(r, 0) {
 			return nil, fmt.Errorf("xc: sweep rate %q is not finite", part)
+		}
+		if r > cycles.Hz {
+			return nil, fmt.Errorf("xc: sweep rate %q is above one arrival per cycle (%v/s)", part, float64(cycles.Hz))
 		}
 		rates = append(rates, r)
 	}
