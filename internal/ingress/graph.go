@@ -73,6 +73,7 @@ func (g *Graph) AddService(name string, mode CallMode) *Service {
 // the edge's cache behaviour (see Edge.hit); 0 for a hard dependency.
 func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
 	e := &Edge{Route: g.core.NewRoute(pol, &to.attemptLat), g: g, from: from, to: to, hit: hit}
+	g.declareTimers(e.Route)
 	g.edges = append(g.edges, e)
 	from.edges = append(from.edges, e)
 	return e
@@ -82,9 +83,22 @@ func (g *Graph) Connect(from, to *Service, pol RoutePolicy, hit float64) *Edge {
 // enters through, replacing any previous entry.
 func (g *Graph) SetEntry(root *Service, pol RoutePolicy) *Edge {
 	e := &Edge{Route: g.core.NewRoute(pol, &root.attemptLat), g: g, to: root}
+	g.declareTimers(e.Route)
 	g.edges = append(g.edges, e)
 	g.entry = e
 	return e
+}
+
+// declareTimers gives the engine a fixed-delay lane for each constant
+// timer delay of r: the attempt timeout and every rung of the backoff
+// ladder (at most maxRetries). Hedge delays track a live quantile and
+// stay on the heap.
+func (g *Graph) declareTimers(r *Route) {
+	p := &r.pol
+	g.eng.DeclareDelay(p.Timeout)
+	for i := 0; i < p.Retries; i++ {
+		g.eng.DeclareDelay(min(p.Backoff<<i, p.BackoffCap))
+	}
 }
 
 // Entry returns the client→root edge.

@@ -136,3 +136,22 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 		t.Fatal("handler never fired")
 	}
 }
+
+// TestLanedTimeoutsAllocFree pins the fixed-delay lanes: a closed loop
+// arming one timeout per request on a declared delay, nearly all of
+// them stale, runs allocation-free once the lane ring has grown.
+func TestLanedTimeoutsAllocFree(t *testing.T) {
+	l := newTimeoutLoop(true)
+	until := cycles.FromSeconds(0.01)
+	l.e.Run(until)
+	requireZeroAllocs(t, "laned timeouts", 50, func() {
+		until += cycles.FromSeconds(0.002)
+		l.e.Run(until)
+	})
+	if l.e.laned == 0 || l.n == 0 {
+		t.Fatalf("lanes hold %d timeouts after %d requests; the lane was never used", l.e.laned, l.n)
+	}
+	if l.expired != 0 {
+		t.Fatalf("%d timeouts expired a request; the loop answers every one in time", l.expired)
+	}
+}

@@ -50,6 +50,58 @@ func benchOpen(seed uint64) uint64 {
 	return e.Fired()
 }
 
+// benchTimeout is the per-request deadline of the timeout benchmarks:
+// 20 service times, far beyond the loop's two-service-time response.
+const benchTimeout = 20 * benchService
+
+// timeoutLoop is the ingress timer shape on the kernel alone: the
+// closed loop of benchClosed, where every request also arms a timeout
+// benchTimeout ahead. Requests finish long before their deadline, so
+// each timeout fires stale, as on a healthy route.
+type timeoutLoop struct {
+	e       *Engine
+	q       *Queue
+	ref     HandlerRef
+	out     [8]uint64 // per connection: its outstanding request, 0 if none
+	n       uint64
+	expired uint64
+}
+
+// newTimeoutLoop starts the loop's eight connections. With declare,
+// the engine gets a lane for benchTimeout.
+func newTimeoutLoop(declare bool) *timeoutLoop {
+	e := NewEngine()
+	l := &timeoutLoop{e: e, q: NewQueue(e, "bench", 4)}
+	l.ref = e.Register(l)
+	if declare {
+		e.DeclareDelay(benchTimeout)
+	}
+	l.q.OnDone = func(j Job) {
+		l.out[j.Stage] = 0
+		l.issue(j.Stage)
+	}
+	for c := range l.out {
+		l.issue(c)
+	}
+	return l
+}
+
+// issue sends connection c's next request and arms its timeout.
+func (l *timeoutLoop) issue(c int) {
+	l.n++
+	l.out[c] = l.n
+	l.q.Arrive(Job{ID: l.n, Cost: benchService, Born: l.e.Now(), Stage: c})
+	l.e.Schedule(benchTimeout, l.ref, Job{ID: l.n, Stage: c})
+}
+
+// HandleEvent is a timeout: it expires its request only if the request
+// is still outstanding.
+func (l *timeoutLoop) HandleEvent(_ *Engine, j Job) {
+	if l.out[j.Stage] == j.ID {
+		l.expired++
+	}
+}
+
 // reportEvents converts a benchmark's event total into the two kernel
 // throughput metrics.
 func reportEvents(b *testing.B, events uint64) {
@@ -85,6 +137,28 @@ func BenchmarkSimEngineOpen(b *testing.B) {
 	}
 	b.StopTimer()
 	reportEvents(b, events)
+}
+
+// BenchmarkSimEngineTimeouts measures the timer-heavy shape (half of
+// all events are per-request timeouts) with the timeout delay left to
+// the heap and with it declared as a fixed-delay lane.
+func BenchmarkSimEngineTimeouts(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		declare bool
+	}{{"heap", false}, {"lanes", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var events uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := newTimeoutLoop(c.declare)
+				l.e.Run(cycles.FromSeconds(1))
+				events += l.e.Fired()
+			}
+			b.StopTimer()
+			reportEvents(b, events)
+		})
+	}
 }
 
 // BenchmarkHistogramQuantile measures the quantile read path (hot in

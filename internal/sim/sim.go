@@ -22,9 +22,24 @@
 // arena. The func() form (At, After) remains as the escape hatch for
 // cold-path control events (autoscaler ticks, migration resumes, run
 // seeding), where one closure per run is noise.
+//
+// Timers whose delay is a per-route constant (ingress attempt timeouts
+// and the rungs of the retry backoff ladder) bypass the heap. The
+// owner of such a constant declares it once (DeclareDelay), and
+// every typed event scheduled exactly that far ahead joins a
+// fixed-delay lane: a FIFO ring of keys. A lane needs no ordering
+// work, because its keys are stamped at now+d with now monotone and
+// seq increasing, so they arrive already sorted. The loop fires the
+// smaller of the heap root and the cached minimum lane head. Every
+// event keeps its (at, seq) stamp, so the fire order is exactly the
+// heap-only order.
 package sim
 
-import "xcontainers/internal/cycles"
+import (
+	"math/bits"
+
+	"xcontainers/internal/cycles"
+)
 
 // Handler receives a typed event: the engine calls HandleEvent with
 // the Job scheduled alongside it, at the scheduled virtual time. Hot
@@ -39,14 +54,44 @@ type Handler interface {
 // meaningful on the engine that issued them.
 type HandlerRef int32
 
-// key is one heap entry: the firing time plus a packed word whose high
-// bits are the schedule-order sequence number and low bits the payload
-// slot. Events fire in (at, seq) order — a total order, since seq is
-// unique — so heap-sibling order never leaks into results, and the
-// tie-break is a single uint64 compare.
+// key is one queued event, in the heap or in a lane: the firing time
+// plus a packed word whose high bits are the schedule-order sequence
+// number and low bits the payload slot. Events fire in (at, seq) order
+// — a total order, since seq is unique — so neither heap-sibling order
+// nor the heap/lane split leaks into results, and comparing the packed
+// words is the tie-break.
 type key struct {
 	at cycles.Cycles
 	ss uint64
+}
+
+// before reports whether a fires before b: (a.at, a.ss) < (b.at, b.ss)
+// as one 128-bit subtraction whose final borrow is the answer. A
+// two-level compare would branch on data the predictor cannot learn;
+// the borrow chain is straight-line code.
+func before(a, b key) bool { return borrow(a, b) != 0 }
+
+// borrow is before as a 0/1 word, for selects that must not branch.
+func borrow(a, b key) uint64 {
+	_, br := bits.Sub64(a.ss, b.ss, 0)
+	_, br = bits.Sub64(uint64(a.at), uint64(b.at), br)
+	return br
+}
+
+// noKey is an empty lane's head: it sorts after every real key, whose
+// packed sequence word never has all bits set.
+var noKey = key{at: ^cycles.Cycles(0), ss: ^uint64(0)}
+
+// maxLanes caps the declared delays. Every typed push scans the
+// declared delays, so the cap bounds what an undeclared event pays;
+// declarations past it are ignored and those events use the heap.
+const maxLanes = 16
+
+// lane is one declared delay's FIFO: a power-of-two ring of keys,
+// oldest at ring[first].
+type lane struct {
+	ring     []key
+	first, n int
 }
 
 const (
@@ -92,6 +137,16 @@ type Engine struct {
 	fns      []func() // cold-path func() arena, its own free list
 	fnFree   []uint32
 	handlers []Handler
+
+	// Fixed-delay lanes, parallel by lane index: the declared delay,
+	// the lane's oldest key (noKey when empty) and its ring. lmin
+	// indexes the smallest head and laned counts the keys in all
+	// lanes, so an engine with no laned event runs the heap-only loop.
+	delays []cycles.Cycles
+	heads  []key
+	lanes  []lane
+	lmin   int
+	laned  int
 }
 
 // NewEngine creates an engine at virtual time zero.
@@ -101,7 +156,7 @@ func NewEngine() *Engine { return &Engine{freeHead: -1} }
 func (e *Engine) Now() cycles.Cycles { return e.now }
 
 // Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.keys) }
+func (e *Engine) Pending() int { return len(e.keys) + e.laned }
 
 // Fired returns the number of events dispatched so far — the
 // denominator of the kernel's events/sec throughput metric.
@@ -164,13 +219,96 @@ func (e *Engine) claim() uint32 {
 	return uint32(len(e.pays) - 1)
 }
 
-// pushSlot stamps the sequence number and pushes the slot's key.
+// pushSlot stamps the sequence number and queues the slot's key: on
+// the lane of its delay if that delay is declared, else on the heap.
 func (e *Engine) pushSlot(t cycles.Cycles, slot uint32) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.push(key{at: t, ss: e.seq<<slotBits | uint64(slot)})
+	k := key{at: t, ss: e.seq<<slotBits | uint64(slot)}
+	if len(e.delays) != 0 && e.pushLane(k) {
+		return
+	}
+	e.push(k)
+}
+
+// DeclareDelay tells the engine that many typed events will be
+// scheduled exactly d cycles ahead, so they can skip the heap. It is a
+// hint: it never changes which events fire or in what order, and a
+// zero, repeated or over-the-cap delay is ignored. Declare from set-up
+// code, once per constant the model derives from its inputs.
+func (e *Engine) DeclareDelay(d cycles.Cycles) {
+	if d == 0 || len(e.delays) >= maxLanes {
+		return
+	}
+	for _, x := range e.delays {
+		if x == d {
+			return
+		}
+	}
+	e.delays = append(e.delays, d)
+	e.heads = append(e.heads, noKey)
+	e.lanes = append(e.lanes, lane{})
+}
+
+// pushLane appends k to the lane of its delay, reporting false when no
+// lane has that delay. k is the newest key the lane has seen (the
+// clock never goes back and seq only grows), so it goes at the tail;
+// only a push into an empty lane can change the lane minimum.
+func (e *Engine) pushLane(k key) bool {
+	d := k.at - e.now
+	for i, x := range e.delays {
+		if x != d {
+			continue
+		}
+		l := &e.lanes[i]
+		if l.n == len(l.ring) {
+			l.grow()
+		}
+		l.ring[(l.first+l.n)&(len(l.ring)-1)] = k
+		l.n++
+		e.laned++
+		if l.n == 1 {
+			e.heads[i] = k
+			if before(k, e.heads[e.lmin]) {
+				e.lmin = i
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// grow doubles the ring, unwrapping it so the oldest key sits at 0.
+func (l *lane) grow() {
+	ring := make([]key, max(16, 2*len(l.ring)))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.first+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.first = ring, 0
+}
+
+// popLane removes the minimum lane head and finds the new minimum
+// among the (few) lane heads.
+func (e *Engine) popLane() {
+	i := e.lmin
+	l := &e.lanes[i]
+	l.first = (l.first + 1) & (len(l.ring) - 1)
+	l.n--
+	e.laned--
+	if l.n > 0 {
+		e.heads[i] = l.ring[l.first]
+	} else {
+		e.heads[i] = noKey
+	}
+	m := 0
+	for j := 1; j < len(e.heads); j++ {
+		if before(e.heads[j], e.heads[m]) {
+			m = j
+		}
+	}
+	e.lmin = m
 }
 
 // At schedules fn at absolute virtual time t — the cold-path form; the
@@ -240,16 +378,20 @@ func (e *Engine) popRoot() {
 		if end > n {
 			end = n
 		}
-		m := c
+		// The smallest child, selected with masks: which sibling is
+		// smallest is data the branch predictor cannot learn.
+		m, best := c, h[c]
 		for k := c + 1; k < end; k++ {
-			if h[k].at < h[m].at || (h[k].at == h[m].at && h[k].ss < h[m].ss) {
-				m = k
-			}
+			x := h[k]
+			sel := -borrow(x, best) // all ones when x fires first
+			m ^= (m ^ k) & int(sel)
+			best.at ^= (best.at ^ x.at) & cycles.Cycles(sel)
+			best.ss ^= (best.ss ^ x.ss) & sel
 		}
-		if h[m].at > last.at || (h[m].at == last.at && h[m].ss > last.ss) {
+		if before(last, best) {
 			break
 		}
-		h[i] = h[m]
+		h[i] = best
 		i = m
 	}
 	h[i] = last
@@ -289,9 +431,33 @@ func (e *Engine) dispatch(k key) {
 	}
 }
 
+// fireLaned fires the earlier of the heap root and the minimum lane
+// head if it is due by until, reporting whether it fired. Only called
+// while some lane holds a key.
+func (e *Engine) fireLaned(until cycles.Cycles) bool {
+	k := e.heads[e.lmin]
+	if len(e.keys) > 0 && before(e.keys[0], k) {
+		k = e.keys[0]
+		if k.at > until {
+			return false
+		}
+		e.popRoot()
+	} else {
+		if k.at > until {
+			return false
+		}
+		e.popLane()
+	}
+	e.dispatch(k)
+	return true
+}
+
 // Step fires the earliest event, advancing the clock to it. It reports
 // whether an event was fired.
 func (e *Engine) Step() bool {
+	if e.laned != 0 {
+		return e.fireLaned(^cycles.Cycles(0))
+	}
 	if len(e.keys) == 0 {
 		return false
 	}
@@ -306,7 +472,16 @@ func (e *Engine) Step() bool {
 // Events beyond the horizon stay queued; statistics read after Run
 // therefore cover exactly the window [0, until].
 func (e *Engine) Run(until cycles.Cycles) {
-	for len(e.keys) > 0 {
+	for {
+		if e.laned != 0 {
+			if !e.fireLaned(until) {
+				break
+			}
+			continue
+		}
+		if len(e.keys) == 0 {
+			break
+		}
 		k := e.keys[0]
 		if k.at > until {
 			break

@@ -179,6 +179,9 @@ func (c *Cluster) Serve(w *Workload, spec ClusterSpec, t *TrafficSpec) (*Cluster
 		Observe:       spec.Observe.options(),
 	}
 	if in := spec.Ingress; in != nil {
+		if err := in.validate(); err != nil {
+			return nil, err
+		}
 		cfg.Ingress = &cluster.IngressConfig{Route: in.route(), Cores: in.cores}
 	}
 	if spec.Chaos != "" {

@@ -157,6 +157,11 @@ func TestClusterServeValidation(t *testing.T) {
 	if _, err := c.Serve(App("memcached"), ClusterSpec{NodeCores: 1}, Traffic().Cores(4)); err == nil {
 		t.Error("replica wider than a node accepted")
 	}
+	for i, in := range badIngress() {
+		if _, err := c.Serve(App("memcached"), ClusterSpec{Ingress: in}, Traffic().Rate(1000).Duration(0.001)); err == nil {
+			t.Errorf("ingress spec %d: invalid route policy accepted", i)
+		}
+	}
 }
 
 // TestClusterFailureInjection drives the façade's FailNode knob.

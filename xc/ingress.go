@@ -1,6 +1,8 @@
 package xc
 
 import (
+	"fmt"
+	"math"
 	"strings"
 
 	"xcontainers/internal/cycles"
@@ -103,8 +105,8 @@ func (i *IngressSpec) Retries(n int) *IngressSpec {
 	return i
 }
 
-// BackoffMicros sets the base retry backoff; attempt k waits
-// 2^(k-1)·base, capped at 8·base (default base: the route's timeout).
+// BackoffMicros sets the base retry backoff; retry k waits
+// 2^(k-1)·base, capped at 8·base (default 0: retry at once).
 func (i *IngressSpec) BackoffMicros(us float64) *IngressSpec {
 	i.backoffUS = us
 	return i
@@ -157,6 +159,42 @@ func (i *IngressSpec) CacheHit(p float64) *IngressSpec {
 func (i *IngressSpec) Cores(n int) *IngressSpec {
 	i.cores = n
 	return i
+}
+
+// maxRouteMicros bounds the timeout and backoff knobs: a per-attempt
+// delay beyond an hour of virtual time is a unit mistake, not a policy.
+const maxRouteMicros = 3600e6
+
+// validate rejects numbers a route cannot mean: a non-finite, negative
+// or over-an-hour duration, a non-finite or negative retry budget, and
+// a probability outside its documented range. A nil spec is the
+// default route.
+func (i *IngressSpec) validate() error {
+	if i == nil {
+		return nil
+	}
+	for _, d := range []struct {
+		name string
+		us   float64
+	}{{"timeout", i.timeoutUS}, {"backoff", i.backoffUS}} {
+		if math.IsNaN(d.us) || d.us < 0 || d.us > maxRouteMicros {
+			return fmt.Errorf("xc: ingress %s %v µs must be finite, not negative and at most %v µs", d.name, d.us, float64(maxRouteMicros))
+		}
+	}
+	if math.IsNaN(i.retryBudget) || math.IsInf(i.retryBudget, 0) || i.retryBudget < 0 {
+		return fmt.Errorf("xc: ingress retry budget %v must be finite and not negative", i.retryBudget)
+	}
+	// The range tests are written so NaN fails them.
+	if !(i.hedgeP >= 0 && i.hedgeP < 1) {
+		return fmt.Errorf("xc: ingress hedge quantile %v must be in (0, 1), or 0 for off", i.hedgeP)
+	}
+	if !(i.breakerRate >= 0 && i.breakerRate <= 1) {
+		return fmt.Errorf("xc: ingress breaker failure rate %v must be in (0, 1], or 0 for off", i.breakerRate)
+	}
+	if !(i.cacheHit >= 0 && i.cacheHit <= 1) {
+		return fmt.Errorf("xc: ingress cache hit probability %v must be in [0, 1]", i.cacheHit)
+	}
+	return nil
 }
 
 // route lowers the spec into the internal per-edge policy.

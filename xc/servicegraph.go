@@ -141,7 +141,8 @@ func (g *ServiceGraphSpec) Observe(o *ObserveSpec) *ServiceGraphSpec {
 }
 
 // validate rejects topologies the engine cannot serve: unknown or
-// empty services, a missing entry, or dependency cycles.
+// empty services, a missing entry, invalid route policies, or
+// dependency cycles.
 func (g *ServiceGraphSpec) validate() error {
 	if g.err != nil {
 		return g.err
@@ -174,6 +175,9 @@ func (g *ServiceGraphSpec) validate() error {
 	if _, ok := g.byName[g.entryTo]; !ok {
 		return fmt.Errorf("xc: entry service %q not declared", g.entryTo)
 	}
+	if err := g.entryPol.validate(); err != nil {
+		return fmt.Errorf("%w (entry route)", err)
+	}
 	out := map[string][]string{}
 	for _, e := range g.edges {
 		if _, ok := g.byName[e.from]; !ok {
@@ -181,6 +185,9 @@ func (g *ServiceGraphSpec) validate() error {
 		}
 		if _, ok := g.byName[e.to]; !ok {
 			return fmt.Errorf("xc: route to undeclared service %q", e.to)
+		}
+		if err := e.pol.validate(); err != nil {
+			return fmt.Errorf("%w (route %s -> %s)", err, e.from, e.to)
 		}
 		out[e.from] = append(out[e.from], e.to)
 	}

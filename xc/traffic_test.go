@@ -176,6 +176,46 @@ func TestServeRejectsInvalidSpecs(t *testing.T) {
 			t.Errorf("spec %d: invalid traffic accepted", i)
 		}
 	}
+	// Invalid route policies, on an inner route and on the entry. A
+	// negative timeout would time out every attempt at once, and a NaN
+	// or infinite one would silently disable the timeout.
+	for i, in := range badIngress() {
+		inner := ServiceGraph()
+		inner.Service("app", w, 2)
+		inner.Service("db", w, 2)
+		inner.Entry("app", Ingress())
+		inner.Route("app", "db", in)
+		entry := ServiceGraph()
+		entry.Service("app", w, 2)
+		entry.Entry("app", in)
+		for _, g := range []*ServiceGraphSpec{inner, entry} {
+			if _, err := p.ServeGraph(g, Traffic().Rate(1000).Duration(0.001)); err == nil {
+				t.Errorf("ingress spec %d: invalid route policy accepted", i)
+			}
+		}
+	}
+}
+
+// badIngress lists route specs every serve path must reject.
+func badIngress() []*IngressSpec {
+	return []*IngressSpec{
+		Ingress().TimeoutMicros(-5).Retries(2),
+		Ingress().TimeoutMicros(math.NaN()),
+		Ingress().TimeoutMicros(math.Inf(1)),
+		Ingress().TimeoutMicros(4e9), // over an hour
+		Ingress().BackoffMicros(-50),
+		Ingress().BackoffMicros(1e13),
+		Ingress().Hedge(2),
+		Ingress().Hedge(1),
+		Ingress().Hedge(math.NaN()),
+		Ingress().Hedge(-0.5),
+		Ingress().CacheHit(math.NaN()),
+		Ingress().CacheHit(1.5),
+		Ingress().RetryBudget(-1),
+		Ingress().RetryBudget(math.Inf(1)),
+		Ingress().Breaker(1.5),
+		Ingress().Breaker(math.NaN()),
+	}
 }
 
 func TestServeRejectsNonAppWorkloads(t *testing.T) {
