@@ -111,8 +111,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 
 // BenchmarkShardEpoch sizes poolMinEvents: it steps an open-loop fleet
 // (8 shards, 2 workers, 32 replicas at 2M req/s, two events per
-// request) through epochs of about 16, 256, 1,024, 2,048 and 4,096
-// events, each size run inline and pooled. ns/op is the cost of one
+// request) through epochs of about 16 to 16,384 events, each size run
+// inline and pooled. ns/op is the cost of one
 // epoch, barrier included; the crossover is the smallest size at which
 // the pooled run is the faster one.
 func BenchmarkShardEpoch(b *testing.B) {
@@ -121,7 +121,7 @@ func BenchmarkShardEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	const rate = 2_000_000
-	for _, events := range []int{16, 256, 1024, 2048, 4096} {
+	for _, events := range []int{16, 256, 1024, 2048, 4096, 8192, 16384} {
 		for _, pooled := range []bool{false, true} {
 			mode := "inline"
 			if pooled {

@@ -189,6 +189,11 @@ type Config struct {
 	// Purely a wall-clock knob — results are identical for any value.
 	ShardWorkers int
 
+	// layoutBlock, when > 0, overrides the replicas per block of the
+	// shard layout (see shardRun.shardOf); 1 is round-robin. Only
+	// tests set it, to show the layout is not a model knob.
+	layoutBlock int
+
 	// Observe, when non-nil, arms the observability layer: the Result
 	// gains a windowed TimeSeries and a flight-recorder Trace, both
 	// deterministic and — like every other Result field — byte-identical

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
@@ -82,6 +83,16 @@ type shardState struct {
 	acc *servedAcc
 }
 
+// shardLines is a shardState padded to whole 64-byte cache lines. The
+// shards sit side by side in one slice and run on different cores.
+// Unpadded, the tail of one shard's state (the touched, done and pend
+// lists it appends to) can share a line with the head of the next
+// shard's (its engine pointer, read on every completion).
+type shardLines struct {
+	shardState
+	_ [(64 - unsafe.Sizeof(shardState{})%64) % 64]byte
+}
+
 // pendRec is one staged re-admission: the request and its routed
 // replica. It is born at the barrier that routed it, where the shard's
 // engine is still parked when the record is applied.
@@ -110,12 +121,13 @@ func (a *arrivalSink) HandleEvent(_ *sim.Engine, j sim.Job) {
 type shardRun struct {
 	c       *Cluster
 	engines []*sim.Engine
-	shards  []shardState
+	shards  []shardLines
 	table   *fleetTable
 	fi      *fleetIngress
 
 	now   cycles.Cycles
 	epoch cycles.Cycles
+	block int // replicas per layout block (see shardOf)
 
 	controlDue cycles.Cycles // 0 = no further control evaluations
 
@@ -153,25 +165,36 @@ type shardRun struct {
 // runTo hands an epoch to the worker pool. Below it the wake/ack
 // handoff, and the shard state crossing to another core, cost more
 // than splitting the work saves. BenchmarkShardEpoch (2-core Xeon,
-// 8 shards, 2 workers, two runs of three) puts the pooled epoch at
-// 1.4–3.5× the inline one at 16 events, 5–25% slower at 256 and at
-// 1,024, and 7–10% faster at 2,048 (up to 18% at 4,096): the constant
-// is the first size at which pooling won in every run. canary-rollout
-// and fleet-ingress epochs carry ~10 events and planet-fleet epochs
-// 16k–32k, so any value from ~64 to ~16k makes the same choice on all
-// three.
+// 8 shards, 2 workers, five runs) puts the pooled epoch at 1.04×
+// the inline one at 1,024 events, 0.90× at 2,048, 1.05× at 4,096,
+// 0.97× at 8,192 and 0.90× at 16,384, the only size at which pooling
+// won every run; from 2,048 to 8,192 the two are within the noise.
+// The benchmark fleet's open loop generates and routes every arrival
+// serially at the barrier, which caps what a second worker can save.
+// canary-rollout and fleet-ingress epochs carry ~10 events and
+// planet-fleet epochs 16k–32k, so any value from ~64 to ~16k makes the
+// same choice on all three, and the constant stays where the first
+// sizing put it.
 const poolMinEvents = 2048
 
 func newShardRun(c *Cluster, shards int) *shardRun {
 	s := &shardRun{
 		c:       c,
 		engines: make([]*sim.Engine, shards),
-		shards:  make([]shardState, shards),
+		shards:  make([]shardLines, shards),
+		block:   min(max(c.cfg.Replicas/shards, 1), maxLayoutBlock),
 		poolMin: poolMinEvents,
+	}
+	if c.cfg.layoutBlock > 0 {
+		s.block = c.cfg.layoutBlock
 	}
 	sink := &arrivalSink{c: c}
 	for i := range s.engines {
 		e := sim.NewEngine()
+		// A replica's completion is scheduled c.per after its service
+		// starts unless a gray fault scaled the replica's cost, so
+		// nearly every completion rides this lane instead of the heap.
+		e.DeclareDelay(c.per)
 		s.engines[i] = e
 		s.shards[i].eng = e
 		s.shards[i].sink = e.Register(sink)
@@ -183,9 +206,14 @@ func newShardRun(c *Cluster, shards int) *shardRun {
 	return s
 }
 
-// placeReplica assigns a new container to its shard (round-robin by
-// id, so the layout is a pure function of the id sequence) and opens
-// its queue on that shard's engine.
+// maxLayoutBlock caps the layout's block: 64 replicas' queues and
+// containers, allocated in id order, span enough memory that a shard's
+// working set rarely shares a cache line with another shard's, while
+// fleets of up to 64×Shards replicas still give every shard a block.
+const maxLayoutBlock = 64
+
+// placeReplica assigns a new container to its shard (see shardOf) and
+// opens its queue on that shard's engine.
 func (s *shardRun) placeReplica(ct *container) {
 	ct.shard = s.shardOf(ct.id - 1)
 	ss := &s.shards[ct.shard]
@@ -202,16 +230,24 @@ func (s *shardRun) placeReplica(ct *container) {
 	s.table.dirty = true
 }
 
-// shardOf is the shard owning replica index rep. Replica indices are
+// shardOf is the shard owning replica index rep. Replicas are dealt to
+// shards in blocks of s.block consecutive indices, round-robin by
+// block: a shard's queues and containers, allocated in id order, lie
+// in a few contiguous runs instead of strided across the whole fleet.
+// The block is fixed at construction from the configured fleet
+// (Replicas/Shards, at most maxLayoutBlock), so every shard gets work
+// and replicas added later continue the same deal. Replica indices are
 // container ids minus one and never change, so neither does the
 // layout — the barrier stages work for a replica without touching it.
-func (s *shardRun) shardOf(rep int) int32 { return int32(rep % len(s.engines)) }
+func (s *shardRun) shardOf(rep int) int32 {
+	return int32(rep / s.block % len(s.engines))
+}
 
 // replicaDone observes one plain-front-door completion, shard-locally:
 // merge-safe statistics now, the canonical re-issue record for the next
 // barrier.
 func (s *shardRun) replicaDone(ct *container, j sim.Job) {
-	ss := &s.shards[ct.shard]
+	ss := &s.shards[ct.shard].shardState
 	s.table.noteDone(ct, ss)
 	now := ss.eng.Now()
 	lat := now - j.Born
@@ -264,7 +300,7 @@ func (s *shardRun) accScan(i int) {
 // whether its latency counts — only winning attempts feed the hedge
 // quantile, like the single-engine graph).
 func (s *shardRun) attemptDone(ct *container, j sim.Job) {
-	ss := &s.shards[ct.shard]
+	ss := &s.shards[ct.shard].shardState
 	s.table.noteDone(ct, ss)
 	ss.fleetCompleted++
 	// The gray-failure coin is drawn at completion time from the

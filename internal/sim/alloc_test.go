@@ -97,6 +97,34 @@ func TestQueueFootprint(t *testing.T) {
 	}
 }
 
+// TestEngineOwnsItsCacheLines pins the layout sharded runs rely on:
+// the shards of one cluster run drive their engines on different
+// cores, so an Engine must fill whole 64-byte lines (the allocator's
+// size classes then start every engine on a line), and declaring a
+// lane must not allocate lane metadata outside the engine, where
+// neighbouring engines' small allocations would share its lines.
+func TestEngineOwnsItsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n%64 != 0 {
+		t.Fatalf("sizeof(Engine) = %d bytes, not a whole number of 64-byte lines", n)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; zero-alloc budget not measurable")
+	}
+	// AllocsPerRun makes one warm-up call and then runs calls, so every
+	// call below declares a new lane, up to the cap.
+	e := NewEngine()
+	var d cycles.Cycles
+	if avg := testing.AllocsPerRun(maxLanes-1, func() {
+		d++
+		e.DeclareDelay(d)
+	}); avg != 0 {
+		t.Fatalf("DeclareDelay allocates: %v allocs per call, want 0", avg)
+	}
+	if e.nlanes != maxLanes {
+		t.Fatalf("%d lanes declared, want %d", e.nlanes, maxLanes)
+	}
+}
+
 // TestAfterSteadyStateAllocFree pins the cold-path form too: a
 // preallocated callback scheduled through After reuses the func()
 // arena, so control loops (autoscaler ticks) do not allocate per tick

@@ -157,14 +157,14 @@ func TestDeclareDelayIgnoresZeroAndRepeats(t *testing.T) {
 	e.DeclareDelay(0)
 	e.DeclareDelay(7)
 	e.DeclareDelay(7)
-	if len(e.delays) != 1 {
-		t.Fatalf("declared %v, want [7]", e.delays)
+	if e.nlanes != 1 || e.delays[0] != 7 {
+		t.Fatalf("declared %v, want [7]", e.delays[:e.nlanes])
 	}
 	for d := cycles.Cycles(1); d <= 2*maxLanes; d++ {
 		e.DeclareDelay(d)
 	}
-	if len(e.delays) != maxLanes {
-		t.Fatalf("%d lanes declared, want the cap %d", len(e.delays), maxLanes)
+	if e.nlanes != maxLanes {
+		t.Fatalf("%d lanes declared, want the cap %d", e.nlanes, maxLanes)
 	}
 	h := &countHandler{}
 	ref := e.Register(h)

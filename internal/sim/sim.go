@@ -23,20 +23,21 @@
 // cold-path control events (autoscaler ticks, migration resumes, run
 // seeding), where one closure per run is noise.
 //
-// Timers whose delay is a per-route constant (ingress attempt timeouts
-// and the rungs of the retry backoff ladder) bypass the heap. The
-// owner of such a constant declares it once (DeclareDelay), and
-// every typed event scheduled exactly that far ahead joins a
-// fixed-delay lane: a FIFO ring of keys. A lane needs no ordering
-// work, because its keys are stamped at now+d with now monotone and
-// seq increasing, so they arrive already sorted. The loop fires the
-// smaller of the heap root and the cached minimum lane head. Every
-// event keeps its (at, seq) stamp, so the fire order is exactly the
-// heap-only order.
+// Events whose delay is a model constant (ingress attempt timeouts,
+// the rungs of the retry backoff ladder, a sharded fleet's service
+// completions) bypass the heap. The owner of such a constant declares
+// it once (DeclareDelay), and every typed event scheduled exactly that
+// far ahead joins a fixed-delay lane: a FIFO ring of keys. A lane needs
+// no ordering work, because its keys are stamped at now+d with now
+// monotone and seq increasing, so they arrive already sorted. The loop
+// fires the smaller of the heap root and the cached minimum lane head.
+// Every event keeps its (at, seq) stamp, so the fire order is exactly
+// the heap-only order.
 package sim
 
 import (
 	"math/bits"
+	"unsafe"
 
 	"xcontainers/internal/cycles"
 )
@@ -84,7 +85,8 @@ var noKey = key{at: ^cycles.Cycles(0), ss: ^uint64(0)}
 
 // maxLanes caps the declared delays. Every typed push scans the
 // declared delays, so the cap bounds what an undeclared event pays;
-// declarations past it are ignored and those events use the heap.
+// declarations past it are ignored and those events use the heap. The
+// lane arrays inside Engine are this long.
 const maxLanes = 16
 
 // lane is one declared delay's FIFO: a power-of-two ring of keys,
@@ -116,8 +118,19 @@ type payload struct {
 // design: handlers run to completion in timestamp order, and all model
 // state they touch needs no synchronization. Concurrency lives one
 // layer up — independent replications, each on its own engine (see
-// xc.Sweep).
+// xc.Sweep), or the shards of one cluster run, whose engines advance on
+// different cores between barriers. For the second case an Engine owns
+// whole cache lines: its size is a multiple of 64 bytes (the allocator
+// then places every engine on a line boundary), so the fields one
+// engine writes on every event never share a line with the fields a
+// neighbouring engine reads on every event.
 type Engine struct {
+	engine
+	_ [(64 - unsafe.Sizeof(engine{})%64) % 64]byte
+}
+
+// engine is Engine's state, before the padding.
+type engine struct {
 	now   cycles.Cycles
 	seq   uint64
 	fired uint64
@@ -138,19 +151,22 @@ type Engine struct {
 	fnFree   []uint32
 	handlers []Handler
 
-	// Fixed-delay lanes, parallel by lane index: the declared delay,
-	// the lane's oldest key (noKey when empty) and its ring. lmin
-	// indexes the smallest head and laned counts the keys in all
-	// lanes, so an engine with no laned event runs the heap-only loop.
-	delays []cycles.Cycles
-	heads  []key
-	lanes  []lane
+	// Fixed-delay lanes, parallel by lane index below nlanes: the
+	// declared delay, the lane's oldest key (noKey when empty) and its
+	// ring. The arrays live inside the engine, so lane metadata shares
+	// no allocation (and no cache line) with another engine's. lmin
+	// indexes the smallest head and laned counts the keys in all lanes,
+	// so an engine with no laned event runs the heap-only loop.
+	nlanes int
 	lmin   int
 	laned  int
+	delays [maxLanes]cycles.Cycles
+	heads  [maxLanes]key
+	lanes  [maxLanes]lane
 }
 
 // NewEngine creates an engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{freeHead: -1} }
+func NewEngine() *Engine { return &Engine{engine: engine{freeHead: -1}} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() cycles.Cycles { return e.now }
@@ -227,7 +243,7 @@ func (e *Engine) pushSlot(t cycles.Cycles, slot uint32) {
 	}
 	e.seq++
 	k := key{at: t, ss: e.seq<<slotBits | uint64(slot)}
-	if len(e.delays) != 0 && e.pushLane(k) {
+	if e.nlanes != 0 && e.pushLane(k) {
 		return
 	}
 	e.push(k)
@@ -237,19 +253,20 @@ func (e *Engine) pushSlot(t cycles.Cycles, slot uint32) {
 // scheduled exactly d cycles ahead, so they can skip the heap. It is a
 // hint: it never changes which events fire or in what order, and a
 // zero, repeated or over-the-cap delay is ignored. Declare from set-up
-// code, once per constant the model derives from its inputs.
+// code, once per constant the model derives from its inputs. It never
+// allocates: the lane's ring grows on its first event.
 func (e *Engine) DeclareDelay(d cycles.Cycles) {
-	if d == 0 || len(e.delays) >= maxLanes {
+	if d == 0 || e.nlanes >= maxLanes {
 		return
 	}
-	for _, x := range e.delays {
+	for _, x := range e.delays[:e.nlanes] {
 		if x == d {
 			return
 		}
 	}
-	e.delays = append(e.delays, d)
-	e.heads = append(e.heads, noKey)
-	e.lanes = append(e.lanes, lane{})
+	e.delays[e.nlanes] = d
+	e.heads[e.nlanes] = noKey
+	e.nlanes++
 }
 
 // pushLane appends k to the lane of its delay, reporting false when no
@@ -258,7 +275,7 @@ func (e *Engine) DeclareDelay(d cycles.Cycles) {
 // only a push into an empty lane can change the lane minimum.
 func (e *Engine) pushLane(k key) bool {
 	d := k.at - e.now
-	for i, x := range e.delays {
+	for i, x := range e.delays[:e.nlanes] {
 		if x != d {
 			continue
 		}
@@ -303,7 +320,7 @@ func (e *Engine) popLane() {
 		e.heads[i] = noKey
 	}
 	m := 0
-	for j := 1; j < len(e.heads); j++ {
+	for j := 1; j < e.nlanes; j++ {
 		if before(e.heads[j], e.heads[m]) {
 			m = j
 		}
