@@ -168,3 +168,37 @@ func BenchmarkShardEpoch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClusterNew measures building a planet-scale fleet, 10k
+// nodes × 10k replicas on the sharded engine, under each index-backed
+// placement policy: ns/op is one New, archetype boot included, and
+// placement is the part that grows with nodes × replicas.
+func BenchmarkClusterNew(b *testing.B) {
+	app, err := apps.ByName("memcached")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pol := range []Policy{BinPack, Spread} {
+		b.Run(pol.String(), func(b *testing.B) {
+			cfg := Config{
+				Platform: core.PlatformConfig{
+					Kind: runtimes.XContainer, MeltdownPatched: true,
+					Cloud: runtimes.LocalCluster, FastToolstack: true,
+				},
+				App:       app,
+				Nodes:     10_000,
+				MaxNodes:  10_000,
+				NodeCores: 4,
+				Replicas:  10_000,
+				Policy:    pol,
+				Shards:    8,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -235,6 +235,7 @@ type node struct {
 	removedAt cycles.Cycles
 	failed    bool
 	removed   bool
+	slot      int32 // placement set holding the node, -1 once failed or removed
 
 	migrIn, migrOut int
 }
@@ -305,6 +306,7 @@ type Cluster struct {
 	fleetSvc *ingress.Service
 
 	nodes      []*node
+	place      placement // live nodes by reserved replicas (placement.go)
 	containers []*container
 	nextNode   int
 	nextCont   int
@@ -322,7 +324,8 @@ type Cluster struct {
 	winBusy cycles.Cycles
 	lastOff cycles.Cycles // start of the current control window
 
-	backlogBuf []int // per-node backlog scratch for latency-aware picks
+	backlogBuf []int        // per-node backlog scratch for latency-aware picks
+	movBuf     []*container // per-node shallowest movable container (rebalance)
 
 	dispatched uint64
 	completed  uint64
@@ -401,6 +404,7 @@ func New(cfg Config) (*Cluster, error) {
 	if c.memPer > cfg.NodeMemMB {
 		return nil, fmt.Errorf("cluster: container footprint %d MB exceeds node memory %d MB", c.memPer, cfg.NodeMemMB)
 	}
+	c.place = newPlacement(&cfg, c.memPer)
 
 	if cfg.Observe != nil {
 		c.ob = newClusterObs(*cfg.Observe, cfg.Shards > 0)
@@ -483,6 +487,7 @@ func (c *Cluster) addNode() *node {
 		addedAt: c.timeNow(),
 	}
 	c.nodes = append(c.nodes, n)
+	c.place.join(n)
 	return n
 }
 
@@ -524,6 +529,7 @@ func (c *Cluster) addContainer(n *node) *container {
 	n.usedCores += ct.cores
 	n.usedMB += ct.memMB
 	n.live++
+	c.place.rekey(n)
 	c.containers = append(c.containers, ct)
 	return ct
 }
@@ -551,32 +557,29 @@ func (c *Cluster) timeNow() cycles.Cycles {
 	return c.eng.Now()
 }
 
-// fits reports whether the node can host one more standard container.
-func (c *Cluster) fits(n *node) bool {
-	return !n.failed && !n.removed &&
-		n.cores-n.usedCores >= c.cfg.ReplicaCores &&
-		n.memMB-n.usedMB >= c.memPer
-}
-
-// pickNode applies the placement policy over fitting nodes; ties break
-// on the lower node id, so placement is deterministic. Latency-aware
-// placement snapshots per-node backlogs once per pick — O(replicas +
-// nodes), not O(replicas × nodes) — so placement stays tractable at
-// fleet scale.
+// pickNode applies the placement policy over nodes with room for one
+// more container, or returns nil; ties break on the lower node id, so
+// placement is deterministic. BinPack and Spread picks read the
+// placement index in O(NodeCores/ReplicaCores). So does LatencyAware
+// before Run: every backlog is zero then, and its headroom tie-break is
+// Spread's order. During a run a latency-aware pick snapshots per-node
+// backlogs and scans the nodes, O(replicas + nodes) per pick; only
+// autoscale and failover picks get there.
 func (c *Cluster) pickNode() *node {
-	if c.cfg.Policy == LatencyAware {
+	if c.cfg.Policy == LatencyAware && c.ran {
 		c.snapshotBacklogs()
-	}
-	var best *node
-	for _, n := range c.nodes {
-		if !c.fits(n) {
-			continue
+		var best *node
+		for _, n := range c.nodes {
+			if c.place.fits(n) && (best == nil || c.better(n, best)) {
+				best = n
+			}
 		}
-		if best == nil || c.better(n, best) {
-			best = n
-		}
+		return best
 	}
-	return best
+	if i := c.place.pick(c.cfg.Policy == BinPack); i >= 0 {
+		return c.nodes[i]
+	}
+	return nil
 }
 
 // snapshotBacklogs fills backlogBuf with each node's current
@@ -594,26 +597,15 @@ func (c *Cluster) snapshotBacklogs() {
 	}
 }
 
-// better reports whether a should be preferred over b under the policy.
+// better reports whether a latency-aware pick prefers a over b: the
+// smaller backlog snapshot, then (e.g. an idle fleet) more headroom,
+// then the lower id.
 func (c *Cluster) better(a, b *node) bool {
-	switch c.cfg.Policy {
-	case BinPack:
-		if a.usedCores != b.usedCores {
-			return a.usedCores > b.usedCores
-		}
-	case Spread:
-		if a.usedCores != b.usedCores {
-			return a.usedCores < b.usedCores
-		}
-	case LatencyAware:
-		da, db := c.backlogBuf[a.id-1], c.backlogBuf[b.id-1]
-		if da != db {
-			return da < db
-		}
-		// Equal backlogs (e.g. an idle fleet): prefer headroom.
-		if a.usedCores != b.usedCores {
-			return a.usedCores < b.usedCores
-		}
+	if da, db := c.backlogBuf[a.id-1], c.backlogBuf[b.id-1]; da != db {
+		return da < db
+	}
+	if a.usedCores != b.usedCores {
+		return a.usedCores < b.usedCores
 	}
 	return a.id < b.id
 }

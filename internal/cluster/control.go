@@ -90,7 +90,7 @@ func (c *Cluster) backlogged() bool {
 func (c *Cluster) scaleUp(now cycles.Cycles, why string) {
 	n := c.pickNode()
 	if n == nil {
-		if c.aliveNodes() >= c.cfg.MaxNodes {
+		if c.place.live >= c.cfg.MaxNodes {
 			if !c.saturationNoted {
 				c.saturationNoted = true
 				c.event(now, "at-capacity", fmt.Sprintf("%d nodes at MaxNodes, cannot scale (%s)", c.cfg.MaxNodes, why))
@@ -147,8 +147,10 @@ func (c *Cluster) retire(ct *container) {
 	n.usedCores -= ct.cores
 	n.usedMB -= ct.memMB
 	n.live--
-	if c.cfg.Autoscale && n.live == 0 && !n.failed && !n.removed && c.aliveNodes() > c.cfg.Nodes {
+	c.place.rekey(n)
+	if c.cfg.Autoscale && n.live == 0 && !n.failed && !n.removed && c.place.live > c.cfg.Nodes {
 		n.removed = true
+		c.place.leave(n)
 		n.removedAt = c.timeNow()
 		c.event(c.timeNow(), "remove-node", fmt.Sprintf("node %d drained", n.id))
 	}
@@ -162,6 +164,7 @@ func (c *Cluster) retire(ct *container) {
 // during selection, not after, keeps one unusable extreme node from
 // blocking an otherwise-viable pair.
 func (c *Cluster) rebalance(now, window cycles.Cycles) {
+	mov := c.movables()
 	var hot, cold *node
 	var hotU, coldU float64
 	for _, n := range c.nodes {
@@ -169,32 +172,38 @@ func (c *Cluster) rebalance(now, window cycles.Cycles) {
 			continue
 		}
 		u := float64(n.winBusy) / (float64(n.cores) * float64(window))
-		if n.live > 1 && c.movable(n) != nil && (hot == nil || u > hotU) {
+		if n.live > 1 && mov[n.id-1] != nil && (hot == nil || u > hotU) {
 			hot, hotU = n, u
 		}
-		if c.fits(n) && (cold == nil || u < coldU) {
+		if c.place.fits(n) && (cold == nil || u < coldU) {
 			cold, coldU = n, u
 		}
 	}
 	if hot == nil || cold == nil || hot == cold || hotU-coldU <= rebalanceGap {
 		return
 	}
-	c.migrate(c.movable(hot), cold, "rebalance")
+	c.migrate(mov[hot.id-1], cold, "rebalance")
 }
 
-// movable returns the node's shallowest migratable container (cheapest
-// blackout; its share of load re-routes to the migrated copy), or nil.
-func (c *Cluster) movable(n *node) *container {
-	var ct *container
-	for _, cand := range c.containers {
-		if cand.node != n || cand.gone || cand.draining || cand.q.Suspended() {
+// movables returns each node's shallowest migratable container
+// (cheapest blackout; its share of load re-routes to the migrated
+// copy), or nil, indexed by node id - 1: one pass over the containers,
+// where the first in container order wins ties.
+func (c *Cluster) movables() []*container {
+	if cap(c.movBuf) < len(c.nodes) {
+		c.movBuf = make([]*container, len(c.nodes)*2)
+	}
+	mov := c.movBuf[:len(c.nodes)]
+	clear(mov)
+	for _, ct := range c.containers {
+		if ct.gone || ct.draining || ct.q.Suspended() {
 			continue
 		}
-		if ct == nil || cand.q.Depth() < ct.q.Depth() {
-			ct = cand
+		if m := mov[ct.node.id-1]; m == nil || ct.q.Depth() < m.q.Depth() {
+			mov[ct.node.id-1] = ct
 		}
 	}
-	return ct
+	return mov
 }
 
 // failNode kills one node drawn from the legacy failure stream — the
@@ -219,13 +228,14 @@ func (c *Cluster) failOneNode(rng *sim.Rand) bool {
 	victim := alive[int(rng.Uint64()%uint64(len(alive)))]
 	victim.failed = true
 	victim.removedAt = now
+	c.place.leave(victim) // before its containers are re-picked
 	c.event(now, "node-failure", fmt.Sprintf("node %d down, %d containers to reschedule", victim.id, victim.live))
 	for _, ct := range append([]*container(nil), c.containers...) {
 		if ct.node != victim || ct.gone {
 			continue
 		}
 		dst := c.pickNode()
-		if dst == nil && c.cfg.Autoscale && c.aliveNodes() < c.cfg.MaxNodes {
+		if dst == nil && c.cfg.Autoscale && c.place.live < c.cfg.MaxNodes {
 			nn := c.addNode()
 			c.event(now, "add-node", fmt.Sprintf("node %d: failover capacity", nn.id))
 			dst = nn
@@ -275,6 +285,8 @@ func (c *Cluster) migrate(ct *container, dst *node, reason string) {
 	dst.usedCores += ct.cores
 	dst.usedMB += ct.memMB
 	dst.live++
+	c.place.rekey(src)
+	c.place.rekey(dst)
 	src.migrOut++
 	dst.migrIn++
 	ct.node = dst
@@ -340,22 +352,9 @@ func (c *Cluster) dropBacklog(ct *container) {
 	}
 }
 
-// aliveNodes counts nodes that are neither failed nor removed.
-func (c *Cluster) aliveNodes() int {
-	n := 0
-	for _, nd := range c.nodes {
-		if !nd.failed && !nd.removed {
-			n++
-		}
-	}
-	return n
-}
-
 // notePeaks tracks the high-water marks the report exposes.
 func (c *Cluster) notePeaks() {
-	if a := c.aliveNodes(); a > c.res.PeakNodes {
-		c.res.PeakNodes = a
-	}
+	c.res.PeakNodes = max(c.res.PeakNodes, c.place.live)
 	live := 0
 	for _, ct := range c.containers {
 		if !ct.gone {

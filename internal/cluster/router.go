@@ -84,12 +84,41 @@ type fleetTable struct {
 	dirty bool // membership changed since the last rebuild
 }
 
-// idSet is one JSQ bucket's snapshot members: a bitset over replica
-// indices, sized to the fleet when the bucket is first filled.
+// idSet is a bitset over dense ids with a member count and a low-word
+// hint: one JSQ bucket's snapshot members here (replica indices, sized
+// to the fleet when the bucket is first filled), one placement bucket's
+// nodes in placement.go. The owner sizes words before insert.
 type idSet struct {
 	words []uint64
 	n     int32 // members
 	lo    int32 // while n > 0, no member sits below word lo
+}
+
+// insert adds id, which must not be a member; its word must exist.
+func (s *idSet) insert(id int32) {
+	w := id >> 6
+	s.words[w] |= 1 << (id & 63)
+	if s.n == 0 || w < s.lo {
+		s.lo = w
+	}
+	s.n++
+}
+
+// remove takes member id out.
+func (s *idSet) remove(id int32) {
+	s.words[id>>6] &^= 1 << (id & 63)
+	s.n--
+}
+
+// lowest returns the lowest member of the non-empty set and moves the
+// hint up to its word.
+func (s *idSet) lowest() int32 {
+	w := s.lo
+	for s.words[w] == 0 {
+		w++
+	}
+	s.lo = w
+	return w<<6 | int32(bits.TrailingZeros64(s.words[w]))
 }
 
 func newFleetTable(c *Cluster, lb ingress.Policy) *fleetTable {
@@ -260,11 +289,7 @@ func (t *fleetTable) place(rep int32, b int) {
 		copy(words, s.words)
 		s.words = words
 	}
-	s.words[w] |= 1 << (rep & 63)
-	if s.n == 0 || w < s.lo {
-		s.lo = w
-	}
-	s.n++
+	s.insert(rep)
 	t.in[rep] = int32(b)
 	if b > t.hi {
 		t.hi = b
@@ -277,23 +302,15 @@ func (t *fleetTable) unplace(rep int32) {
 	if b < 0 {
 		return
 	}
-	s := &t.sets[b]
-	s.words[rep>>6] &^= 1 << (rep & 63)
-	s.n--
+	t.sets[b].remove(rep)
 	t.in[rep] = -1
 }
 
 // popSet takes the lowest id out of bucket b's non-empty set.
 func (t *fleetTable) popSet(b int) int32 {
 	s := &t.sets[b]
-	w := s.lo
-	for s.words[w] == 0 {
-		w++
-	}
-	s.lo = w
-	rep := w<<6 | int32(bits.TrailingZeros64(s.words[w]))
-	s.words[w] &^= 1 << (rep & 63)
-	s.n--
+	rep := s.lowest()
+	s.remove(rep)
 	t.in[rep] = -1
 	return rep
 }
