@@ -7,7 +7,6 @@ import (
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
 	"xcontainers/internal/runtimes"
-	"xcontainers/internal/sim"
 )
 
 // The sharded serve path inherits the kernel's zero-alloc budget:
@@ -109,7 +108,6 @@ func openRun(t testing.TB, c *Cluster, tr Traffic) {
 	c.ran = true
 	c.horizon = cycles.FromSeconds(1000)
 	c.interval = cycles.FromSeconds(c.cfg.IntervalSec)
-	c.rng = sim.NewRand(tr.Seed)
 	if err := c.armChaos(tr.Seed); err != nil {
 		t.Fatal(err)
 	}

@@ -23,9 +23,10 @@ import (
 // byte-identical for any Shards >= 1 × any ShardWorkers.
 //
 // The legacy Config.FailNodeAtSec knob is itself lowered to a
-// one-event crash plan; it keeps drawing its victim from the original
-// failure stream (c.rng) at the original schedule position, so
-// pre-chaos reports stay byte-identical (see TestLegacyFailNodePinned).
+// one-event crash plan that takes the ordinary crash path; its victim
+// stream is the original failure stream (seed ^ 0xfa17ed0de), drawn at
+// the original schedule position, so pre-chaos reports stay
+// byte-identical (see TestLegacyFailNodePinned).
 
 // ChaosResult is the Result's fault-injection section: what the plan
 // did and what the health machinery detected.
@@ -53,7 +54,7 @@ type chaosEvent struct {
 type chaosExec struct {
 	c      *Cluster
 	plan   *chaos.Plan
-	legacy bool // lowered FailNodeAtSec: legacy stream, no report section
+	legacy bool // lowered FailNodeAtSec: no report section
 
 	rng      *sim.Rand // victim stream
 	probeRng *sim.Rand // probe-coin stream
@@ -96,6 +97,7 @@ func (c *Cluster) armChaos(seed uint64) error {
 		x.rng = sim.NewRand(seed ^ 0xc7a05eed)
 	case c.cfg.FailNodeAtSec > 0:
 		x.legacy = true
+		x.rng = sim.NewRand(seed ^ 0xfa17ed0de) // the pre-chaos failure stream
 		x.plan = &chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.KindCrash, AtSec: c.cfg.FailNodeAtSec, Count: 1}}}
 	default:
 		return nil
@@ -143,8 +145,8 @@ func chaosEventLess(a, b *chaosEvent) bool {
 }
 
 // armSingle schedules the timeline on the single engine. The legacy
-// plan degenerates to exactly the old `eng.At(at, failNode)` call —
-// same instant, same schedule position — so reports pin byte-identical.
+// plan degenerates to exactly the old single crash event — same
+// instant, same schedule position — so reports pin byte-identical.
 func (x *chaosExec) armSingle() {
 	c := x.c
 	for i := range x.events {
@@ -223,10 +225,6 @@ func (x *chaosExec) fire(ev *chaosEvent) bool {
 	}
 	switch f.Kind {
 	case chaos.KindCrash:
-		if x.legacy {
-			c.failNode()
-			return true
-		}
 		x.res.Faults++
 		for i := 0; i < f.Count; i++ {
 			if c.failOneNode(x.rng) {

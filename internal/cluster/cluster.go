@@ -296,7 +296,6 @@ type Cluster struct {
 
 	eng *sim.Engine // the single engine (nil when sharded)
 	sh  *shardRun   // the epoch-sharded engine (nil when Shards == 0)
-	rng *sim.Rand   // failure-injection stream, distinct from arrivals
 
 	// The ingress tier, when configured on the single engine: a proxy
 	// service fronting one fleet service whose replicas are the

@@ -16,13 +16,16 @@ import (
 //	offered   = Arrived + doorDropped
 //	Arrived   = Completed + Erred + (Dropped - doorDropped) + inFlight
 //	fleet.Count() = Completed
+//	Σ windows.Dropped = Dropped
+//	Σ windows.Arrived = Arrived
 //
 // offered is the open-loop stream regenerated from the traffic seed:
-// every arrival instant before the horizon. doorDropped is the time
-// series' dropped column, which counts only arrivals that found no
-// routable replica. Dropped - doorDropped is then the waiting backlog
+// every arrival instant before the horizon. An arrival that is not
+// Arrived found no routable replica at the door, so doorDropped is
+// offered - Arrived. Dropped - doorDropped is then the waiting backlog
 // lost with the crashed node, and inFlight the jobs still in the
-// replica queues (waiting or in service) at the horizon.
+// replica queues (waiting or in service) at the horizon. The time
+// series' dropped column counts both kinds of drop.
 func TestShardedConservation(t *testing.T) {
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 6, 8
@@ -51,10 +54,15 @@ func TestShardedConservation(t *testing.T) {
 	for at := arr.Next(rng); at < horizon; at += arr.Next(rng) {
 		offered++
 	}
-	var doorDropped uint64
+	var winDropped, winArrived uint64
 	for _, w := range res.TimeSeries.Windows {
-		doorDropped += w.Dropped
+		winDropped += w.Dropped
+		winArrived += w.Arrived
 	}
+	if offered < res.Arrived {
+		t.Fatalf("arrived %d of %d offered", res.Arrived, offered)
+	}
+	doorDropped := offered - res.Arrived
 	var inFlight uint64
 	for _, ct := range c.containers {
 		inFlight += uint64(ct.q.Depth())
@@ -69,8 +77,11 @@ func TestShardedConservation(t *testing.T) {
 	if doorDropped == 0 || lost == 0 || doorDropped > res.Dropped {
 		t.Fatalf("want both kinds of drop: %d at the door of %d dropped", doorDropped, res.Dropped)
 	}
-	if offered != res.Arrived+doorDropped {
-		t.Errorf("offered %d != arrived %d + door-dropped %d", offered, res.Arrived, doorDropped)
+	if winDropped != res.Dropped {
+		t.Errorf("time series drops %d, result drops %d", winDropped, res.Dropped)
+	}
+	if winArrived != res.Arrived {
+		t.Errorf("time series arrivals %d, result arrivals %d", winArrived, res.Arrived)
 	}
 	if got := res.Completed + res.Erred + lost + inFlight; res.Arrived != got {
 		t.Errorf("arrived %d != completed %d + erred %d + lost %d + in flight %d = %d",

@@ -206,14 +206,10 @@ func (c *Cluster) movables() []*container {
 	return mov
 }
 
-// failNode kills one node drawn from the legacy failure stream — the
-// FailNodeAtSec path, byte-compatible with pre-chaos reports.
-func (c *Cluster) failNode() { c.failOneNode(c.rng) }
-
 // failOneNode kills one live node chosen from rng and reschedules its
 // containers onto survivors (cold restarts — the dead node's state is
-// gone, so the checkpoint path is unavailable). Chaos crash faults
-// pass the dedicated chaos stream; correlated failures draw repeatedly.
+// gone, so the checkpoint path is unavailable). Crash faults pass the
+// plan's victim stream; correlated failures draw repeatedly.
 func (c *Cluster) failOneNode(rng *sim.Rand) bool {
 	now := c.timeNow()
 	var alive []*node
@@ -345,6 +341,12 @@ func (c *Cluster) dropBacklog(ct *container) {
 	}
 	if !c.closedLoop {
 		c.dropped += uint64(len(jobs))
+		if c.ob != nil {
+			now := c.timeNow()
+			for _, j := range jobs {
+				c.ob.cen.Emit(now, c.ob.kDropped, j.ID, 0)
+			}
+		}
 		return
 	}
 	for _, j := range jobs {

@@ -24,7 +24,6 @@ func (c *Cluster) Run(t Traffic) (*Result, error) {
 	if c.interval == 0 {
 		c.interval = 1
 	}
-	c.rng = sim.NewRand(t.Seed ^ 0xfa17ed0de) // failure stream, distinct from arrivals
 	if c.graph != nil {
 		// Ingress routing randomness (p2c sampling) gets its own
 		// seed-derived stream, distinct from arrivals and failures.

@@ -4,13 +4,13 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
 	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
+	"xcontainers/internal/sim/par"
 )
 
 // The sharded engine splits one cluster run across per-shard
@@ -144,16 +144,11 @@ type shardRun struct {
 	// order; each barrier retires the ones that emptied.
 	drain []*container
 
-	// The worker pool: the coordinating goroutine runs shards itself
-	// alongside workers-1 helpers. A pooled epoch wakes every helper
-	// once; all of them claim shard indices from claim until none is
-	// left, and each helper acks once. An epoch after one that fired
-	// fewer than poolMin events runs inline instead (see runTo).
-	workers int
-	wake    chan struct{}
-	ack     chan struct{}
-	claim   atomic.Int32
-	target  cycles.Cycles
+	// pool runs pooled epochs (internal/sim/par); runTo runs an epoch
+	// inline instead after one that fired fewer than poolMin events.
+	pool   *par.Pool
+	runFn  func(int) // s.runShard, bound once: a method value per epoch allocates
+	target cycles.Cycles
 
 	poolMin uint64 // poolMinEvents; tests lower it to force pooling
 	fired   uint64 // events the shard engines had fired when the last epoch began
@@ -371,12 +366,12 @@ func (s *shardRun) flushPend() {
 }
 
 // runShard is one shard's parallel phase: apply the barrier's staged
-// admissions, advance the engine to next, then sort the epoch's
-// completions and scan its trace outbox while the shard is still
-// private to this goroutine.
-func (s *shardRun) runShard(i int, next cycles.Cycles) {
+// admissions, advance the engine to the epoch's target, then sort the
+// epoch's completions and scan its trace outbox while the shard is
+// still private to this goroutine.
+func (s *shardRun) runShard(i int) {
 	s.applyPend(i)
-	s.engines[i].Run(next)
+	s.engines[i].Run(s.target)
 	if s.collectDone {
 		sortDone(s.shards[i].done)
 	}
@@ -420,27 +415,10 @@ func (s *shardRun) start(t Traffic, conc int) {
 
 	w := c.cfg.ShardWorkers
 	if w <= 0 {
-		w = min(len(s.engines), runtime.GOMAXPROCS(0))
+		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(s.engines) {
-		w = len(s.engines)
-	}
-	s.workers = w
-	if w > 1 {
-		s.wake = make(chan struct{}, w-1)
-		s.ack = make(chan struct{}, w-1)
-		// Each helper gets the channels as arguments: a helper that no
-		// epoch ever woke has no other ordering against stop, which
-		// clears s.wake.
-		for i := 1; i < w; i++ {
-			go func(wake <-chan struct{}, ack chan<- struct{}) {
-				for range wake {
-					s.runClaimed()
-					ack <- struct{}{}
-				}
-			}(s.wake, s.ack)
-		}
-	}
+	s.pool = par.New(min(w, len(s.engines)))
+	s.runFn = s.runShard
 }
 
 // step runs one barrier plus the epoch after it. It returns false once
@@ -472,12 +450,7 @@ func (s *shardRun) step() bool {
 }
 
 // stop releases the worker pool.
-func (s *shardRun) stop() {
-	if s.wake != nil {
-		close(s.wake)
-		s.wake = nil
-	}
-}
+func (s *shardRun) stop() { s.pool.Close() }
 
 // barrier is the serial phase at virtual instant s.now: fold shard
 // accumulators when a step below reads them, retire finished drains,
@@ -657,34 +630,14 @@ func (s *shardRun) runTo(next cycles.Cycles) {
 	fired := s.c.EventsFired()
 	last := fired - s.fired
 	s.fired = fired
-	if s.workers <= 1 || last < s.poolMin {
+	s.target = next
+	if s.pool.Workers() <= 1 || last < s.poolMin {
 		s.inline++
 		for i := range s.engines {
-			s.runShard(i, next)
+			s.runShard(i)
 		}
 	} else {
 		s.pooled++
-		s.target = next
-		s.claim.Store(0)
-		for i := 1; i < s.workers; i++ {
-			s.wake <- struct{}{}
-		}
-		s.runClaimed()
-		for i := 1; i < s.workers; i++ {
-			<-s.ack
-		}
-	}
-}
-
-// runClaimed runs shards until every index of this epoch is claimed.
-// A shard is private to the goroutine that claimed it until the
-// coordinator has collected every helper's ack.
-func (s *shardRun) runClaimed() {
-	for {
-		i := int(s.claim.Add(1)) - 1
-		if i >= len(s.engines) {
-			return
-		}
-		s.runShard(i, s.target)
+		s.pool.Run(len(s.engines), s.runFn)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // documented model difference, not a function of the shard count.
 //
 // Steady state allocates nothing: calls live in the lifecycle's slot
-// arena, timers in a hand-rolled min-heap, and the per-epoch event
+// arena, timers on a private event engine, and the per-epoch event
 // batch reuses one buffer.
 
 // fdoneRec is one fleet-replica attempt completion, buffered by the
@@ -51,14 +51,6 @@ const (
 	evProxyDone = ingress.KindRetry + 1 + iota
 	evFleetDone
 )
-
-// fiTimer is one pending lifecycle timer; heap-ordered by due time only
-// (the per-epoch batch re-sorts canonically, so heap pop order within
-// one instant is irrelevant).
-type fiTimer struct {
-	due cycles.Cycles
-	id  uint64
-}
 
 // fiEvent is one entry of a barrier's canonical batch.
 type fiEvent struct {
@@ -90,7 +82,14 @@ type fleetIngress struct {
 	proxyCompleted uint64
 	waste          ingress.Waste
 
-	timers []fiTimer
+	// timers holds the pending lifecycle timers: each is a typed event
+	// carrying its id and exact due time (the engine clamps a due time
+	// before the last barrier to that barrier). The engine fires them
+	// into the barrier's batch, whose canonical re-sort makes its fire
+	// order within one instant irrelevant.
+	timers   *sim.Engine
+	timerRef sim.HandlerRef
+
 	pdone  []pdoneRec
 	events []fiEvent
 }
@@ -105,7 +104,11 @@ func newFleetIngress(c *Cluster) *fleetIngress {
 	if route.ConnSetup == 0 {
 		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
 	}
-	fi := &fleetIngress{c: c, proxyCost: ingress.ProxyRequestCost(c.arch.rt)}
+	fi := &fleetIngress{c: c, proxyCost: ingress.ProxyRequestCost(c.arch.rt), timers: sim.NewEngine()}
+	// Attempts start at the barrier instant, so their timeouts are due
+	// exactly Timeout after the engine's clock and ride a lane.
+	fi.timers.DeclareDelay(route.Timeout)
+	fi.timerRef = fi.timers.Register(fi)
 	fi.core = ingress.NewLifecycle(fi)
 	// Route numbers mirror buildIngress's edge order: 0 = ingress->fleet
 	// (Connect), 1 = client->ingress (SetEntry); they are the trace
@@ -166,7 +169,9 @@ func (fi *fleetIngress) clientArrive(j sim.Job) {
 // for any shard layout.
 func (fi *fleetIngress) processEpoch() {
 	now := fi.c.sh.now
-	ev := fi.events[:0]
+	fi.events = fi.events[:0]
+	fi.timers.Run(now) // due timers append themselves (HandleEvent)
+	ev := fi.events
 	for i := range fi.pdone {
 		p := &fi.pdone[i]
 		ev = append(ev, fiEvent{at: p.at, kind: evProxyDone, id: p.client, born: p.born})
@@ -179,11 +184,6 @@ func (fi *fleetIngress) processEpoch() {
 			ev = append(ev, fiEvent{at: f.at, kind: evFleetDone, k: k, erred: f.erred, slot: slot, gen: gen, cost: f.cost, born: f.born, id: f.id})
 		}
 		ss.fdone = ss.fdone[:0]
-	}
-	for len(fi.timers) > 0 && fi.timers[0].due <= now {
-		t := fi.popTimer()
-		kind, slot, gen, k := ingress.DecodeID(t.id)
-		ev = append(ev, fiEvent{at: t.due, kind: kind, k: k, slot: slot, gen: gen, id: t.id})
 	}
 	slices.SortFunc(ev, func(a, b fiEvent) int {
 		switch {
@@ -261,8 +261,17 @@ func (fi *fleetIngress) Send(r *ingress.Route, bi int, j sim.Job) {
 	ct.q.Arrive(j)
 }
 
+// Arm schedules a lifecycle timer; the job carries its id and its
+// exact due time.
 func (fi *fleetIngress) Arm(due cycles.Cycles, id uint64) {
-	fi.pushTimer(fiTimer{due: due, id: id})
+	fi.timers.ScheduleAt(due, fi.timerRef, sim.Job{ID: id, Born: due})
+}
+
+// HandleEvent appends one due timer to the barrier's batch at its
+// exact due time.
+func (fi *fleetIngress) HandleEvent(_ *sim.Engine, j sim.Job) {
+	kind, slot, gen, k := ingress.DecodeID(j.ID)
+	fi.events = append(fi.events, fiEvent{at: j.Born, kind: kind, k: k, slot: slot, gen: gen, id: j.ID})
 }
 
 // FailEarly fails the call inline: barriers process a flat batch, so
@@ -323,43 +332,4 @@ func (fi *fleetIngress) serviceStats(horizon cycles.Cycles) []ingress.ServiceSta
 		ingress.NewServiceStats("fleet", fleetCompl, &fi.waste, horizon, len(cts),
 			func(i int) *sim.Queue { return cts[i].q }),
 	}
-}
-
-// --- timer heap (min by due) ---
-
-func (fi *fleetIngress) pushTimer(t fiTimer) {
-	fi.timers = append(fi.timers, t)
-	i := len(fi.timers) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if fi.timers[p].due <= fi.timers[i].due {
-			break
-		}
-		fi.timers[p], fi.timers[i] = fi.timers[i], fi.timers[p]
-		i = p
-	}
-}
-
-func (fi *fleetIngress) popTimer() fiTimer {
-	top := fi.timers[0]
-	n := len(fi.timers) - 1
-	fi.timers[0] = fi.timers[n]
-	fi.timers = fi.timers[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && fi.timers[l].due < fi.timers[small].due {
-			small = l
-		}
-		if r < n && fi.timers[r].due < fi.timers[small].due {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		fi.timers[i], fi.timers[small] = fi.timers[small], fi.timers[i]
-		i = small
-	}
-	return top
 }

@@ -58,9 +58,9 @@ func mustRunPooled(t *testing.T, cfg Config, tr Traffic) *Result {
 // handed it no epoch.
 func assertPooled(t *testing.T, c *Cluster) {
 	t.Helper()
-	if c.sh != nil && c.sh.workers > 1 && c.sh.pooled == 0 {
+	if c.sh != nil && c.sh.pool.Workers() > 1 && c.sh.pooled == 0 {
 		t.Fatalf("%d shards, %d workers: %d epochs, none of them pooled",
-			len(c.sh.engines), c.sh.workers, c.sh.inline)
+			len(c.sh.engines), c.sh.pool.Workers(), c.sh.inline)
 	}
 }
 

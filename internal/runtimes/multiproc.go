@@ -3,10 +3,10 @@ package runtimes
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"xcontainers/internal/arch"
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/sim/par"
 )
 
 // This file implements deterministic SMP for tier-1 processes: several
@@ -46,9 +46,9 @@ type smpLane struct {
 	clk  cycles.Clock // private timeline, seeded from the shared clock
 	prev uint64       // Counters.Instructions at the last barrier
 
-	// Slice parameters, written by the coordinator before dispatch and
-	// read by the executing worker (the channel send/receive orders the
-	// accesses).
+	// Slice parameters, written by the coordinator before the
+	// sub-phase and read by the executing worker (the pool's handoff
+	// orders the accesses).
 	budget   uint64
 	deadline cycles.Cycles
 }
@@ -111,9 +111,6 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(procs) {
-		workers = len(procs)
-	}
 
 	start := clk.Now()
 	lanes := make([]smpLane, len(procs))
@@ -146,24 +143,12 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 		return max - start
 	}
 
-	// Host worker pool. With one worker the coordinator runs slices
-	// inline — same lane order, same results, no channel traffic.
-	var (
-		work chan *smpLane
-		wg   sync.WaitGroup
-	)
-	if workers > 1 {
-		work = make(chan *smpLane, len(procs))
-		defer close(work)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for ln := range work {
-					ln.runSlice()
-					wg.Done()
-				}
-			}()
-		}
-	}
+	// Host worker pool (internal/sim/par). With one worker the
+	// coordinator runs slices inline — same lane order, same results.
+	pool := par.New(min(workers, len(procs)))
+	defer pool.Close()
+	run := make([]*smpLane, 0, len(lanes)) // the sub-phase's runnable lanes
+	slice := func(i int) { run[i].runSlice() }
 
 	var total uint64 // instructions across all lanes, exact at barriers
 	deadline := start
@@ -184,7 +169,7 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 		// that traps mid-quantum resumes within the same quantum after
 		// its trap resolves.
 		for {
-			n := 0
+			run = run[:0]
 			for i := range lanes {
 				ln := &lanes[i]
 				if !ln.runnable(deadline) {
@@ -197,20 +182,12 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 				// detected at the very next barrier.
 				ln.budget = maxSteps - total
 				ln.deadline = deadline
-				n++
-				if work != nil {
-					wg.Add(1)
-					work <- ln
-				} else {
-					ln.runSlice()
-				}
+				run = append(run, ln)
 			}
-			if n == 0 {
+			if len(run) == 0 {
 				break // quantum drained
 			}
-			if work != nil {
-				wg.Wait()
-			}
+			pool.Run(len(run), slice)
 
 			// Barrier. Step accounting first, then cross-vCPU effects
 			// (faults, trap resolution — text patches, LibOS state,

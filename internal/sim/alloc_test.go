@@ -68,32 +68,34 @@ func TestClosedLoopSteadyStateAllocFree(t *testing.T) {
 		until += cycles.FromSeconds(0.002)
 		e.Run(until)
 	})
-	// An untracked queue never grows a histogram of its own.
-	if q.Sojourn != nil {
-		t.Fatal("untracked queue allocated a sojourn histogram")
-	}
 }
 
-// TestQueueFootprint pins the size of a queue header. Per-replica
-// queues are a fleet's working set — a 10k-replica run touches every
-// one of them each epoch — and an inline sojourn histogram (8 KiB of
-// bucket counts) would multiply it by about 36, so tracking is a
-// pointer that stays nil unless a consumer asks for it.
+// TestQueueFootprint pins the size of a queue header and of a job.
+// Per-replica queues are a fleet's working set — a 10k-replica run
+// touches every one of them each epoch — so the queue carries no
+// per-queue latency histogram (8 KiB of bucket counts); a consumer
+// measures sojourn through OnDone from the job's Born stamp. A Job is
+// copied into every payload slot and waiting-ring entry, so it holds
+// only what callers read.
 func TestQueueFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(Queue{}); n > 256 {
 		t.Fatalf("sizeof(Queue) = %d bytes, want <= 256", n)
 	}
+	if n := unsafe.Sizeof(Job{}); n != 32 {
+		t.Fatalf("sizeof(Job) = %d bytes, want 32", n)
+	}
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	q.Arrive(Job{ID: 1, Cost: 10})
+	q.Arrive(Job{ID: 1, Cost: 10, Born: e.Now()})
 	e.Run(100)
-	q.Sojourn = new(Histogram) // tracking covers completions from here on
-	q.Arrive(Job{ID: 2, Cost: 10})
-	q.Arrive(Job{ID: 3, Cost: 10})
+	var sojourn Histogram // measurement covers completions from here on
+	q.OnDone = func(j Job) { sojourn.Observe(e.Now() - j.Born) }
+	q.Arrive(Job{ID: 2, Cost: 10, Born: e.Now()})
+	q.Arrive(Job{ID: 3, Cost: 10, Born: e.Now()})
 	e.Run(200)
-	if q.Completed != 3 || q.Sojourn.Count() != 2 || q.Sojourn.Max() != 20 {
+	if q.Completed != 3 || sojourn.Count() != 2 || sojourn.Max() != 20 {
 		t.Fatalf("completed %d, sojourn count %d max %d; want 3, 2, 20",
-			q.Completed, q.Sojourn.Count(), q.Sojourn.Max())
+			q.Completed, sojourn.Count(), sojourn.Max())
 	}
 }
 

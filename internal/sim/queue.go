@@ -14,15 +14,13 @@ type Job struct {
 	Cost  cycles.Cycles // service demand at the current station
 	Born  cycles.Cycles // admission time into the system
 	Stage int           // pipeline position, maintained by the driver
-
-	arrived cycles.Cycles // arrival at the current queue
 }
 
 // Queue is a multi-server FIFO station on an engine: up to Servers jobs
 // in service simultaneously, excess arrivals waiting in order. It
-// accumulates the statistics every flow-level consumer needs — sojourn
-// (queueing + service) histogram, busy cycles, and time-weighted queue
-// depth.
+// accumulates the statistics every flow-level consumer needs — busy
+// cycles and time-weighted queue depth. Consumers measure latency
+// themselves, through OnDone and the Born stamp.
 type Queue struct {
 	Name    string
 	Servers int
@@ -49,14 +47,6 @@ type Queue struct {
 	waiting []Job
 	head    int
 	count   int
-
-	// Sojourn, when non-nil, receives the per-queue latency: time from
-	// arrival to service completion. Every current consumer aggregates
-	// latency in its own end-to-end histogram (via OnDone), so the
-	// per-queue observation is opt-in rather than a tax on every
-	// completion — and a pointer, so an untracked queue header stays a
-	// few cache lines (a Histogram is 8 KiB).
-	Sojourn *Histogram
 
 	Arrived   uint64
 	Completed uint64
@@ -106,7 +96,6 @@ func (q *Queue) Trace(sink obs.Sink, enqKey, deqKey uint64) {
 // Arrive admits a job: it enters service if a server is free, otherwise
 // waits FIFO.
 func (q *Queue) Arrive(j Job) {
-	j.arrived = q.eng.now
 	q.Arrived++
 	q.noteDepth()
 	q.depth++
@@ -205,9 +194,6 @@ func (q *Queue) start(j *Job) {
 // work (use Arrive).
 func (q *Queue) HandleEvent(e *Engine, j Job) {
 	q.Completed++
-	if q.Sojourn != nil {
-		q.Sojourn.Observe(e.now - j.arrived)
-	}
 	q.noteDepth()
 	q.depth--
 	q.noteBusy()

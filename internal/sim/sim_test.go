@@ -136,12 +136,15 @@ func TestFixedRateGap(t *testing.T) {
 func TestQueueSingleServerFIFO(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	q.Sojourn = new(Histogram)
+	var sojourn Histogram
 	var done []uint64
-	q.OnDone = func(j Job) { done = append(done, j.ID) }
+	q.OnDone = func(j Job) {
+		done = append(done, j.ID)
+		sojourn.Observe(e.Now() - j.Born)
+	}
 	for i := uint64(1); i <= 3; i++ {
 		id := i
-		e.At(0, func() { q.Arrive(Job{ID: id, Cost: 100}) })
+		e.At(0, func() { q.Arrive(Job{ID: id, Cost: 100, Born: e.Now()}) })
 	}
 	e.RunUntilIdle()
 	if len(done) != 3 || done[0] != 1 || done[1] != 2 || done[2] != 3 {
@@ -151,7 +154,7 @@ func TestQueueSingleServerFIFO(t *testing.T) {
 		t.Errorf("3 sequential jobs of 100cy finished at %v, want 300", e.Now())
 	}
 	// Sojourns: 100, 200, 300 -> mean 200.
-	if m := q.Sojourn.Mean(); m != 200 {
+	if m := sojourn.Mean(); m != 200 {
 		t.Errorf("mean sojourn = %v, want 200", m)
 	}
 	if q.MaxDepth() != 3 {
@@ -178,7 +181,8 @@ func TestQueueLowUtilizationLatencyIsService(t *testing.T) {
 	// At 1% utilization, sojourn ≈ service time: queueing vanishes.
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	q.Sojourn = new(Histogram)
+	var sojourn Histogram
+	q.OnDone = func(j Job) { sojourn.Observe(e.Now() - j.Born) }
 	r := NewRand(5)
 	arr := PoissonRate(100)
 	const service = cycles.Cycles(290_000) // 100 µs; offered load 1%
@@ -188,12 +192,12 @@ func TestQueueLowUtilizationLatencyIsService(t *testing.T) {
 		if e.Now() >= horizon {
 			return
 		}
-		q.Arrive(Job{Cost: service})
+		q.Arrive(Job{Cost: service, Born: e.Now()})
 		e.After(arr.Next(r), schedule)
 	}
 	e.At(arr.Next(r), schedule)
 	e.Run(horizon)
-	if m := q.Sojourn.Mean(); m > 1.1*float64(service) {
+	if m := sojourn.Mean(); m > 1.1*float64(service) {
 		t.Errorf("mean sojourn %v at 1%% load, want ≈service %v", m, service)
 	}
 	if u := q.Utilization(horizon); u < 0.005 || u > 0.02 {
@@ -301,7 +305,8 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func(seed uint64) (uint64, float64, cycles.Cycles, int) {
 		e := NewEngine()
 		q := NewQueue(e, "s", 2)
-		q.Sojourn = new(Histogram)
+		var sojourn Histogram
+		q.OnDone = func(j Job) { sojourn.Observe(e.Now() - j.Born) }
 		r := NewRand(seed)
 		arr := PoissonRate(50_000)
 		horizon := cycles.FromSeconds(1)
@@ -310,12 +315,12 @@ func TestDeterministicReplay(t *testing.T) {
 			if e.Now() >= horizon {
 				return
 			}
-			q.Arrive(Job{Cost: 30_000})
+			q.Arrive(Job{Cost: 30_000, Born: e.Now()})
 			e.After(arr.Next(r), schedule)
 		}
 		e.At(arr.Next(r), schedule)
 		e.Run(horizon)
-		return q.Completed, q.Sojourn.Mean(), q.Sojourn.Quantile(0.99), q.MaxDepth()
+		return q.Completed, sojourn.Mean(), sojourn.Quantile(0.99), q.MaxDepth()
 	}
 	c1, m1, p1, d1 := run(1234)
 	c2, m2, p2, d2 := run(1234)

@@ -115,12 +115,13 @@ func TestOnStartHook(t *testing.T) {
 func TestSuspendLatencyCharged(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue(eng, "q", 1)
-	q.Sojourn = new(Histogram)
+	var sojourn Histogram
+	q.OnDone = func(j Job) { sojourn.Observe(eng.Now() - j.Born) }
 	q.Suspend()
-	q.Arrive(Job{ID: 1, Cost: 10})
+	q.Arrive(Job{ID: 1, Cost: 10, Born: eng.Now()})
 	eng.After(1000, q.Resume)
 	eng.RunUntilIdle()
-	if got := q.Sojourn.Max(); got != cycles.Cycles(1010) {
+	if got := sojourn.Max(); got != cycles.Cycles(1010) {
 		t.Fatalf("sojourn = %v, want 1010 (1000 frozen + 10 service)", got)
 	}
 }

@@ -7,16 +7,16 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/sim/par"
 )
 
 // SweepSpec describes a family of independent replications — a rate
 // sweep, a seed sweep, a policy sweep, or any product of the three —
-// run in parallel on a bounded worker pool. Every replication is one
-// single-threaded engine on its own goroutine with its own platform
-// (or fleet), so workers share nothing and the merged report is
+// run in parallel on a bounded worker pool (internal/sim/par). Every
+// replication is one single-threaded engine with its own platform (or
+// fleet), so workers share nothing and the merged report is
 // byte-identical regardless of Parallel.
 //
 //	rep, err := xc.Sweep(xc.SweepSpec{
@@ -172,28 +172,11 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > jobs {
-		workers = jobs
-	}
-
-	var (
-		wg   sync.WaitGroup
-		next = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				runs[i], errs[i] = sweepOne(spec, points[i/len(seeds)], seeds[i%len(seeds)], base)
-			}
-		}()
-	}
-	for i := 0; i < jobs; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	pool := par.New(min(workers, jobs))
+	pool.Run(jobs, func(i int) {
+		runs[i], errs[i] = sweepOne(spec, points[i/len(seeds)], seeds[i%len(seeds)], base)
+	})
+	pool.Close()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
