@@ -18,8 +18,9 @@ import (
 // it, a 10k-node fleet's serve path would allocate per request and
 // planet-scale runs would be GC-bound. The barrier's own bookkeeping —
 // the route table's touched lists, the drain list, the worker pool's
-// wake-ups and shard claims — is held to the same budget, inline and
-// with a helper worker, on the plain front door and behind the ingress.
+// wake-ups and shard claims, the closed loop's two re-issue streams
+// and their id buffer — is held to the same budget, inline and with a
+// helper worker, on the plain front door and behind the ingress.
 // The open-loop JSQ cases are canary-rollout in miniature, where each
 // barrier moves the epoch's touched replicas between the JSQ sets.
 func TestShardedServePathAllocFree(t *testing.T) {
@@ -95,6 +96,9 @@ func TestShardedServePathAllocFree(t *testing.T) {
 				t.Fatalf("sharded serve path allocates: %.2f allocs per 20-epoch batch, want 0", avg)
 			}
 			assertPooled(t, c)
+			if c.closedLoop && tc.workers > 1 && c.sh.splits == 0 {
+				t.Fatal("no barrier ran its re-issue streams on the pool")
+			}
 		})
 	}
 }
@@ -105,11 +109,22 @@ func TestShardedServePathAllocFree(t *testing.T) {
 // never hit it.
 func openRun(t testing.TB, c *Cluster, tr Traffic) {
 	t.Helper()
+	armRun(t, c, tr, cycles.FromSeconds(1000))
+}
+
+// armRun is openRun with the horizon given: it arms chaos and
+// observability as Run does, seeds the population or the arrival
+// stream, and leaves the barrier loop to the caller.
+func armRun(t testing.TB, c *Cluster, tr Traffic, horizon cycles.Cycles) {
+	t.Helper()
 	c.ran = true
-	c.horizon = cycles.FromSeconds(1000)
+	c.horizon = horizon
 	c.interval = cycles.FromSeconds(c.cfg.IntervalSec)
 	if err := c.armChaos(tr.Seed); err != nil {
 		t.Fatal(err)
+	}
+	if c.ob != nil {
+		c.ob.arm(c.horizon, c.sh)
 	}
 	c.closedLoop = !tr.Open()
 	c.sh.start(tr, tr.Population(c.servers*len(c.containers)))

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"xcontainers/internal/apps"
@@ -115,6 +116,13 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // inline and pooled. ns/op is the cost of one
 // epoch, barrier included; the crossover is the smallest size at which
 // the pooled run is the faster one.
+//
+// The closed-loop cases size the same threshold for the re-issue
+// barrier's two streams: a saturated closed loop (8 shards, 2 workers,
+// two completions per replica and epoch) re-issues 256 to 16,384
+// records per barrier, and ns/op is one processDone — table refresh,
+// picks and merge — replayed over the same completions, inline and
+// split.
 func BenchmarkShardEpoch(b *testing.B) {
 	app, err := apps.ByName("memcached")
 	if err != nil {
@@ -166,6 +174,76 @@ func BenchmarkShardEpoch(b *testing.B) {
 				}
 			})
 		}
+	}
+	for _, records := range []int{256, 1024, 2048, 4096, 16384} {
+		for _, split := range []bool{false, true} {
+			mode := "inline"
+			if split {
+				mode = "split"
+			}
+			b.Run(fmt.Sprintf("closed-loop/records=%d/%s", records, mode), func(b *testing.B) {
+				benchReissue(b, app, records, split)
+			})
+		}
+	}
+}
+
+// benchReissue times one closed-loop re-issue barrier of about records
+// re-issues. Its fleet has records/2 replicas, 32 connections each, and
+// the default epoch of two service times, so every replica completes
+// two jobs an epoch, as in planet-fleet. It steps the loop to a steady
+// state, keeps the last epoch's sorted completions and touched lists,
+// and replays them into processDone on every iteration, discarding the
+// staged admissions, so that every iteration routes the same records
+// against the same queues.
+func benchReissue(b *testing.B, app *apps.App, records int, split bool) {
+	replicas := records / 2
+	c, err := New(Config{
+		Platform: core.PlatformConfig{
+			Kind: runtimes.XContainer, MeltdownPatched: true,
+			Cloud: runtimes.LocalCluster, FastToolstack: true,
+		},
+		App:          app,
+		Nodes:        replicas / 4,
+		MaxNodes:     replicas / 4,
+		NodeCores:    4,
+		Replicas:     replicas,
+		Shards:       8,
+		ShardWorkers: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.sh.poolMin = math.MaxUint64
+	if split {
+		c.sh.poolMin = 0
+	}
+	openRun(b, c, Traffic{Concurrency: 32 * replicas, Seed: 1})
+	for i := 0; i < 64; i++ {
+		c.sh.step()
+	}
+	s := c.sh
+	runs := make([][]doneRec, len(s.shards))
+	touched := make([][]int32, len(s.shards))
+	for i := range s.shards {
+		runs[i] = s.shards[i].done
+		touched[i] = slices.Clone(s.shards[i].touched)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range s.shards {
+			ss := &s.shards[k]
+			ss.done = runs[k]
+			ss.touched = append(ss.touched[:0], touched[k]...)
+			ss.pend = ss.pend[:0]
+		}
+		s.processDone()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(s.ids)), "records/barrier")
+	if split != (s.splits > 0) {
+		b.Fatalf("split=%v but %d barriers ran their streams on the pool", split, s.splits)
 	}
 }
 

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"xcontainers/internal/chaos"
+	"xcontainers/internal/cycles"
 	"xcontainers/internal/runtimes"
 	"xcontainers/internal/sim"
 )
@@ -89,5 +92,124 @@ func TestShardedConservation(t *testing.T) {
 	}
 	if got := c.fleet.Count(); got != res.Completed {
 		t.Errorf("fleet histogram counts %d, completed %d", got, res.Completed)
+	}
+}
+
+// TestShardedClosedLoopConservation balances a sharded closed loop's
+// connections and requests, with autoscaling on, a gray window, a node
+// crash (failover placement, the waiting backlog taken off the node)
+// and a whole-fleet partition shorter than one service time (the
+// re-issues due inside it find no routable replica), on two workers
+// forced to pool, so every barrier's re-issue runs as two streams. A closed-loop connection is one request id at a time:
+// a crash's lost backlog reconnects through dispatch at once, so it
+// ends up in flight or dropped like any re-issue. Between any two
+// barrier steps, every connection of the population is in exactly one
+// place:
+//
+//	population = inFlight + staged + awaiting + Dropped + atHorizon
+//
+// inFlight counts the jobs in the replica queues (waiting or in
+// service), staged the routed admissions not yet applied, awaiting the
+// completions the next barrier re-issues, Dropped the re-issues that
+// found no routable replica (each closes its connection), and
+// atHorizon the completions at the horizon instant, which the final
+// barrier does not re-issue. At the horizon the request counters obey
+//
+//	Arrived = Completed + Erred + lost + inFlight
+//
+// where lost is the backlog taken off replicas, read from the queues'
+// own counters (arrived − completed − depth), while Arrived, Completed
+// and Erred are the cluster's; the queues' own totals must match them.
+func TestShardedClosedLoopConservation(t *testing.T) {
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 6, 8
+	cfg.Autoscale = true
+	cfg.SLOp99US = 50
+	cfg.IntervalSec = 0.005
+	cfg.Shards, cfg.ShardWorkers = 4, 2
+	cfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{
+		{Kind: chaos.KindGray, AtSec: 0.004, DurationSec: 0.01, Count: 2, CostFactor: 2, ErrorRate: 0.3},
+		{Kind: chaos.KindCrash, AtSec: 0.012, Count: 1},
+		{Kind: chaos.KindPartition, AtSec: 0.03, DurationSec: 0.000002, Frac: 1},
+	}}
+	tr := Traffic{Concurrency: 96, DurationSec: 0.04, Seed: 5}
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.sh.poolMin = 0
+	// A horizon on the service-time grid: the replicas that no control,
+	// chaos or migration instant knocked off the grid complete on it.
+	horizon := cycles.FromSeconds(tr.Duration()) / c.per * c.per
+	armRun(t, c, tr, horizon)
+	population := uint64(tr.Concurrency)
+
+	var atHorizon uint64
+	balance := func(when string) {
+		t.Helper()
+		var inFlight, staged, awaiting uint64
+		for _, ct := range c.containers {
+			inFlight += uint64(ct.q.Depth())
+		}
+		for i := range c.sh.shards {
+			staged += uint64(len(c.sh.shards[i].pend))
+			awaiting += uint64(len(c.sh.shards[i].done))
+		}
+		if got := inFlight + staged + awaiting + c.dropped + atHorizon; got != population {
+			t.Fatalf("%s: in flight %d + staged %d + awaiting %d + dropped %d + at horizon %d = %d, population %d",
+				when, inFlight, staged, awaiting, c.dropped, atHorizon, got, population)
+		}
+	}
+	for {
+		balance(fmt.Sprintf("before the barrier at %d", c.sh.now))
+		if c.sh.now >= c.horizon {
+			for i := range c.sh.shards {
+				for _, r := range c.sh.shards[i].done {
+					if r.at >= c.horizon {
+						atHorizon++
+					}
+				}
+			}
+		}
+		if !c.sh.step() {
+			break
+		}
+	}
+	balance("after the final barrier")
+
+	completed, erred := uint64(0), c.erred
+	for i := range c.sh.shards {
+		completed += c.sh.shards[i].completed
+		erred += c.sh.shards[i].erred
+	}
+	var qArrived, qCompleted, inFlight uint64
+	for _, ct := range c.containers {
+		qArrived += ct.q.Arrived
+		qCompleted += ct.q.Completed
+		inFlight += uint64(ct.q.Depth())
+	}
+	lost := qArrived - qCompleted - inFlight
+	t.Logf("population %d: arrived %d, completed %d, erred %d, lost %d, in flight %d, dropped %d, at horizon %d; %d splits pooled",
+		population, c.dispatched, completed, erred, lost, inFlight, c.dropped, atHorizon, c.sh.splits)
+
+	if x := c.chaos; x == nil || x.res.Crashes != 1 || x.res.GrayWindows != 1 {
+		t.Fatalf("the chaos plan did not bite: %+v", c.chaos)
+	}
+	if !slices.ContainsFunc(c.res.ScaleEvents, func(e ScaleEvent) bool { return e.Action == "add-replica" }) {
+		t.Fatalf("no replica was added: %+v", c.res.ScaleEvents)
+	}
+	if lost == 0 || c.dropped == 0 || erred == 0 || atHorizon == 0 || c.sh.splits == 0 {
+		t.Fatalf("want lost backlog, door drops, errors, completions at the horizon and pooled splits")
+	}
+	if qArrived != c.dispatched {
+		t.Errorf("queues admitted %d, the cluster counted %d arrivals", qArrived, c.dispatched)
+	}
+	if qCompleted != completed+erred {
+		t.Errorf("queues completed %d, the cluster counted %d completed + %d erred", qCompleted, completed, erred)
+	}
+	if got := completed + erred + lost + inFlight; c.dispatched != got {
+		t.Errorf("arrived %d != completed %d + erred %d + lost %d + in flight %d = %d",
+			c.dispatched, completed, erred, lost, inFlight, got)
 	}
 }

@@ -140,18 +140,18 @@ func (o *clusterObs) arm(horizon cycles.Cycles, sh *shardRun) {
 	}
 }
 
-// countArrive folds one admission into the arrival series. Serial-path
-// only (admitNow, genArrivals); the flush rides the next drain, before
-// that drain seals, and admissions always land in a window sealing
-// strictly later.
-func (o *clusterObs) countArrive(at cycles.Cycles) {
+// countArrive folds n admissions at one instant into the arrival
+// series. Serial-path only (admitNow, admitted, genArrivals); the
+// flush rides the next drain, before that drain seals, and admissions
+// always land in a window sealing strictly later.
+func (o *clusterObs) countArrive(at cycles.Cycles, n uint64) {
 	if at < o.arrStart || at >= o.arrEnd {
 		o.flushArrive()
 		w := o.smp.WindowOf(at)
 		o.arrStart = cycles.Cycles(w) * o.smp.Window()
 		o.arrEnd = o.arrStart + o.smp.Window()
 	}
-	o.arrN++
+	o.arrN += n
 }
 
 // flushArrive pushes the cached arrival count into the sampler.

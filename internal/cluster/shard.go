@@ -69,7 +69,7 @@ type shardState struct {
 
 	// pend holds closed-loop re-admissions routed to this shard's
 	// replicas at the last barrier, in canonical order; the shard's
-	// worker applies them before the next epoch (see admitNow).
+	// worker applies them before the next epoch (see stage).
 	pend []pendRec
 
 	// ob is the shard's trace outbox (nil = observability off): records
@@ -93,11 +93,13 @@ type shardLines struct {
 	_ [(64 - unsafe.Sizeof(shardState{})%64) % 64]byte
 }
 
-// pendRec is one staged re-admission: the request and its routed
-// replica. It is born at the barrier that routed it, where the shard's
-// engine is still parked when the record is applied.
+// pendRec is one staged re-admission: the routed replica and the
+// position k of the request's id in shardRun.ids. It is born at the
+// barrier that routed it, where the shard's engine is still parked
+// when the record is applied. The id is read only then, so a barrier
+// can route its picks before it knows which request each one carries.
 type pendRec struct {
-	id  uint64
+	k   int32
 	rep int32
 }
 
@@ -140,20 +142,31 @@ type shardRun struct {
 	collectDone bool      // buffer completions for closed-loop re-issue
 	merge       doneMerge // reused S-way merge of the shards' done runs
 
+	// owner[rep] is shardOf(rep), kept dense so that staging a pick
+	// costs a load instead of two divisions.
+	owner []int32
+	// ids holds the request ids routed since the barrier began, in
+	// canonical order; the pend records index it until their shards
+	// apply them. processDone reuses it at every barrier.
+	ids     []uint64
+	noRoute bool // the last stage found no routable replica
+
 	// drain holds the draining replicas still serving a backlog, in id
 	// order; each barrier retires the ones that emptied.
 	drain []*container
 
 	// pool runs pooled epochs (internal/sim/par); runTo runs an epoch
 	// inline instead after one that fired fewer than poolMin events.
-	pool   *par.Pool
-	runFn  func(int) // s.runShard, bound once: a method value per epoch allocates
-	target cycles.Cycles
+	pool    *par.Pool
+	runFn   func(int) // s.runShard, bound once: a method value per epoch allocates
+	splitFn func(int) // s.splitStream, bound once for the same reason
+	target  cycles.Cycles
 
 	poolMin uint64 // poolMinEvents; tests lower it to force pooling
 	fired   uint64 // events the shard engines had fired when the last epoch began
 
 	inline, pooled int // epochs run each way
+	splits         int // barriers whose two re-issue streams ran pooled
 }
 
 // poolMinEvents is the smallest previous-epoch event count for which
@@ -170,6 +183,12 @@ type shardRun struct {
 // planet-fleet epochs 16k–32k, so any value from ~64 to ~16k makes the
 // same choice on all three, and the constant stays where the first
 // sizing put it.
+//
+// processDone holds its two streams to the same threshold, counted in
+// records to re-issue. BenchmarkShardEpoch's closed-loop cases put the
+// split at 0.75–1.9× the inline barrier up to 1,024 records, within the
+// noise at 2,048 and 4,096, and at 0.53–0.61× at 16,384; planet-fleet
+// barriers re-issue ~20k records.
 const poolMinEvents = 2048
 
 func newShardRun(c *Cluster, shards int) *shardRun {
@@ -208,9 +227,11 @@ func newShardRun(c *Cluster, shards int) *shardRun {
 const maxLayoutBlock = 64
 
 // placeReplica assigns a new container to its shard (see shardOf) and
-// opens its queue on that shard's engine.
+// opens its queue on that shard's engine. Containers are placed in id
+// order, so owner grows by one entry per replica.
 func (s *shardRun) placeReplica(ct *container) {
 	ct.shard = s.shardOf(ct.id - 1)
+	s.owner = append(s.owner, ct.shard)
 	ss := &s.shards[ct.shard]
 	ct.q = sim.NewQueue(ss.eng, ct.name, s.c.servers)
 	if s.c.ob != nil {
@@ -307,39 +328,74 @@ func (s *shardRun) attemptDone(ct *container, j sim.Job) {
 }
 
 // admitNow routes one request at the current barrier instant — the
-// sharded counterpart of Cluster.dispatch, used for closed-loop
-// seeding and re-issue. Routing, counters and trace emission happen
-// here, in canonical order; behind the plain front door the queue
-// admission itself is staged on the owning shard's pend list. The
-// shard's worker applies it just before the next epoch — the engine is
-// still parked at this instant, and each shard's pend is its slice of
-// the canonical order, so queue state, engine tie order and trace
-// order come out exactly as if it had been applied here. Callers that
-// read queues before then call flushPend.
+// sharded counterpart of Cluster.dispatch, used for closed-loop seeding
+// and for the backlog a fault or control step takes off a replica.
+// Behind the ingress the request enters the flyweight tier at once;
+// behind the plain front door it takes the same path as a barrier's
+// re-issues (stage, then admitted), one request long.
 func (s *shardRun) admitNow(id uint64) {
 	c := s.c
 	if s.fi != nil {
 		c.dispatched++
 		if c.ob != nil {
-			c.ob.countArrive(s.now)
+			c.ob.countArrive(s.now, 1)
 		}
 		s.fi.admit(id, s.now)
 		return
 	}
-	rep := s.table.pick()
-	if rep < 0 {
-		c.dropped++
+	from := len(s.ids)
+	s.ids = append(s.ids, id)
+	s.stage(from)
+	s.admitted(from)
+}
+
+// stage routes the requests s.ids[from:] at the current barrier
+// instant. The k-th pick is staged as (k, rep) on the pend list of the
+// shard owning rep. The shard's worker applies it just before the next
+// epoch: the engine is still parked at this instant, and each shard's
+// pend is its slice of the canonical order, so queue state, engine tie
+// order and trace order come out exactly as if it had been applied
+// here. Callers that read queues before then call flushPend.
+//
+// A pick reads the route table and nothing else, so the k-th pick
+// depends on the table and on k, never on which request is k-th; stage
+// reads only the length of s.ids, and processDone fills in the ids
+// while it runs. A pick finds no routable replica only when the table
+// holds none, and picks never take a replica out, so then every later
+// pick of the barrier finds none either: stage stops at the first
+// miss and records that none of its requests was routed.
+func (s *shardRun) stage(from int) {
+	s.noRoute = false
+	for k := from; k < len(s.ids); k++ {
+		rep := s.table.pick()
+		if rep < 0 {
+			s.noRoute = true
+			return
+		}
+		ss := &s.shards[s.owner[rep]]
+		ss.pend = append(ss.pend, pendRec{k: int32(k), rep: int32(rep)})
+	}
+}
+
+// admitted settles the counters and the trace for the requests
+// s.ids[from:] that stage routed, in id order: all were dispatched, or
+// none was routable and all were dropped at the door.
+func (s *shardRun) admitted(from int) {
+	c := s.c
+	n := len(s.ids) - from
+	if s.noRoute {
+		c.dropped += uint64(n)
 		if c.ob != nil {
-			c.ob.cen.Emit(s.now, c.ob.kDropped, id, 0)
+			for _, id := range s.ids[from:] {
+				c.ob.cen.Emit(s.now, c.ob.kDropped, id, 0)
+			}
 		}
 		return
 	}
-	c.dispatched++
-	if c.ob != nil {
-		c.ob.countArrive(s.now)
+	c.dispatched += uint64(n)
+	if c.ob != nil && n > 0 {
+		c.ob.countArrive(s.now, uint64(n))
 	}
-	ss := &s.shards[s.shardOf(rep)]
-	ss.pend = append(ss.pend, pendRec{id: id, rep: int32(rep)})
 }
 
 // applyPend admits shard i's staged re-admissions in order. Between
@@ -352,7 +408,7 @@ func (s *shardRun) applyPend(i int) {
 	now := ss.eng.Now()
 	for _, p := range ss.pend {
 		ct := c.containers[p.rep]
-		ct.q.Arrive(sim.Job{ID: p.id, Cost: c.costOf(ct), Born: now, Stage: int(p.rep)})
+		ct.q.Arrive(sim.Job{ID: s.ids[p.k], Cost: c.costOf(ct), Born: now, Stage: int(p.rep)})
 	}
 	ss.pend = ss.pend[:0]
 }
@@ -419,6 +475,7 @@ func (s *shardRun) start(t Traffic, conc int) {
 	}
 	s.pool = par.New(min(w, len(s.engines)))
 	s.runFn = s.runShard
+	s.splitFn = s.splitStream
 }
 
 // step runs one barrier plus the epoch after it. It returns false once
@@ -472,11 +529,13 @@ func (s *shardRun) barrier() {
 		s.fold()
 	}
 	s.retireDrained()
-	s.table.refresh()
-	if s.fi != nil {
-		s.fi.processEpoch()
-	} else if s.collectDone {
-		s.processDone()
+	if s.collectDone {
+		s.processDone() // refreshes the table alongside the merge
+	} else {
+		s.table.refresh()
+		if s.fi != nil {
+			s.fi.processEpoch()
+		}
 	}
 	// Staged re-admissions stay staged unless a step below reads live
 	// queue state at this instant: fault and probe handling, or the
@@ -561,23 +620,55 @@ func (s *shardRun) retireDrained() {
 // merges the S sorted runs. A replica lives on exactly one shard, so
 // no (at, rep) pair spans two runs: the merge needs no tie-break, and
 // within a pair the buffer order is that replica's own completion
-// order — one total order that no shard layout can perturb. Routing
-// happens here; the admissions are staged on the owning shards
-// (admitNow) and applied by their workers before the next epoch, or
-// serially first if this barrier goes on to read live queues (a fault,
-// probe or control step).
+// order — one total order that no shard layout can perturb.
+//
+// Routing the re-issues does not need that order (see stage), only
+// their number N: the records before the horizon, a prefix of every
+// sorted run. So the barrier runs two serial streams, on the worker
+// pool when N reaches poolMin and inline otherwise: one refreshes the
+// route table and stages the N picks, the other merges the runs and
+// writes the k-th record's id to s.ids[k]. The ids are read only when
+// the staged admissions are applied: by the shards' workers before
+// the next epoch, or serially first if this barrier goes on to read
+// live queues (a fault, probe or control step).
 func (s *shardRun) processDone() {
 	m := &s.merge
 	m.runs = m.runs[:0]
+	n := 0
 	for i := range s.shards {
-		m.runs = append(m.runs, s.shards[i].done)
+		run := s.shards[i].done
+		p, _ := slices.BinarySearchFunc(run, s.c.horizon, func(r doneRec, h cycles.Cycles) int { return cmp.Compare(r.at, h) })
+		m.runs = append(m.runs, run[:p])
+		n += p
 	}
-	m.reset()
-	for r := m.next(); r != nil && r.at < s.c.horizon; r = m.next() {
-		s.admitNow(r.id)
+	s.ids = grow(s.ids, n)
+	if s.pool.Workers() > 1 && uint64(n) >= s.poolMin {
+		s.splits++
+		s.pool.Run(2, s.splitFn)
+	} else {
+		s.splitStream(0)
+		s.splitStream(1)
 	}
+	s.admitted(0)
 	for i := range s.shards {
 		s.shards[i].done = s.shards[i].done[:0]
+	}
+}
+
+// splitStream runs one of processDone's two streams. They share no
+// state: stream 0 writes the table and the pend lists and reads only
+// the length of s.ids; stream 1 writes the merge cursors and the
+// elements of s.ids.
+func (s *shardRun) splitStream(i int) {
+	if i == 0 {
+		s.table.refresh()
+		s.stage(0)
+		return
+	}
+	m := &s.merge
+	m.reset()
+	for k := range s.ids {
+		s.ids[k] = m.next().id
 	}
 }
 
@@ -601,7 +692,7 @@ func (s *shardRun) genArrivals(next cycles.Cycles) {
 		if s.fi != nil {
 			c.dispatched++
 			if c.ob != nil {
-				c.ob.countArrive(t)
+				c.ob.countArrive(t, 1)
 			}
 			s.engines[0].ScheduleAt(t, s.shards[0].sink, sim.Job{ID: s.nextID, Born: t, Stage: -1})
 		} else if rep := s.table.pick(); rep < 0 {
@@ -612,7 +703,7 @@ func (s *shardRun) genArrivals(next cycles.Cycles) {
 		} else {
 			c.dispatched++
 			if c.ob != nil {
-				c.ob.countArrive(t)
+				c.ob.countArrive(t, 1)
 			}
 			ct := c.containers[rep]
 			s.engines[ct.shard].ScheduleAt(t, s.shards[ct.shard].sink, sim.Job{ID: s.nextID, Cost: c.costOf(ct), Born: t, Stage: rep})
