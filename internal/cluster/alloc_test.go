@@ -119,7 +119,7 @@ func armRun(t testing.TB, c *Cluster, tr Traffic, horizon cycles.Cycles) {
 	t.Helper()
 	c.ran = true
 	c.horizon = horizon
-	c.interval = cycles.FromSeconds(c.cfg.IntervalSec)
+	c.interval = cycles.FromSeconds(c.cfg.intervalSec)
 	if err := c.armChaos(tr.Seed); err != nil {
 		t.Fatal(err)
 	}

@@ -272,9 +272,6 @@ func (x *chaosExec) fire(ev *chaosEvent) bool {
 			}
 		}
 		x.victims[ev.fi] = vs
-		if c.sh != nil {
-			c.sh.table.dirty = true
-		}
 		c.event(now, "chaos-partition", fmt.Sprintf("%d replicas unreachable for %gs", len(vs), f.DurationSec))
 		return true
 	case chaos.KindRestart:
@@ -319,9 +316,6 @@ func (x *chaosExec) endWindow(fi int, f *chaos.Fault) bool {
 		}
 	}
 	x.victims[fi] = nil
-	if mutated && c.sh != nil {
-		c.sh.table.dirty = true
-	}
 	c.event(c.timeNow(), "chaos-heal", fmt.Sprintf("%s window closed", f.Kind))
 	return mutated
 }
@@ -445,9 +439,6 @@ func (x *chaosExec) probeSweep(now cycles.Cycles) bool {
 			x.res.Readmissions++
 			if c.graph != nil && ct.backend >= 0 && !ct.draining && !ct.gone {
 				c.fleetSvc.SetDown(ct.backend, false)
-			}
-			if c.sh != nil {
-				c.sh.table.dirty = true
 			}
 			c.event(now, "chaos-readmit", fmt.Sprintf("%s healthy for %d probes", ct.name, x.plan.Probes.HealthyAfter))
 			changed = true

@@ -49,11 +49,12 @@ func chaosConfig(t *testing.T) Config {
 // dedicated streams, and probe sweeps walk replicas in id order.
 func TestChaosShardInvariance(t *testing.T) {
 	cfg := chaosConfig(t)
+	shards := layoutSweep([]int{1, 2, 8}, []int{8})
 	t.Run("open", func(t *testing.T) {
-		assertShardInvariant(t, cfg, Traffic{Rate: 700_000, DurationSec: 0.6, Seed: 11}, []int{1, 2, 8})
+		assertShardInvariant(t, cfg, Traffic{Rate: 700_000, DurationSec: 0.6, Seed: 11}, shards)
 	})
 	t.Run("closed", func(t *testing.T) {
-		assertShardInvariant(t, cfg, Traffic{Concurrency: 32, DurationSec: 0.6, Seed: 11}, []int{1, 2, 8})
+		assertShardInvariant(t, cfg, Traffic{Concurrency: 32, DurationSec: 0.6, Seed: 11}, shards)
 	})
 }
 
@@ -63,7 +64,7 @@ func TestChaosWorkerInvariance(t *testing.T) {
 	cfg.Shards = 8
 	tr := Traffic{Rate: 700_000, DurationSec: 0.5, Seed: 7}
 	var want []byte
-	for _, w := range []int{1, 4} {
+	for _, w := range layoutSweep([]int{1, 4}, []int{4}) {
 		c := cfg
 		c.ShardWorkers = w
 		got := runJSON(t, c, tr)
@@ -179,7 +180,7 @@ func TestChaosSelfHealing(t *testing.T) {
 func TestDeployPromote(t *testing.T) {
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas = 2, 6
-	cfg.IntervalSec = 0.02
+	cfg.intervalSec = 0.02
 	cfg.Deploy = &DeployConfig{Strategy: StrategyCanary, StartSec: 0.1, BakeWindows: 2, MaxP99US: 1e6}
 	tr := Traffic{Rate: 300_000, DurationSec: 1.0, Seed: 17}
 
@@ -213,7 +214,7 @@ func TestDeployRollback(t *testing.T) {
 		cfg := testConfig(t, runtimes.XContainer)
 		cfg.Shards = shards
 		cfg.Nodes, cfg.Replicas = 2, 6
-		cfg.IntervalSec = 0.02
+		cfg.intervalSec = 0.02
 		cfg.Deploy = &DeployConfig{
 			Strategy: StrategyCanary, StartSec: 0.1, CanaryFrac: 0.34,
 			BakeWindows: 5, MaxP99US: 1e6, MaxErrorRate: 0.02, RollbackAfter: 2,

@@ -29,6 +29,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"xcontainers/internal/apps"
 	"xcontainers/internal/chaos"
@@ -81,10 +82,10 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Autoscaler thresholds and cadence. The control loop runs every
-// IntervalSec of virtual time; scale-up fires on an SLO breach or
-// utilization above ScaleUpUtil, scale-down on utilization below
-// ScaleDownUtil, and the rebalancer moves one container whenever
-// per-core node utilizations diverge by more than RebalanceGap.
+// defaultIntervalSec of virtual time; scale-up fires on an SLO breach
+// or utilization above scaleUpUtil, scale-down on utilization below
+// scaleDownUtil, and the rebalancer moves one container whenever
+// per-core node utilizations diverge by more than rebalanceGap.
 const (
 	defaultIntervalSec = 0.05
 	scaleUpUtil        = 0.85
@@ -158,9 +159,6 @@ type Config struct {
 	// granularity, with automatic rollback (see DeployConfig).
 	Deploy *DeployConfig
 
-	// IntervalSec is the control-loop period (default 0.05 s).
-	IntervalSec float64
-
 	// Ingress, when non-nil, fronts the fleet with the L7 ingress tier
 	// (internal/ingress): requests enter through a proxy service whose
 	// per-request and connection costs come from the node architecture's
@@ -193,6 +191,10 @@ type Config struct {
 	// shard layout (see shardRun.shardOf); 1 is round-robin. Only
 	// tests set it, to show the layout is not a model knob.
 	layoutBlock int
+	// intervalSec, when > 0, overrides the control-loop period
+	// (defaultIntervalSec). Only tests set it, to fit several control
+	// windows into a short run.
+	intervalSec float64
 
 	// Observe, when non-nil, arms the observability layer: the Result
 	// gains a windowed TimeSeries and a flight-recorder Trace, both
@@ -371,14 +373,22 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = cfg.Nodes
 	}
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = defaultIntervalSec
+	if cfg.intervalSec <= 0 {
+		cfg.intervalSec = defaultIntervalSec
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: Shards must not be negative")
 	}
-	if cfg.EpochUS < 0 {
-		return nil, fmt.Errorf("cluster: EpochUS must not be negative")
+	if cfg.Policy > LatencyAware {
+		return nil, fmt.Errorf("cluster: unknown placement policy %d", cfg.Policy)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"EpochUS", cfg.EpochUS}, {"SLOp99US", cfg.SLOp99US}, {"FailNodeAtSec", cfg.FailNodeAtSec}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return nil, fmt.Errorf("cluster: %s %v must be finite and not negative", f.name, f.v)
+		}
 	}
 	cfg.Platform.MachineMB = 0
 	cfg.Platform.MachineFrames = 0
@@ -441,32 +451,44 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// ingressTier resolves the ingress tier's set-up for either engine:
+// the fleet route, whose zero ConnSetup defaults to the architecture's
+// connection-accept cost; the client entry route, which reaches the
+// proxy under the fleet route's connection regime and never retries
+// (retrying is the fleet route's job); and the proxy's cores.
+func (c *Cluster) ingressTier() (route, entry ingress.RoutePolicy, cores int) {
+	ic := c.cfg.Ingress
+	route = ic.Route
+	if route.ConnSetup == 0 {
+		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
+	}
+	entry = ingress.RoutePolicy{
+		ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
+	}
+	cores = ic.Cores
+	if cores <= 0 {
+		cores = 2
+	}
+	return route, entry, cores
+}
+
 // buildIngress assembles the single-engine proxy→fleet service graph.
 // Containers register as fleet replicas in addContainer; the graph is
 // reseeded from the traffic seed at Run time.
 func (c *Cluster) buildIngress() {
-	ic := c.cfg.Ingress
-	cores := ic.Cores
-	if cores <= 0 {
-		cores = 2
-	}
-	route := ic.Route
-	if route.ConnSetup == 0 {
-		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
-	}
+	route, entry, cores := c.ingressTier()
 	g := ingress.NewGraph(c.eng, 0)
 	proxy := g.AddService("ingress", ingress.Sequential)
 	pq := sim.NewQueue(c.eng, "ingress", cores)
 	proxy.AddBackend(pq, ingress.ProxyRequestCost(c.arch.rt), 1, nil)
 	fleet := g.AddService("fleet", ingress.Sequential)
 	g.Connect(proxy, fleet, route, 0)
-	// Clients reach the proxy under the same connection regime the
-	// proxy uses toward the fleet; the entry route itself never
-	// retries — that is the fleet route's job.
-	g.SetEntry(proxy, ingress.RoutePolicy{
-		ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
-	})
-	g.OnRootDone = c.rootDone
+	g.SetEntry(proxy, entry)
+	g.OnRootDone = func(client uint64, lat cycles.Cycles, ok bool) {
+		if c.rootDone(c.eng.Now(), lat, ok) {
+			g.Admit(client)
+		}
+	}
 	if c.ob != nil {
 		g.Observe(&c.ob.stream, c.ob.rec)
 		c.ob.traceQueue(pq, &c.ob.stream, 0, "ingress")
@@ -525,10 +547,7 @@ func (c *Cluster) addContainer(n *node) *container {
 			ct.q.OnDone = func(j sim.Job) { c.onDone(ct, j) }
 		}
 	}
-	n.usedCores += ct.cores
-	n.usedMB += ct.memMB
-	n.live++
-	c.place.rekey(n)
+	c.place.host(n, ct)
 	c.containers = append(c.containers, ct)
 	return ct
 }
@@ -632,21 +651,16 @@ func (c *Cluster) routableCount() int {
 	return n
 }
 
-// dispatch routes one request onto the fleet. On the single engine
-// without ingress this is deterministic join-shortest-queue with a
+// dispatch routes one request onto the single engine's fleet. Without
+// ingress this is deterministic join-shortest-queue with a
 // rotating-cursor tie-break (mirroring internal/ingress): the scan
 // starts where the last dispatch left off, so equal-depth replicas take
 // turns instead of funneling into the lowest id — at fleet scale the
 // old lowest-id tie-break aimed every burst's head at replica 1. With
 // an ingress tier configured, requests enter the graph instead and the
-// route policy decides everything downstream. On the sharded engine,
-// dispatch runs at barriers against the epoch route table.
+// route policy decides everything downstream. The sharded engine
+// admits at barriers against the epoch route table (shardRun.admitNow).
 func (c *Cluster) dispatch(id uint64) {
-	if c.sh != nil {
-		c.sh.admitNow(id)
-		c.sh.flushPend() // fault and control paths read the depths they change
-		return
-	}
 	if c.graph != nil {
 		c.dispatched++
 		if c.ob != nil {
@@ -725,38 +739,37 @@ func (c *Cluster) onDone(ct *container, j sim.Job) {
 	}
 }
 
-// rootDone is onDone's ingress-tier counterpart: it observes requests
-// at the graph's root, where latency spans the proxy hop, retries, and
-// hedges. A request the graph gave up on (timeout ladder exhausted, no
-// routable replica, retry budget drained) is a drop — the client saw
-// an error. Closed-loop connections re-issue either way.
-func (c *Cluster) rootDone(client uint64, lat cycles.Cycles, ok bool) {
+// rootDone accounts one root request that the ingress tier finished
+// at instant at, on either engine (the single engine's graph and the
+// sharded engine's flyweight tier): latency spans the proxy hop,
+// retries and hedges. A request the tier gave up on (timeout ladder
+// exhausted, no routable replica, retry budget drained) is a drop: the
+// client saw an error. It reports whether the closed-loop connection
+// re-issues, which it does either way until the horizon.
+func (c *Cluster) rootDone(at, lat cycles.Cycles, ok bool) bool {
 	if ok {
 		c.fleet.Observe(lat)
 		c.win.Observe(lat)
 		c.completed++
 		if c.ob != nil {
-			c.ob.stream.Emit(c.eng.Now(), c.ob.kServed, uint64(lat), uint64(c.per))
+			c.ob.cen.Emit(at, c.ob.kServed, uint64(lat), uint64(c.per))
 		}
 	} else {
 		c.dropped++
 		if c.ob != nil {
-			c.ob.stream.Emit(c.eng.Now(), c.ob.kErred, uint64(lat), 0)
+			c.ob.cen.Emit(at, c.ob.kErred, uint64(lat), 0)
 		}
 	}
-	if c.closedLoop && c.eng.Now() < c.horizon {
-		c.graph.Admit(client)
-	}
+	return c.closedLoop && c.timeNow() < c.horizon
 }
 
-// noteUnroutable tells the routing tier a container stopped taking new
-// requests (draining or stranded); the single-engine front door reads
-// the container flags directly.
+// noteUnroutable tells the single engine's ingress graph that a
+// container stopped taking new requests (draining, stranded or
+// ejected). The plain front door reads the container flags directly,
+// and the sharded engine's route table is rebuilt after every step
+// that can change them.
 func (c *Cluster) noteUnroutable(ct *container) {
 	if c.graph != nil && ct.backend >= 0 {
 		c.fleetSvc.SetDown(ct.backend, true)
-	}
-	if c.sh != nil {
-		c.sh.table.dirty = true
 	}
 }

@@ -30,18 +30,7 @@ import (
 // replica queues (waiting or in service) at the horizon. The time
 // series' dropped column counts both kinds of drop.
 func TestShardedConservation(t *testing.T) {
-	cfg := testConfig(t, runtimes.XContainer)
-	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 6, 8
-	cfg.Autoscale = true
-	cfg.SLOp99US = 50
-	cfg.Shards, cfg.ShardWorkers = 4, 2
-	cfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{
-		{Kind: chaos.KindCrash, AtSec: 0.012, Count: 1},
-		{Kind: chaos.KindPartition, AtSec: 0.03, DurationSec: 0.005, Frac: 1},
-	}}
-	cfg.Observe = &ObserveConfig{WindowUS: 5000}
-	tr := Traffic{Rate: 3_000_000, DurationSec: 0.05, Seed: 3}
-
+	cfg, tr := conservationFixture(t)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +84,23 @@ func TestShardedConservation(t *testing.T) {
 	}
 }
 
+// conservationFixture is TestShardedConservation's fleet and load: a
+// plain sharded fleet with autoscaling, a node crash and a whole-fleet
+// partition, on two workers.
+func conservationFixture(t *testing.T) (Config, Traffic) {
+	cfg := testConfig(t, runtimes.XContainer)
+	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 6, 8
+	cfg.Autoscale = true
+	cfg.SLOp99US = 50
+	cfg.Shards, cfg.ShardWorkers = 4, 2
+	cfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{
+		{Kind: chaos.KindCrash, AtSec: 0.012, Count: 1},
+		{Kind: chaos.KindPartition, AtSec: 0.03, DurationSec: 0.005, Frac: 1},
+	}}
+	cfg.Observe = &ObserveConfig{WindowUS: 5000}
+	return cfg, Traffic{Rate: 3_000_000, DurationSec: 0.05, Seed: 3}
+}
+
 // TestShardedClosedLoopConservation balances a sharded closed loop's
 // connections and requests, with autoscaling on, a gray window, a node
 // crash (failover placement, the waiting backlog taken off the node)
@@ -125,7 +131,7 @@ func TestShardedClosedLoopConservation(t *testing.T) {
 	cfg.Nodes, cfg.MaxNodes, cfg.Replicas = 4, 6, 8
 	cfg.Autoscale = true
 	cfg.SLOp99US = 50
-	cfg.IntervalSec = 0.005
+	cfg.intervalSec = 0.005
 	cfg.Shards, cfg.ShardWorkers = 4, 2
 	cfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindGray, AtSec: 0.004, DurationSec: 0.01, Count: 2, CostFactor: 2, ErrorRate: 0.3},

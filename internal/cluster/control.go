@@ -144,10 +144,7 @@ func (c *Cluster) retire(ct *container) {
 	ct.gone = true
 	c.saturationNoted = false // freed capacity ends a saturation episode
 	n := ct.node
-	n.usedCores -= ct.cores
-	n.usedMB -= ct.memMB
-	n.live--
-	c.place.rekey(n)
+	c.place.unhost(n, ct)
 	if c.cfg.Autoscale && n.live == 0 && !n.failed && !n.removed && c.place.live > c.cfg.Nodes {
 		n.removed = true
 		c.place.leave(n)
@@ -242,9 +239,7 @@ func (c *Cluster) failOneNode(rng *sim.Rand) bool {
 			ct.freezeGen++ // cancel any in-flight migration's Resume
 			c.noteUnroutable(ct)
 			c.dropBacklog(ct)
-			victim.live--
-			victim.usedCores -= ct.cores
-			victim.usedMB -= ct.memMB
+			c.place.unhost(victim, ct)
 			c.event(now, "stranded", fmt.Sprintf("%s: no capacity to reschedule", ct.name))
 			continue
 		}
@@ -275,14 +270,8 @@ func (c *Cluster) migrate(ct *container, dst *node, reason string) {
 		c.event(now, "error", fmt.Sprintf("live migration of %s: %v; restarting cold", ct.name, c.arch.liveErr))
 	}
 	downtime := c.arch.migrationDowntime(cold)
-	src.usedCores -= ct.cores
-	src.usedMB -= ct.memMB
-	src.live--
-	dst.usedCores += ct.cores
-	dst.usedMB += ct.memMB
-	dst.live++
-	c.place.rekey(src)
-	c.place.rekey(dst)
+	c.place.unhost(src, ct)
+	c.place.host(dst, ct)
 	src.migrOut++
 	dst.migrIn++
 	ct.node = dst
@@ -324,7 +313,8 @@ func (c *Cluster) resumeAfter(ct *container, downtime cycles.Cycles) {
 // decides — per route policy — whether it retries elsewhere or fails
 // back to the client. On the plain front door, open-loop requests are
 // lost with the node and counted as Dropped; closed-loop connections
-// reconnect and re-send elsewhere, conserving the population.
+// reconnect and re-send elsewhere, conserving the population — one
+// batch at this instant on the sharded engine.
 func (c *Cluster) dropBacklog(ct *container) {
 	jobs := ct.q.TakeWaiting()
 	if c.graph != nil {
@@ -347,6 +337,14 @@ func (c *Cluster) dropBacklog(ct *container) {
 				c.ob.cen.Emit(now, c.ob.kDropped, j.ID, 0)
 			}
 		}
+		return
+	}
+	if c.sh != nil {
+		ids := make([]uint64, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
+		}
+		c.sh.admitNow(ids)
 		return
 	}
 	for _, j := range jobs {

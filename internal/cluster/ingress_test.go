@@ -77,7 +77,7 @@ func TestIngressConservation(t *testing.T) {
 		scenario{"chaos-closed", chaosConfig(t), Traffic{Concurrency: 32, DurationSec: 0.6, Seed: 11}})
 	var sum ingress.RouteStats // the checks must have something to bite on
 	for _, sc := range scenarios {
-		for _, shards := range []int{0, 4} {
+		for _, shards := range layoutSweep([]int{0, 4}, []int{4}) {
 			cfg := sc.cfg
 			cfg.Shards = shards
 			res := mustRun(t, cfg, sc.tr)

@@ -84,11 +84,12 @@ func TestObservedShardInvariance(t *testing.T) {
 	cfg.FailNodeAtSec = 0.3
 	cfg.Observe = &ObserveConfig{WindowUS: 50_000, QueueDepth: true}
 
+	shards := layoutSweep([]int{1, 2, 8}, []int{8})
 	t.Run("open", func(t *testing.T) {
-		assertObservedInvariant(t, cfg, Traffic{Rate: 900_000, DurationSec: 0.8, Seed: 42}, []int{1, 2, 8})
+		assertObservedInvariant(t, cfg, Traffic{Rate: 900_000, DurationSec: 0.8, Seed: 42}, shards)
 	})
 	t.Run("closed", func(t *testing.T) {
-		assertObservedInvariant(t, cfg, Traffic{Concurrency: 24, DurationSec: 0.8, Seed: 42}, []int{1, 2, 8})
+		assertObservedInvariant(t, cfg, Traffic{Concurrency: 24, DurationSec: 0.8, Seed: 42}, shards)
 	})
 }
 
@@ -111,13 +112,15 @@ func TestObservedIngressInvariance(t *testing.T) {
 	cfg.Observe = &ObserveConfig{WindowUS: 25_000, QueueDepth: true}
 	tr := Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}
 
-	got := assertObservedInvariant(t, cfg, tr, []int{1, 2, 8})
+	// Under the race detector the pinned 8-shard run on two pooled
+	// workers stands for both sweeps.
+	got := assertObservedInvariant(t, cfg, tr, layoutSweep([]int{1, 2, 8}, []int{8}))
 	assertPinned(t, "observed ingress trace, series and CSV", got, pinned)
 
 	// Worker counts are pure wall-clock knobs for the trace too.
 	cfg.Shards = 8
 	var want []byte
-	for _, w := range []int{1, 2, 8} {
+	for _, w := range layoutSweep([]int{1, 2, 8}, nil) {
 		c := cfg
 		c.ShardWorkers = w
 		trace, _, _ := observedArtifacts(t, c, tr)
@@ -168,7 +171,7 @@ func TestObserveNoModelPerturbation(t *testing.T) {
 	cfg.FailNodeAtSec = 0.3
 	tr := Traffic{Rate: 900_000, DurationSec: 0.8, Seed: 42}
 
-	for _, shards := range []int{0, 2} {
+	for _, shards := range layoutSweep([]int{0, 2}, []int{2}) {
 		c := cfg
 		c.Shards = shards
 		plain := runJSON(t, c, tr)

@@ -39,6 +39,25 @@ func (p *placement) leave(n *node) {
 	p.live--
 }
 
+// host reserves ct's cores and memory on n and counts ct among n's
+// containers. host and unhost are the only writers of a node's
+// capacity counters, so the index always keys a node by its current
+// reservation.
+func (p *placement) host(n *node, ct *container) {
+	n.usedCores += ct.cores
+	n.usedMB += ct.memMB
+	n.live++
+	p.rekey(n)
+}
+
+// unhost releases ct's reservation on n.
+func (p *placement) unhost(n *node, ct *container) {
+	n.usedCores -= ct.cores
+	n.usedMB -= ct.memMB
+	n.live--
+	p.rekey(n)
+}
+
 // rekey moves a member to the set of its current usedCores; a node
 // that left stays out.
 func (p *placement) rekey(n *node) {

@@ -106,13 +106,18 @@ func loadDone(c *Cluster, runs [][]doneRec) {
 }
 
 // setRoutable ejects every replica of c, or readmits them all, and
-// marks the route table for a rebuild if that changed anything.
+// rebuilds the route table if that changed anything, as the barrier
+// after a chaos step does.
 func setRoutable(c *Cluster, on bool) {
+	changed := false
 	for _, ct := range c.containers {
 		if ct.ejected == on {
 			ct.ejected = !on
-			c.sh.table.dirty = true
+			changed = true
 		}
+	}
+	if changed {
+		c.sh.table.rebuild()
 	}
 }
 

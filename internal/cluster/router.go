@@ -37,17 +37,17 @@ const tableBuckets = 4096
 // The snapshot is incremental. Between barriers a replica's queue
 // depth moves only when a barrier assigned it work (listed in picked)
 // or it completed a job (listed by its shard, see noteDone), and
-// membership moves only in chaos and control steps, which mark the
-// table dirty or rebuild it outright. A barrier therefore re-reads the
-// listed replicas alone (refresh) and rescans the fleet only when
-// membership changed (rebuild); both leave the same table. A list
-// stops growing at listCap entries: refresh then reads every queue in
-// one sequential pass, which beats scattered reads once a quarter of
-// the fleet is listed (a saturated closed loop completes on nearly
-// every replica each epoch). Refresh moves only the listed replicas
-// between JSQ sets and empties the FIFOs, so a barrier costs what the
-// epoch touched; rebuild and the full pass refill the sets from ups in
-// the same sequential pass that read the queues.
+// membership moves only in chaos and control steps, after which the
+// barrier rebuilds the table. A barrier therefore re-reads the listed
+// replicas alone (refresh) and rescans the fleet only after a step
+// that may have changed membership (rebuild); both leave the same
+// table. A list stops growing at listCap entries: refresh then reads
+// every queue in one sequential pass, which beats scattered reads once
+// a quarter of the fleet is listed (a saturated closed loop completes
+// on nearly every replica each epoch). Refresh moves only the listed
+// replicas between JSQ sets and empties the FIFOs, so a barrier costs
+// what the epoch touched; rebuild and the full pass refill the sets
+// from ups in the same sequential pass that read the queues.
 type fleetTable struct {
 	c  *Cluster
 	lb ingress.Policy // JSQ for the plain front door; the route's LB behind ingress
@@ -80,8 +80,12 @@ type fleetTable struct {
 	gen     uint32
 	listCap int // length at which a touched list stops growing
 
-	rr    int  // rotating cursor for rr/weighted picks
-	dirty bool // membership changed since the last rebuild
+	rr int // rotating cursor for rr/weighted picks
+
+	// check, when set, runs at the end of every refresh. Only tests set
+	// it, to compare the snapshot with a rebuild; it may run on a pool
+	// worker (see processDone).
+	check func(*fleetTable)
 }
 
 // idSet is a bitset over dense ids with a member count and a low-word
@@ -123,13 +127,13 @@ func (s *idSet) lowest() int32 {
 
 func newFleetTable(c *Cluster, lb ingress.Policy) *fleetTable {
 	// top starts at the last bucket: the first snapshot clears every FIFO.
-	return &fleetTable{c: c, lb: lb, dirty: true, top: tableBuckets - 1}
+	return &fleetTable{c: c, lb: lb, top: tableBuckets - 1}
 }
 
 // rebuild resnapshots every replica's depth and routability: O(fleet).
-// Called when membership may have changed — at the run's start, and at
-// a barrier whose chaos or control step ran or that found the table
-// dirty.
+// Called when membership may have changed: at the run's start, and at
+// the end of a barrier whose chaos step reported a change or whose
+// control step ran.
 func (t *fleetTable) rebuild() {
 	n := len(t.c.containers)
 	if cap(t.depth) < n {
@@ -159,7 +163,6 @@ func (t *fleetTable) rebuild() {
 		t.ups = append(t.ups, int32(i))
 		t.sum += int(t.depth[i])
 	}
-	t.dirty = false
 	t.settle(true)
 }
 
@@ -168,10 +171,6 @@ func (t *fleetTable) rebuild() {
 // cost is O(touched) — or one sequential O(fleet) pass once the lists
 // overflowed.
 func (t *fleetTable) refresh() {
-	if t.dirty {
-		t.rebuild()
-		return
-	}
 	shards := t.c.sh.shards
 	n := len(t.picked)
 	for i := range shards {
@@ -186,13 +185,16 @@ func (t *fleetTable) refresh() {
 			}
 		}
 		t.settle(true)
-		return
+	} else {
+		t.reread(t.picked)
+		for i := range shards {
+			t.reread(shards[i].touched)
+		}
+		t.settle(false)
 	}
-	t.reread(t.picked)
-	for i := range shards {
-		t.reread(shards[i].touched)
+	if t.check != nil {
+		t.check(t)
 	}
-	t.settle(false)
 }
 
 // reread refreshes the listed replicas' depths and the routable sum,

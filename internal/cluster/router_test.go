@@ -19,7 +19,8 @@ import (
 //	op%8 0-2  pick; arg bit 0 delivers the request to the replica's queue
 //	op%8 3    pickOther avoiding replica arg, delivered
 //	op%8 4    advance every shard engine by (1 + arg%8) quarter services
-//	op%8 5    flip replica arg's ejection and mark the table dirty
+//	op%8 5    flip replica arg's ejection, then rebuild, as the barrier
+//	          after a chaos step does
 //	op%8 6    refresh (the barrier snapshot), then compare
 //	op%8 7    full rebuild, then compare; arg >= 0x80 first adds a replica,
 //	          as a control step's scale-up does before its rebuild
@@ -72,7 +73,7 @@ func checkFleetTable(t *testing.T, data []byte) {
 		case 5:
 			ct := c.containers[int(arg)%n]
 			ct.ejected = !ct.ejected
-			a.dirty = true
+			a.rebuild()
 		case 6:
 			a.refresh()
 			compareFleetTables(t, a)
@@ -99,10 +100,17 @@ func routableSum(t *fleetTable) int {
 	return sum
 }
 
+// fataler is the part of testing.TB the table comparison reports
+// through; TestRouteTableNeverStale passes a recorder instead.
+type fataler interface {
+	Helper()
+	Fatalf(format string, args ...any)
+}
+
 // compareFleetTables checks a freshly snapshotted table against a full
 // rebuild of the same fleet: the snapshot fields, every JSQ bucket's
 // pick order, and the picks both tables make from here on.
-func compareFleetTables(t *testing.T, a *fleetTable) {
+func compareFleetTables(t fataler, a *fleetTable) {
 	t.Helper()
 	b := newFleetTable(a.c, a.lb)
 	b.rebuild()
@@ -141,7 +149,7 @@ func compareFleetTables(t *testing.T, a *fleetTable) {
 
 // checkSets checks the JSQ sets' bookkeeping: each set's member count
 // and lowest-word hint, and that in names the set holding each replica.
-func checkSets(t *testing.T, a *fleetTable) {
+func checkSets(t fataler, a *fleetTable) {
 	t.Helper()
 	held := 0
 	for k := range a.sets {

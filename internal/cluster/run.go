@@ -20,7 +20,7 @@ func (c *Cluster) Run(t Traffic) (*Result, error) {
 
 	dur := t.Duration()
 	c.horizon = cycles.FromSeconds(dur)
-	c.interval = cycles.FromSeconds(c.cfg.IntervalSec)
+	c.interval = cycles.FromSeconds(c.cfg.intervalSec)
 	if c.interval == 0 {
 		c.interval = 1
 	}

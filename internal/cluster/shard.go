@@ -243,7 +243,6 @@ func (s *shardRun) placeReplica(ct *container) {
 	} else {
 		ct.q.OnDone = func(j sim.Job) { s.replicaDone(ct, j) }
 	}
-	s.table.dirty = true
 }
 
 // shardOf is the shard owning replica index rep. Replicas are dealt to
@@ -327,26 +326,31 @@ func (s *shardRun) attemptDone(ct *container, j sim.Job) {
 	ss.fdone = append(ss.fdone, fdoneRec{at: ss.eng.Now(), born: j.Born, id: j.ID, cost: j.Cost, erred: erred})
 }
 
-// admitNow routes one request at the current barrier instant — the
-// sharded counterpart of Cluster.dispatch, used for closed-loop seeding
-// and for the backlog a fault or control step takes off a replica.
-// Behind the ingress the request enters the flyweight tier at once;
-// behind the plain front door it takes the same path as a barrier's
-// re-issues (stage, then admitted), one request long.
-func (s *shardRun) admitNow(id uint64) {
+// admitNow routes the requests ids at the current barrier instant and
+// applies them at once: the sharded engine's admission for closed-loop
+// seeding and for the backlog a fault step takes off a replica. Behind
+// the ingress the requests enter the flyweight tier in order; behind
+// the plain front door they take the path of a barrier's re-issues
+// (stage, then admitted) as one batch, and the staged admissions are
+// applied before admitNow returns, because the steps that call it go
+// on to read the queue depths they change.
+func (s *shardRun) admitNow(ids []uint64) {
 	c := s.c
 	if s.fi != nil {
-		c.dispatched++
-		if c.ob != nil {
-			c.ob.countArrive(s.now, 1)
+		c.dispatched += uint64(len(ids))
+		if c.ob != nil && len(ids) > 0 {
+			c.ob.countArrive(s.now, uint64(len(ids)))
 		}
-		s.fi.admit(id, s.now)
+		for _, id := range ids {
+			s.fi.admit(id, s.now)
+		}
 		return
 	}
 	from := len(s.ids)
-	s.ids = append(s.ids, id)
+	s.ids = append(s.ids, ids...)
 	s.stage(from)
 	s.admitted(from)
+	s.flushPend()
 }
 
 // stage routes the requests s.ids[from:] at the current barrier
@@ -461,12 +465,13 @@ func (s *shardRun) start(t Traffic, conc int) {
 		s.nextArr = s.arr.Next(s.arrRng)
 		s.arrOn = true
 	} else {
-		for i := 0; i < conc; i++ {
-			s.admitNow(uint64(i + 1))
+		// Seeding is applied at once: the t=0 barrier's table refresh
+		// reads the seeded depths.
+		ids := make([]uint64, conc)
+		for i := range ids {
+			ids[i] = uint64(i + 1)
 		}
-		// Seeding stays immediate: the t=0 barrier's table rebuild reads
-		// the seeded depths.
-		s.flushPend()
+		s.admitNow(ids)
 	}
 
 	w := c.cfg.ShardWorkers
@@ -557,7 +562,7 @@ func (s *shardRun) barrier() {
 		}
 		mutated = true
 	}
-	if mutated || s.table.dirty {
+	if mutated {
 		s.table.rebuild()
 	}
 }

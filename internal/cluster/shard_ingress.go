@@ -95,15 +95,7 @@ type fleetIngress struct {
 }
 
 func newFleetIngress(c *Cluster) *fleetIngress {
-	ic := c.cfg.Ingress
-	cores := ic.Cores
-	if cores <= 0 {
-		cores = 2
-	}
-	route := ic.Route
-	if route.ConnSetup == 0 {
-		route.ConnSetup = ingress.ConnSetupCost(c.arch.rt)
-	}
+	route, entry, cores := c.ingressTier()
 	fi := &fleetIngress{c: c, proxyCost: ingress.ProxyRequestCost(c.arch.rt), timers: sim.NewEngine()}
 	// Attempts start at the barrier instant, so their timeouts are due
 	// exactly Timeout after the engine's clock and ride a lane.
@@ -114,9 +106,7 @@ func newFleetIngress(c *Cluster) *fleetIngress {
 	// (Connect), 1 = client->ingress (SetEntry); they are the trace
 	// tracks too.
 	fi.route = fi.core.NewRoute(route, &fi.attemptLat)
-	fi.entry = fi.core.NewRoute(ingress.RoutePolicy{
-		ConnSetup: route.ConnSetup, KeepAlive: route.KeepAlive, KeepAliveReqs: route.KeepAliveReqs,
-	}, nil)
+	fi.entry = fi.core.NewRoute(entry, nil)
 	fi.proxyQ = sim.NewQueue(c.sh.engines[0], "ingress", cores)
 	eng := c.sh.engines[0]
 	fi.proxyQ.OnDone = func(j sim.Job) {
@@ -281,31 +271,22 @@ func (fi *fleetIngress) FailEarly(slot int32, _ uint32) {
 }
 
 // Done finishes the request: entry-route accounting, the cluster's
-// fleet statistics, and the closed-loop re-issue — the sharded
-// counterpart of Cluster.rootDone.
+// root-request accounting (Cluster.rootDone), the request span's end,
+// and the closed-loop re-issue.
 func (fi *fleetIngress) Done(_ *ingress.Route, w ingress.Owner, at cycles.Cycles, ok bool) {
 	c := fi.c
 	lat := at - w.Origin
 	fi.entry.End(lat, ok)
-	if ok {
-		c.fleet.Observe(lat)
-		c.win.Observe(lat)
-		c.completed++
-	} else {
-		c.dropped++
-	}
+	reissue := c.rootDone(at, lat, ok)
 	if o := c.ob; o != nil {
 		var fail uint64
-		if ok {
-			o.cen.Emit(at, o.kServed, uint64(lat), uint64(c.per))
-		} else {
+		if !ok {
 			fail = 1
-			o.cen.Emit(at, o.kErred, uint64(lat), 0)
 		}
 		o.cen.Emit(at,
 			obs.Key(obs.KindSpanEnd, obs.LayerIngress, obs.NameRequest, 1), w.Client, fail)
 	}
-	if c.closedLoop && c.sh.now < c.horizon {
+	if reissue {
 		fi.admit(w.Client, c.sh.now)
 	}
 }

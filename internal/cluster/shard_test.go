@@ -85,6 +85,21 @@ func assertShardInvariant(t *testing.T, cfg Config, tr Traffic, shardCounts []in
 	return want
 }
 
+// layoutSweep returns the shard or worker counts a layout sweep runs:
+// all, or, under the race detector, the subset race. Race
+// instrumentation slows a run about tenfold, and the race job looks
+// for races, which live only where the run starts goroutines: race
+// subsets drop the single engine and one-worker layouts, and the
+// determinism sweeps keep (or, with a pin, stand for) 8 shards on two
+// workers forced to pool every epoch (mustRunPooled). The non-race
+// suite keeps every layout and every comparison.
+func layoutSweep(all, race []int) []int {
+	if raceEnabled {
+		return race
+	}
+	return all
+}
+
 // assertPinned fails unless got hashes to the pinned SHA-256 digest.
 // Shard and worker invariance are self-consistency checks: a drift that
 // moves every layout alike passes them, so the scenarios that carry the
@@ -119,16 +134,17 @@ func TestShardedDeterminismPlain(t *testing.T) {
 	cfg.Autoscale, cfg.SLOp99US = true, 500
 	cfg.FailNodeAtSec = 0.3
 
+	shards := layoutSweep([]int{1, 2, 8}, []int{8})
 	t.Run("open", func(t *testing.T) {
-		assertShardInvariant(t, cfg, Traffic{Rate: 900_000, DurationSec: 0.8, Seed: 42}, []int{1, 2, 8})
+		assertShardInvariant(t, cfg, Traffic{Rate: 900_000, DurationSec: 0.8, Seed: 42}, shards)
 	})
 	t.Run("closed", func(t *testing.T) {
-		assertShardInvariant(t, cfg, Traffic{Concurrency: 24, DurationSec: 0.8, Seed: 42}, []int{1, 2, 8})
+		assertShardInvariant(t, cfg, Traffic{Concurrency: 24, DurationSec: 0.8, Seed: 42}, shards)
 	})
 	t.Run("burst", func(t *testing.T) {
 		tr := Traffic{DurationSec: 0.6, Seed: 9}
 		tr.Burst = &workload.BurstSpec{PeakRate: 1_200_000, OnSeconds: 0.05, OffSeconds: 0.05}
-		assertShardInvariant(t, cfg, tr, []int{1, 3, 8})
+		assertShardInvariant(t, cfg, tr, layoutSweep([]int{1, 3, 8}, []int{8}))
 	})
 }
 
@@ -155,6 +171,8 @@ var hedgedIngressTraffic = Traffic{Rate: 600_000, DurationSec: 0.5, Seed: 11}
 // robustness feature armed — timeouts, budgeted backoff retries,
 // hedging, keep-alive — across a node failure, must be shard-count
 // invariant for each load balancer, and match the pinned report bytes.
+// Under the race detector only the 8-shard layout runs: the pin holds
+// its bytes to the other layouts'.
 func TestShardedDeterminismIngress(t *testing.T) {
 	pinned := map[ingress.Policy]string{
 		ingress.RoundRobin: "679638d52ceb9cad73bdde7b51ed15e7f72117175f8170c8d74f19a8d9b0898c",
@@ -163,7 +181,7 @@ func TestShardedDeterminismIngress(t *testing.T) {
 	}
 	for _, lb := range []ingress.Policy{ingress.RoundRobin, ingress.JSQ, ingress.PowerOfTwo} {
 		t.Run(lb.String(), func(t *testing.T) {
-			got := assertShardInvariant(t, hedgedIngressConfig(t, lb), hedgedIngressTraffic, []int{1, 2, 8})
+			got := assertShardInvariant(t, hedgedIngressConfig(t, lb), hedgedIngressTraffic, layoutSweep([]int{1, 2, 8}, []int{8}))
 			assertPinned(t, "ingress report", got, pinned[lb])
 		})
 	}
@@ -182,7 +200,7 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	tr := Traffic{Rate: 700_000, DurationSec: 0.5, Seed: 5}
 
 	var want []byte
-	for _, w := range []int{1, 2, 8} {
+	for _, w := range layoutSweep([]int{1, 2, 8}, []int{2, 8}) {
 		c := cfg
 		c.ShardWorkers = w
 		got := runJSON(t, c, tr)
@@ -265,7 +283,7 @@ func TestShardedClosedLoopFlushInvariance(t *testing.T) {
 	cfg.Nodes, cfg.Replicas, cfg.Policy = 1, 3, BinPack
 	cfg.MaxNodes = 5
 	cfg.Autoscale, cfg.SLOp99US = true, 45
-	cfg.IntervalSec = 0.02
+	cfg.intervalSec = 0.02
 	cfg.EpochUS = 100 // 200 epochs per control interval, 65 per probe period
 	cfg.Chaos = &chaos.Plan{
 		Probes: &chaos.Probes{IntervalSec: 0.0065, TimeoutUS: 20},
@@ -360,7 +378,7 @@ func TestShardedScaleDownDrain(t *testing.T) {
 	cfg.NodeCores, cfg.ReplicaCores = 4, 2
 	cfg.Autoscale = true
 	cfg.EpochUS = 200
-	cfg.IntervalSec = 0.01
+	cfg.intervalSec = 0.01
 	cfg.FailNodeAtSec = 0.045
 	tr := Traffic{Concurrency: 8, DurationSec: 0.2, Seed: 4}
 

@@ -47,7 +47,8 @@ type ClusterSpec struct {
 	Policy PlacementPolicy
 	// SLOMillis arms the latency signal: control windows whose p99
 	// sojourn exceeds it count as SLO breaches and, with Autoscale,
-	// trigger scale-up (0 = no latency signal).
+	// trigger scale-up (0 = no latency signal). It must be finite and
+	// not negative, like FailNode and EpochMicros.
 	SLOMillis float64
 	// Autoscale enables the scale-up/scale-down control loop;
 	// rebalancing live migrations run regardless.

@@ -162,6 +162,28 @@ func TestClusterServeValidation(t *testing.T) {
 			t.Errorf("ingress spec %d: invalid route policy accepted", i)
 		}
 	}
+	for _, spec := range badClusterSpecs() {
+		if _, err := c.Serve(App("memcached"), spec, Traffic().Connections(4).Duration(0.001)); err == nil {
+			t.Errorf("malformed cluster spec accepted: %+v", spec)
+		}
+	}
+}
+
+// badClusterSpecs are fleet specs with a non-finite or negative number
+// or an unknown placement policy.
+func badClusterSpecs() []ClusterSpec {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []ClusterSpec{
+		{Shards: 1, EpochMicros: nan},
+		{Shards: 1, EpochMicros: inf},
+		{Shards: 1, EpochMicros: -1},
+		{SLOMillis: nan},
+		{SLOMillis: -1},
+		{FailNode: nan},
+		{FailNode: inf},
+		{FailNode: -1},
+		{Policy: 9},
+	}
 }
 
 // TestClusterFailureInjection drives the façade's FailNode knob.

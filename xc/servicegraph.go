@@ -3,6 +3,7 @@ package xc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"xcontainers/internal/cycles"
@@ -164,8 +165,12 @@ func (g *ServiceGraphSpec) validate() error {
 			if f.replica < 0 || f.replica >= s.replicas {
 				return fmt.Errorf("xc: service %q fault targets replica %d of %d", s.name, f.replica, s.replicas)
 			}
-			if f.to <= f.from || f.from < 0 {
-				return fmt.Errorf("xc: service %q fault window [%v, %v) is empty", s.name, f.from, f.to)
+			// The range tests are written so NaN fails them.
+			if !(f.from >= 0 && f.to > f.from) || math.IsInf(f.to, 1) {
+				return fmt.Errorf("xc: service %q fault window [%v, %v) must be finite, start at 0 or later and not be empty", s.name, f.from, f.to)
+			}
+			if !(f.factor >= 0) || math.IsInf(f.factor, 1) {
+				return fmt.Errorf("xc: service %q brown-out factor %v must be finite and not negative", s.name, f.factor)
 			}
 		}
 	}
@@ -392,8 +397,12 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 			rootLat.Observe(lat)
 			completed++
 		}
-		// A closed-loop connection re-issues as soon as it completes.
-		if !open && eng.Now() < horizon {
+		// A closed-loop connection re-issues as soon as it completes. One
+		// whose request was refused at the instant it was issued (no
+		// routable replica, an open breaker, shedding) closes instead:
+		// re-issuing at the same instant would spin there, since virtual
+		// time only moves when some request takes time.
+		if !open && eng.Now() < horizon && (ok || lat > 0) {
 			nextConn++
 			admit(nextConn)
 		}

@@ -1,6 +1,7 @@
 package xc
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,26 @@ func TestServiceGraphValidation(t *testing.T) {
 			g.Service("a", App("nginx"), 1).Down(3, 0.1, 0.2)
 			return g.Entry("a", nil)
 		}(), "targets replica 3"},
+		{"nan-brown-out", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1).BrownOut(0, math.NaN(), 0.1, 0.2)
+			return g.Entry("a", nil)
+		}(), "brown-out factor NaN"},
+		{"negative-brown-out", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1).BrownOut(0, -2, 0.1, 0.2)
+			return g.Entry("a", nil)
+		}(), "brown-out factor -2"},
+		{"nan-window-start", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1).BrownOut(0, 4, math.NaN(), 0.2)
+			return g.Entry("a", nil)
+		}(), "fault window [NaN"},
+		{"endless-window", func() *ServiceGraphSpec {
+			g := ServiceGraph()
+			g.Service("a", App("nginx"), 1).Down(0, 0.1, math.Inf(1))
+			return g.Entry("a", nil)
+		}(), "must be finite"},
 		{"duplicate", func() *ServiceGraphSpec {
 			g := ServiceGraph()
 			g.Service("a", App("nginx"), 1)
