@@ -219,3 +219,49 @@ func TestShardedClosedLoopConservation(t *testing.T) {
 			c.dispatched, completed, erred, lost, inFlight, got)
 	}
 }
+
+// TestSeriesConservation balances the time series against the
+// result's counters on both engines: a plain front door with a gray
+// window that errs half its completions, on the single engine and on
+// one and four shards. Every series-relevant record, whichever shard
+// or serial phase emits it, must reach the series exactly once:
+//
+//	Σ windows.Erred  = Erred
+//	Σ windows.Served = Completed
+//	last window's in_flight = Arrived − Completed − Erred − Dropped
+func TestSeriesConservation(t *testing.T) {
+	cfg, tr := conservationFixture(t)
+	cfg.Chaos = &chaos.Plan{Faults: []chaos.Fault{
+		{Kind: chaos.KindGray, AtSec: 0.01, DurationSec: 0.02, Count: 4, CostFactor: 2, ErrorRate: 0.5},
+	}}
+	for _, shards := range []int{0, 1, 4} {
+		cf := cfg
+		cf.Shards = shards
+		c, err := New(cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var erred, served uint64
+		for _, w := range res.TimeSeries.Windows {
+			erred += w.Erred
+			served += w.Served
+		}
+		if res.Erred == 0 {
+			t.Fatalf("Shards=%d: the gray window erred nothing", shards)
+		}
+		if erred != res.Erred || served != res.Completed {
+			t.Errorf("Shards=%d: series errs %d and serves %d, result %d and %d",
+				shards, erred, served, res.Erred, res.Completed)
+		}
+		wins := res.TimeSeries.Windows
+		want := int64(res.Arrived) - int64(res.Completed) - int64(res.Erred) - int64(res.Dropped)
+		if got := wins[len(wins)-1].InFlight; got != want {
+			t.Errorf("Shards=%d: last window in flight %d, want arrived %d − completed %d − erred %d − dropped %d = %d",
+				shards, got, res.Arrived, res.Completed, res.Erred, res.Dropped, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strconv"
 
 	"xcontainers/internal/cycles"
@@ -19,8 +20,19 @@ type ObserveConfig = obs.Options
 // feeds a Stream (ring + sampler, monotone time, auto-sealing); the
 // sharded engine gives each shard a private outbox and the serial
 // barrier/arrival code a central one, and barriers drain all outboxes
-// as one canonically sorted batch — record content and ring retention
-// are properties of the model, never of the shard layout.
+// as one batch — record content and ring retention are properties of
+// the model, never of the shard layout.
+//
+// The sharded time series takes one path for every name. Each shard
+// feeds its outbox's records to a sampler of its own, on the worker
+// that ran its epoch; each barrier feeds the central outbox's records
+// to the central sampler, absorbs the shard windows that can no longer
+// change, and seals. Admissions count straight into the central
+// sampler (FeedN): they are per-window counts with no span information
+// and never enter the ring — one ring record per admission would
+// double the trace volume of a loaded run for a constant-value counter
+// track. (Queue-depth tracing covers admission visibility when asked
+// for.)
 type clusterObs struct {
 	cfg ObserveConfig
 
@@ -29,75 +41,11 @@ type clusterObs struct {
 	stream obs.Stream // single-engine sink
 	cen    obs.Sink   // the serial-phase sink: &stream, or rec's open batch when sharded
 
-	folded int // central fold watermark: shard windows below it are merged
-
-	// Arrival counting. Admissions are per-window counts in the time
-	// series and carry no span information, so they never enter the
-	// ring — one ring record per admission would double the trace
-	// volume of a loaded run for a constant-value counter track.
-	// (Queue-depth tracing covers admission visibility when asked
-	// for.) The serial admission path counts into a window cache that
-	// drains flush before sealing.
-	arrN             uint64
-	arrStart, arrEnd cycles.Cycles // cached window bounds; arrEnd == 0 means cold
+	folded int // absorb watermark: shard windows below it are in smp
 
 	// Pre-packed cluster-layer keys (track 0 = the fleet).
 	kArrive, kServed, kErred, kDropped uint64
 	kScale, kMigration, kFailure       uint64
-}
-
-// servedAcc is one shard's windowed served/latency accumulator. The
-// serve path is the sharded engine's hot loop and the only
-// series-relevant name shards emit, so each shard aggregates its own
-// completions in parallel with concrete types; barriers fold windows
-// that can no longer change into the central sampler. The trace record
-// still rides the shard outbox — this duplicates only the aggregation,
-// not the data.
-type servedAcc struct {
-	window   cycles.Cycles
-	horizon  cycles.Cycles
-	curIdx   int           // window index the cache points at
-	curStart cycles.Cycles // its bounds; curEnd == 0 means cold
-	curEnd   cycles.Cycles
-	wins     []servedWin
-	free     []*sim.Histogram
-}
-
-type servedWin struct {
-	n, busy uint64
-	h       *sim.Histogram
-}
-
-// observe folds one completion into its window (same horizon clamp as
-// the sampler's row()). The shard's event loop runs in nondecreasing
-// virtual time, so the window-bounds cache turns the index division
-// into two compares on the hot path.
-func (a *servedAcc) observe(at cycles.Cycles, lat, cost uint64) {
-	w := a.curIdx
-	if at < a.curStart || at >= a.curEnd {
-		w = int(at / a.window)
-		if a.horizon > 0 && at >= a.horizon {
-			w = int((a.horizon - 1) / a.window)
-		}
-		a.curIdx = w
-		a.curStart = cycles.Cycles(w) * a.window
-		a.curEnd = a.curStart + a.window
-	}
-	for len(a.wins) <= w {
-		a.wins = append(a.wins, servedWin{})
-	}
-	win := &a.wins[w]
-	if win.h == nil {
-		if n := len(a.free); n > 0 {
-			win.h = a.free[n-1]
-			a.free = a.free[:n-1]
-		} else {
-			win.h = new(sim.Histogram)
-		}
-	}
-	win.n++
-	win.busy += cost
-	win.h.Observe(cycles.Cycles(lat))
 }
 
 func newClusterObs(cfg ObserveConfig, sharded bool) *clusterObs {
@@ -123,42 +71,21 @@ func newClusterObs(cfg ObserveConfig, sharded bool) *clusterObs {
 	return o
 }
 
-// arm creates the sampler once the horizon is known (Run time). The
+// arm creates the samplers once the horizon is known (Run time). The
 // single engine feeds in nondecreasing virtual time, so its sampler
 // auto-seals; the sharded engine seals explicitly at barriers and gets
-// one served accumulator per shard.
+// one more sampler per shard.
 func (o *clusterObs) arm(horizon cycles.Cycles, sh *shardRun) {
 	window := cycles.FromMicros(o.cfg.WindowUS)
-	o.smp = obs.NewSampler(window, horizon, func() obs.Quantiler { return new(sim.Histogram) })
+	mk := func() obs.Quantiler { return new(sim.Histogram) }
+	o.smp = obs.NewSampler(window, horizon, mk)
 	o.smp.AutoSeal = sh == nil
 	o.stream.Smp = o.smp
 	if sh != nil {
 		for i := range sh.shards {
-			sh.shards[i].acc = &servedAcc{window: o.smp.Window(), horizon: horizon}
+			sh.shards[i].smp = obs.NewSampler(window, horizon, mk)
 		}
 		o.rec.BeginBatch() // the serial sink needs an open batch from the start
-	}
-}
-
-// countArrive folds n admissions at one instant into the arrival
-// series. Serial-path only (admitNow, admitted, genArrivals); the
-// flush rides the next drain, before that drain seals, and admissions
-// always land in a window sealing strictly later.
-func (o *clusterObs) countArrive(at cycles.Cycles, n uint64) {
-	if at < o.arrStart || at >= o.arrEnd {
-		o.flushArrive()
-		w := o.smp.WindowOf(at)
-		o.arrStart = cycles.Cycles(w) * o.smp.Window()
-		o.arrEnd = o.arrStart + o.smp.Window()
-	}
-	o.arrN += n
-}
-
-// flushArrive pushes the cached arrival count into the sampler.
-func (o *clusterObs) flushArrive() {
-	if o.arrN > 0 {
-		o.smp.FeedN(o.arrStart, o.kArrive, o.arrN)
-		o.arrN = 0
 	}
 }
 
@@ -173,17 +100,19 @@ func (o *clusterObs) traceQueue(q *sim.Queue, sink obs.Sink, id uint32, name str
 	}
 }
 
-// drain folds the epoch's per-shard outboxes and the central outbox
-// into one recorder batch, feeds the sampler, and seals every window
-// ending at or before now. Nothing here sorts: the sampler aggregates
-// order-independently, and the recorder defers canonical ordering (and
-// partial-batch eviction) to export time. Records emitted during the
-// barrier itself carry timestamp now, land in a window ending strictly
-// after now, and join the next epoch's batch — so batch boundaries,
-// and with them ring retention under overflow, are model properties.
+// drain moves the epoch's per-shard outboxes and the central outbox
+// into one recorder batch, brings the central sampler up to date, and
+// seals every window ending at or before now. Nothing here sorts: the
+// samplers aggregate order-independently, and the recorder defers
+// canonical ordering (and partial-batch eviction) to export time.
+// Records emitted during the barrier itself carry timestamp now, land
+// in a window ending strictly after now, and join the next epoch's
+// batch — so batch boundaries, and with them ring retention under
+// overflow, are model properties.
 func (o *clusterObs) drain(sh *shardRun, now cycles.Cycles) {
-	o.flushArrive()
-	o.feedCentral(o.rec.OpenBatch()) // serial-phase records since the last drain
+	for _, r := range o.rec.OpenBatch() { // serial-phase records since the last drain
+		o.smp.Feed(r.At, r.Key, r.A, r.B)
+	}
 	for i := range sh.shards {
 		sh.shards[i].ob.FlushTo(o.rec)
 	}
@@ -193,61 +122,18 @@ func (o *clusterObs) drain(sh *shardRun, now cycles.Cycles) {
 	o.smp.Seal(now)
 }
 
-// feedCentral pushes the central outbox's records into the sampler.
-// Serial-phase emissions come in runs sharing one timestamp and key —
-// closed-loop re-admissions at a barrier, most visibly — and
-// count-only names fold each run into a single FeedN. Shard outboxes
-// never pass through here: their one series-relevant name (served) is
-// aggregated shard-locally and merged by fold.
-func (o *clusterObs) feedCentral(rs []obs.Rec) {
-	for i := 0; i < len(rs); {
-		r := &rs[i]
-		if obs.Countable(obs.KeyName(r.Key)) {
-			j := i + 1
-			for j < len(rs) && rs[j].Key == r.Key && rs[j].At == r.At {
-				j++
-			}
-			o.smp.FeedN(r.At, r.Key, uint64(j-i))
-			i = j
-			continue
-		}
-		o.smp.Feed(r.At, r.Key, r.A, r.B)
-		i++
-	}
-}
-
-// fold merges each shard's served accumulator into the central sampler
-// for every window that can no longer change (index < lim; lim < 0
-// means all — the end of the run). Each window folds exactly once:
-// o.folded is the watermark, and a shard whose series is still shorter
-// than the watermark can only emit at or after the current barrier
-// time, so nothing is skipped.
+// fold absorbs every shard sampler's windows below lim into the
+// central sampler. Each window is absorbed exactly once: o.folded is
+// the watermark, and a shard's series records come only from its
+// engine's events (completions), so their windows lie at or after the
+// last barrier time, at or above the watermark. The barrier itself
+// emits on the shards only queue-depth samples, which no window
+// counts.
 func (o *clusterObs) fold(sh *shardRun, lim int) {
-	max := o.folded
 	for i := range sh.shards {
-		acc := sh.shards[i].acc
-		if acc == nil {
-			continue
-		}
-		hi := len(acc.wins)
-		if lim >= 0 && lim < hi {
-			hi = lim
-		}
-		if hi > max {
-			max = hi
-		}
-		for w := o.folded; w < hi; w++ {
-			win := &acc.wins[w]
-			if win.n == 0 {
-				continue
-			}
-			o.smp.FoldServed(w, win.n, win.busy).(*sim.Histogram).Merge(win.h)
-			win.h.Reset()
-			acc.free = append(acc.free, win.h)
-			*win = servedWin{}
-		}
+		o.smp.Absorb(sh.shards[i].smp, o.folded, lim)
 	}
-	o.folded = max
+	o.folded = lim
 }
 
 // obEvent emits one control-plane instant record; the mark text itself
@@ -267,7 +153,7 @@ func (c *Cluster) obFinish() {
 	}
 	if c.sh != nil {
 		o.drain(c.sh, c.horizon)
-		o.fold(c.sh, -1) // windows straddling the horizon
+		o.fold(c.sh, math.MaxInt) // windows straddling the horizon
 	}
 	// Marks: scale events and migrations merged in time order (both
 	// logs are already deterministic and time-sorted).

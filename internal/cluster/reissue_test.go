@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/runtimes"
 	"xcontainers/internal/sim"
 )
@@ -42,7 +45,7 @@ func refReissue(s *shardRun) [][]idRep {
 		}
 		c.dispatched++
 		if c.ob != nil {
-			c.ob.countArrive(s.now, 1)
+			c.ob.smp.FeedN(s.now, c.ob.kArrive, 1)
 		}
 		sh := s.shardOf(rep)
 		staged[sh] = append(staged[sh], idRep{r.id, int32(rep)})
@@ -121,6 +124,14 @@ func setRoutable(c *Cluster, on bool) {
 	}
 }
 
+// takeSeries moves everything c's central sampler holds into a fresh
+// one and materializes it: the arrivals counted since the last take.
+func takeSeries(c *Cluster) *obs.TimeSeries {
+	snap := obs.NewSampler(c.ob.smp.Window(), c.horizon, func() obs.Quantiler { return new(sim.Histogram) })
+	snap.Absorb(c.ob.smp, 0, math.MaxInt)
+	return snap.Finish(nil)
+}
+
 // checkReissue runs the split barrier (processDone) and the serial
 // reference (refReissue) on two identical fleets over a byte program
 // and requires the same outcome. The header picks:
@@ -136,7 +147,7 @@ func setRoutable(c *Cluster, on bool) {
 // The rest splits in two halves, each one barrier's completion runs in
 // decodeDone's encoding under the header's shard count. After each
 // barrier the two fleets must hold the same per-shard staged (id, rep)
-// lists, door counters, central trace and arrival series state, route
+// lists, door counters, central trace and arrival series, route
 // table depths and, once their admissions are applied, queue depths;
 // after both, their tables must make the same next picks.
 func checkReissue(t *testing.T, data []byte) {
@@ -152,6 +163,7 @@ func checkReissue(t *testing.T, data []byte) {
 	a := reissueFixture(t, shards, workers, conc, horizon, traced)
 	b := reissueFixture(t, shards, workers, conc, horizon, traced)
 
+	var arrived uint64 // Σ arrivals in the series taken so far
 	body := data[3:]
 	halves := [][]byte{body[:len(body)/2], body[len(body)/2:]}
 	for round, half := range halves {
@@ -181,9 +193,15 @@ func checkReissue(t *testing.T, data []byte) {
 			if ga, gb := a.ob.rec.Records(), b.ob.rec.Records(); !slices.Equal(ga, gb) {
 				t.Fatalf("barrier %d: central trace %v, reference %v", round, ga, gb)
 			}
-			if a.ob.arrN != b.ob.arrN || a.ob.arrStart != b.ob.arrStart {
-				t.Fatalf("barrier %d: %d arrivals cached from %d, reference %d from %d",
-					round, a.ob.arrN, a.ob.arrStart, b.ob.arrN, b.ob.arrStart)
+			sa, sb := takeSeries(a), takeSeries(b)
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("barrier %d: series %+v, reference %+v", round, sa.Windows, sb.Windows)
+			}
+			for _, w := range sa.Windows {
+				arrived += w.Arrived
+			}
+			if arrived != a.dispatched {
+				t.Fatalf("barrier %d: series counts %d arrivals, the cluster %d", round, arrived, a.dispatched)
 			}
 		}
 		if !slices.Equal(a.sh.table.depth, b.sh.table.depth) || a.sh.table.sum != b.sh.table.sum {

@@ -77,10 +77,10 @@ type shardState struct {
 	// canonically merged at the next barrier (see clusterObs.drain).
 	ob *obs.Buffer
 
-	// acc aggregates this shard's completions into windowed series
-	// state in parallel (nil = observability off); barriers fold sealed
-	// windows into the central sampler.
-	acc *servedAcc
+	// smp aggregates the outbox's records into this shard's windows in
+	// parallel (nil = observability off); barriers absorb the windows
+	// that can no longer change into the central sampler.
+	smp *obs.Sampler
 }
 
 // shardLines is a shardState padded to whole 64-byte cache lines. The
@@ -293,20 +293,16 @@ func (s *shardRun) replicaDone(ct *container, j sim.Job) {
 	}
 }
 
-// accScan folds the epoch's served completions from shard i's outbox
-// into its windowed accumulator — a tight sequential pass run by the
-// worker that just finished the shard's epoch, so the aggregation
-// stays out of the event loop and overlaps across workers. The outbox
-// holds exactly this epoch's records (barriers flush it), and the
-// shard is untouched by anyone else until its ack.
+// accScan feeds shard i's outbox to its sampler — a tight sequential
+// pass run by the worker that just finished the shard's epoch, so the
+// aggregation stays out of the event loop and overlaps across workers.
+// The outbox holds exactly the records emitted since the last barrier
+// drained it, and the shard is untouched by anyone else until its ack.
 func (s *shardRun) accScan(i int) {
 	ss := &s.shards[i]
-	key := s.c.ob.kServed
 	recs := ss.ob.Take()
 	for k := range recs {
-		if recs[k].Key == key {
-			ss.acc.observe(recs[k].At, recs[k].A, recs[k].B)
-		}
+		ss.smp.Feed(recs[k].At, recs[k].Key, recs[k].A, recs[k].B)
 	}
 }
 
@@ -338,8 +334,8 @@ func (s *shardRun) admitNow(ids []uint64) {
 	c := s.c
 	if s.fi != nil {
 		c.dispatched += uint64(len(ids))
-		if c.ob != nil && len(ids) > 0 {
-			c.ob.countArrive(s.now, uint64(len(ids)))
+		if c.ob != nil {
+			c.ob.smp.FeedN(s.now, c.ob.kArrive, uint64(len(ids)))
 		}
 		for _, id := range ids {
 			s.fi.admit(id, s.now)
@@ -397,8 +393,8 @@ func (s *shardRun) admitted(from int) {
 		return
 	}
 	c.dispatched += uint64(n)
-	if c.ob != nil && n > 0 {
-		c.ob.countArrive(s.now, uint64(n))
+	if c.ob != nil {
+		c.ob.smp.FeedN(s.now, c.ob.kArrive, uint64(n))
 	}
 }
 
@@ -697,7 +693,7 @@ func (s *shardRun) genArrivals(next cycles.Cycles) {
 		if s.fi != nil {
 			c.dispatched++
 			if c.ob != nil {
-				c.ob.countArrive(t, 1)
+				c.ob.smp.FeedN(t, c.ob.kArrive, 1)
 			}
 			s.engines[0].ScheduleAt(t, s.shards[0].sink, sim.Job{ID: s.nextID, Born: t, Stage: -1})
 		} else if rep := s.table.pick(); rep < 0 {
@@ -708,7 +704,7 @@ func (s *shardRun) genArrivals(next cycles.Cycles) {
 		} else {
 			c.dispatched++
 			if c.ob != nil {
-				c.ob.countArrive(t, 1)
+				c.ob.smp.FeedN(t, c.ob.kArrive, 1)
 			}
 			ct := c.containers[rep]
 			s.engines[ct.shard].ScheduleAt(t, s.shards[ct.shard].sink, sim.Job{ID: s.nextID, Cost: c.costOf(ct), Born: t, Stage: rep})

@@ -278,7 +278,7 @@ func TestShardedMixedEpochs(t *testing.T) {
 // pinned below as a digest: a staged admission leaking past a flush
 // point is layout-invariant, so only the pin catches it.
 func TestShardedClosedLoopFlushInvariance(t *testing.T) {
-	const pinned = "e0a72b9fafe87f6d075efd8aebcf102a3264dc98d3ce64d6d0acca604f1b5998"
+	const pinned = "af78bfcb92c2cd8283e2582f090039d624eb2a0edd0a5699e3b246e8effa5e97"
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas, cfg.Policy = 1, 3, BinPack
 	cfg.MaxNodes = 5

@@ -60,9 +60,9 @@ const (
 
 // Well-known record names. They are baked into keys as 16-bit ids and
 // pre-interned by NewRecorder in this order, so the ids are stable
-// across runs and layers; the sampler routes on them. Dynamic names
-// (route labels, queue labels) live in the recorder's label table, not
-// here.
+// across runs and layers; the sampler routes on them, and counts only
+// the contiguous run NameArrive..NameBudget. Dynamic names (route
+// labels, queue labels) live in the recorder's label table, not here.
 const (
 	NameEnq          uint16 = iota // counter: queue enqueue; A = post-enqueue depth
 	NameDeq                        // counter: queue completion; A = depth after, B = job cost
@@ -81,7 +81,6 @@ const (
 	NameFailure                    // instant: node failure
 	NameRequest                    // span: one end-to-end request
 	NameAttempt                    // span: one attempt on a route
-	nameWellKnown                  // first id free for dynamic interning
 )
 
 // wellKnownNames is the display-string table for the ids above.
@@ -510,10 +509,10 @@ func (r *Recorder) openSegsAt() int {
 }
 
 // Buffer is a per-shard record outbox: emissions append thread-locally
-// on the shard's goroutine and the barrier drains them into the
-// central recorder and sampler. Steady state reuses the backing array,
-// so emitting is allocation-free once warm. A nil *Buffer is the
-// disabled state.
+// on the shard's goroutine, the shard's worker feeds them to the
+// shard's own sampler, and the barrier drains them into the central
+// recorder. Steady state reuses the backing array, so emitting is
+// allocation-free once warm. A nil *Buffer is the disabled state.
 type Buffer struct {
 	recs []Rec
 }

@@ -24,6 +24,11 @@ func (h *histStub) Observe(v cycles.Cycles) {
 }
 func (h *histStub) Quantile(float64) cycles.Cycles { return h.max }
 func (h *histStub) Reset()                         { h.n, h.max = 0, 0 }
+func (h *histStub) Absorb(q Quantiler) {
+	o := q.(*histStub)
+	h.n += o.n
+	h.max = max(h.max, o.max)
+}
 
 func TestKeyPacking(t *testing.T) {
 	k := Key(KindSpanEnd, LayerIngress, NameAttempt, 0xdeadbeef)

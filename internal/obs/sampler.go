@@ -10,11 +10,15 @@ import (
 
 // Quantiler summarizes one window's latency sample. *sim.Histogram
 // satisfies it; obs cannot import sim (sim imports obs), so the
-// concrete histogram arrives through this interface.
+// concrete histogram arrives through this interface. Absorb adds the
+// samples of another quantiler made by the same constructor, exactly:
+// merged windows must report what one quantiler fed every sample
+// would.
 type Quantiler interface {
 	Observe(cycles.Cycles)
 	Quantile(q float64) cycles.Cycles
 	Reset()
+	Absorb(Quantiler)
 }
 
 // WindowRow is one window of the materialized time series. Counter
@@ -106,6 +110,44 @@ type wrow struct {
 	sealed                            bool
 }
 
+// count adds n to the counter column of a count-only name; other names
+// leave the row as it is.
+func (r *wrow) count(name uint16, n uint64) {
+	switch name {
+	case NameArrive:
+		r.arrived += n
+	case NameErred:
+		r.erred += n
+	case NameDropped:
+		r.dropped += n
+	case NameTimeout:
+		r.timeouts += n
+	case NameRetry:
+		r.retries += n
+	case NameHedge:
+		r.hedges += n
+	case NameWasted:
+		r.wasted += n
+	case NameBudgetDenied:
+		r.budgetDenied += n
+	}
+}
+
+// add folds another unsealed row of the same window into r.
+func (r *wrow) add(o *wrow) {
+	r.arrived += o.arrived
+	r.served += o.served
+	r.erred += o.erred
+	r.dropped += o.dropped
+	r.timeouts += o.timeouts
+	r.retries += o.retries
+	r.hedges += o.hedges
+	r.wasted += o.wasted
+	r.budgetDenied += o.budgetDenied
+	r.busy += o.busy
+	r.budgetMin = min(r.budgetMin, o.budgetMin)
+}
+
 // histSlot pairs an active (unsealed) window with its quantiler.
 type histSlot struct {
 	widx int
@@ -115,9 +157,12 @@ type histSlot struct {
 // Sampler accumulates records into fixed windows of virtual time and
 // materializes the TimeSeries. Feeding is order-independent within a
 // window; sealing (which computes percentiles and recycles the
-// histogram) must only cover windows that can receive no more records —
-// the sharded barrier seals up to the barrier time, single-engine
-// owners set AutoSeal and let monotone virtual time do it.
+// histogram) must only cover windows that can receive no more records.
+// Single-engine owners set AutoSeal and let monotone virtual time do
+// it. The sharded cluster gives each shard a sampler of its own, fed
+// in parallel and never sealed, and at each barrier the central
+// sampler Absorbs the shard windows that can no longer change and
+// then seals up to the barrier time.
 type Sampler struct {
 	// AutoSeal seals windows as the feed advances past them. Only safe
 	// when records arrive in nondecreasing virtual-time order (a single
@@ -133,11 +178,13 @@ type Sampler struct {
 	marks   []Mark
 
 	// Window cache: consecutive records are overwhelmingly
-	// time-adjacent, so the common Feed path skips row()'s divide.
-	// curEnd == 0 means cold.
+	// time-adjacent, so the common feed path skips windowOf's divide
+	// and hist's search. curEnd == 0 means cold; curH is curIdx's
+	// quantiler once looked up, nil until then and after a recycle.
 	curIdx   int
 	curStart cycles.Cycles
 	curEnd   cycles.Cycles
+	curH     Quantiler
 }
 
 // NewSampler creates a sampler with the given window and horizon; mk
@@ -154,21 +201,27 @@ func NewSampler(window, horizon cycles.Cycles, mk func() Quantiler) *Sampler {
 // Window returns the configured window width.
 func (s *Sampler) Window() cycles.Cycles { return s.window }
 
-// row returns the accumulation row for the window containing at,
-// growing the series as virtual time advances.
-func (s *Sampler) row(at cycles.Cycles) (*wrow, int) {
-	w := s.WindowOf(at)
+// grow extends the series through window w.
+func (s *Sampler) grow(w int) {
 	for len(s.rows) <= w {
 		s.rows = append(s.rows, wrow{budgetMin: ^uint64(0)})
 	}
-	return &s.rows[w], w
 }
 
-// WindowOf returns the window index a timestamp lands in, with the
-// same horizon clamp feeding applies — callers that pre-aggregate
-// (arrival counting, shard served accumulators) use it to match the
-// sampler's bucketing exactly.
-func (s *Sampler) WindowOf(at cycles.Cycles) int {
+// move points the window cache at the window containing at, growing
+// the series as virtual time advances. Feeds call it only on a miss,
+// so the common path is two compares.
+func (s *Sampler) move(at cycles.Cycles) {
+	w := s.windowOf(at)
+	s.grow(w)
+	s.curIdx = w
+	s.curStart = cycles.Cycles(w) * s.window
+	s.curEnd = s.curStart + s.window
+	s.curH = nil
+}
+
+// windowOf returns the window index a timestamp lands in.
+func (s *Sampler) windowOf(at cycles.Cycles) int {
 	w := int(at / s.window)
 	if s.horizon > 0 && at >= s.horizon {
 		w = int((s.horizon - 1) / s.window) // horizon-instant records fold into the last window
@@ -196,119 +249,94 @@ func (s *Sampler) hist(widx int) Quantiler {
 
 // Feed routes one record into its window. Safe on a nil receiver.
 // Span records and queue-level depth records pass through untouched —
-// they are trace material, not series columns.
+// they are trace material, not series columns — and so do instants
+// that become marks, which come from the owner's event log.
 func (s *Sampler) Feed(at cycles.Cycles, key, a, b uint64) {
 	if s == nil {
 		return
 	}
 	name := KeyName(key)
-	if name >= nameWellKnown || name == NameEnq || name == NameDeq ||
-		name >= NameScale { // marks come from the owner's event log
+	if name < NameArrive || name > NameBudget { // NameArrive..NameBudget are the series' names
 		return
 	}
-	var r *wrow
-	var widx int
-	if at >= s.curStart && at < s.curEnd {
-		widx = s.curIdx
-		r = &s.rows[widx]
-	} else {
-		r, widx = s.row(at)
-		s.curIdx = widx
-		s.curStart = cycles.Cycles(widx) * s.window
-		s.curEnd = s.curStart + s.window
+	if at < s.curStart || at >= s.curEnd {
+		s.move(at)
 	}
+	r := &s.rows[s.curIdx]
 	if r.sealed {
 		return // a straggler past an explicit seal; counters-only windows never hit this
 	}
 	switch name {
-	case NameArrive:
-		r.arrived++
 	case NameServed:
 		r.served++
 		r.busy += b
-		s.hist(widx).Observe(cycles.Cycles(a))
-	case NameErred:
-		r.erred++
-	case NameDropped:
-		r.dropped++
-	case NameTimeout:
-		r.timeouts++
-	case NameRetry:
-		r.retries++
-	case NameHedge:
-		r.hedges++
-	case NameWasted:
-		r.wasted++
-	case NameBudgetDenied:
-		r.budgetDenied++
-	case NameBudget:
-		if a < r.budgetMin {
-			r.budgetMin = a
+		if s.curH == nil {
+			s.curH = s.hist(s.curIdx)
 		}
+		s.curH.Observe(cycles.Cycles(a))
+	case NameBudget:
+		r.budgetMin = min(r.budgetMin, a)
+	default:
+		r.count(name, 1)
 	}
 	if s.AutoSeal {
 		s.Seal(at)
 	}
 }
 
-// Countable reports whether a name aggregates by count alone — its
-// payload words never reach the series — so a run of records sharing
-// (At, Key) can fold into a single FeedN call.
-func Countable(name uint16) bool {
-	switch name {
-	case NameArrive, NameErred, NameDropped, NameTimeout,
-		NameRetry, NameHedge, NameWasted, NameBudgetDenied:
-		return true
-	}
-	return false
-}
-
-// FeedN routes n records sharing at and key at once — the barrier's
-// run-folded path. The caller guarantees Countable(KeyName(key)).
+// FeedN counts n records of a count-only name (arrive, erred, dropped
+// and the ingress instants) sharing at and key at once: admissions of
+// a batch, or of one open-loop arrival, in the sharded cluster.
 func (s *Sampler) FeedN(at cycles.Cycles, key uint64, n uint64) {
 	if s == nil || n == 0 {
 		return
 	}
-	r, _ := s.row(at)
+	if at < s.curStart || at >= s.curEnd {
+		s.move(at)
+	}
+	r := &s.rows[s.curIdx]
 	if r.sealed {
 		return
 	}
-	switch KeyName(key) {
-	case NameArrive:
-		r.arrived += n
-	case NameErred:
-		r.erred += n
-	case NameDropped:
-		r.dropped += n
-	case NameTimeout:
-		r.timeouts += n
-	case NameRetry:
-		r.retries += n
-	case NameHedge:
-		r.hedges += n
-	case NameWasted:
-		r.wasted += n
-	case NameBudgetDenied:
-		r.budgetDenied += n
-	}
+	r.count(KeyName(key), n)
 	if s.AutoSeal {
 		s.Seal(at)
 	}
 }
 
-// FoldServed adds a pre-aggregated served contribution to window widx
-// and returns that window's quantiler so the caller can merge a
-// locally observed histogram with concrete types — the sharded fast
-// path, where each shard accumulates its own completions in parallel
-// and per-record Feed never runs for them.
-func (s *Sampler) FoldServed(widx int, n, busy uint64) Quantiler {
-	for len(s.rows) <= widx {
-		s.rows = append(s.rows, wrow{budgetMin: ^uint64(0)})
+// Absorb moves windows [from, lim) of src into s: counters add, the
+// budget gauge keeps its minimum, and each window's quantiler merges
+// into s's and returns to src's pool. src must share s's window and
+// horizon and must not be sealed; each of its windows is absorbed at
+// most once, before s seals it (a window s has sealed takes nothing,
+// as Feed drops a straggler). Because every aggregate merges exactly,
+// s ends up as if it had been fed src's records directly.
+func (s *Sampler) Absorb(src *Sampler, from, lim int) {
+	lim = min(lim, len(src.rows))
+	if from >= lim {
+		return
 	}
-	r := &s.rows[widx]
-	r.served += n
-	r.busy += busy
-	return s.hist(widx)
+	s.grow(lim - 1)
+	for w := from; w < lim; w++ {
+		if !s.rows[w].sealed {
+			s.rows[w].add(&src.rows[w])
+		}
+		src.rows[w] = wrow{budgetMin: ^uint64(0)}
+	}
+	kept := src.active[:0]
+	for _, a := range src.active {
+		if a.widx < from || a.widx >= lim {
+			kept = append(kept, a)
+			continue
+		}
+		if !s.rows[a.widx].sealed {
+			s.hist(a.widx).Absorb(a.h)
+		}
+		a.h.Reset()
+		src.free = append(src.free, a.h)
+	}
+	src.active = kept
+	src.curH = nil
 }
 
 // Seal finalizes every window that ends at or before t: percentiles
@@ -329,6 +357,7 @@ func (s *Sampler) Seal(t cycles.Cycles) {
 			r.sealed = true
 			a.h.Reset()
 			s.free = append(s.free, a.h)
+			s.curH = nil
 			continue
 		}
 		kept = append(kept, a)

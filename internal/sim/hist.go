@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 )
 
 // histSub is the number of sub-buckets per power of two; 16 gives
@@ -113,6 +114,10 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.max = other.max
 	}
 }
+
+// Absorb is Merge through the obs.Quantiler interface: the sampler
+// folds one window's histogram from a shard into the central one.
+func (h *Histogram) Absorb(other obs.Quantiler) { h.Merge(other.(*Histogram)) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1) with
 // the bucket resolution's relative error. The exact maximum is
