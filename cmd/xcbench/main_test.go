@@ -93,6 +93,25 @@ func TestVCPUsDeterministic(t *testing.T) {
 	}
 }
 
+// TestSweepParallelismInvariant pins the other half of that contract
+// for the whole sweep: the §5 experiments run their cells on a worker
+// pool as wide as GOMAXPROCS, and `xcbench -json` must be
+// byte-identical at GOMAXPROCS 1 (every cell inline, in order) and 2.
+func TestSweepParallelismInvariant(t *testing.T) {
+	sweep := func(gmp int) string {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+		var out bytes.Buffer
+		if err := run([]string{"-json"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	if one, two := sweep(1), sweep(2); one != two {
+		t.Fatal("xcbench -json at GOMAXPROCS 2 diverged from GOMAXPROCS 1")
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-exp", "fig99"}, &out); err == nil {

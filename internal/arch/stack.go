@@ -1,5 +1,10 @@
 package arch
 
+import (
+	"cmp"
+	"slices"
+)
+
 // StackMem is word-granular stack memory. The previous representation
 // was one map[uint64]uint64 keyed by byte address, which put a hash +
 // bucket walk (and, on push, a map insert) on every stack operation —
@@ -129,39 +134,42 @@ func (s *StackMem) Reset() {
 	s.lastPage, s.lastData = 0, nil
 }
 
-// Snapshot returns the live (non-zero) words keyed by byte address —
-// the checkpointable representation, identical in shape to the old map
-// (zero-valued words are indistinguishable from absent ones in both
-// representations: they load as zero either way).
-func (s *StackMem) Snapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	if s.homeSet {
-		for i, v := range s.home {
+// StackWord is one stack word and its byte address.
+type StackWord struct{ Addr, Val uint64 }
+
+// Snapshot returns the live (non-zero) words in address order — the
+// checkpointable representation, one fixed sequence for one stack
+// (zero-valued words are indistinguishable from absent ones: they load
+// as zero either way).
+func (s *StackMem) Snapshot() []StackWord {
+	var out []StackWord
+	words := func(pg uint64, d *[stackPageWords]uint64) {
+		for i, v := range d {
 			if v != 0 {
-				out[s.homePage*PageSize+uint64(i)*8] = v
+				out = append(out, StackWord{pg*PageSize + uint64(i)*8, v})
 			}
 		}
 	}
+	if s.homeSet {
+		words(s.homePage, &s.home)
+	}
 	for pg, d := range s.pages {
-		for i, v := range d {
-			if v != 0 {
-				out[pg*PageSize+uint64(i)*8] = v
-			}
-		}
+		words(pg, d)
 	}
 	for k, v := range s.misaligned {
 		if v != 0 {
-			out[k] = v
+			out = append(out, StackWord{k, v})
 		}
 	}
+	slices.SortFunc(out, func(a, b StackWord) int { return cmp.Compare(a.Addr, b.Addr) })
 	return out
 }
 
-// LoadSnapshot replaces the stack contents with a Snapshot map (the
+// LoadSnapshot replaces the stack contents with a Snapshot (the
 // restore half of checkpoint/migration).
-func (s *StackMem) LoadSnapshot(m map[uint64]uint64) {
+func (s *StackMem) LoadSnapshot(words []StackWord) {
 	s.Reset()
-	for k, v := range m {
-		s.Store(k, v)
+	for _, w := range words {
+		s.Store(w.Addr, w.Val)
 	}
 }

@@ -34,6 +34,41 @@ const fig3Cores = 8
 // and latency relative to patched native Docker, on both clouds, for
 // all ten configurations.
 func RunFig3() (*Report, error) {
+	clouds := []runtimes.Cloud{runtimes.AmazonEC2, runtimes.GoogleGCE}
+	// One cell per workload, cloud and configuration, each on its own
+	// runtime and application instance.
+	type cell struct {
+		w   macroWorkload
+		cfg runtimes.Config
+	}
+	var cells []cell
+	for _, w := range fig3Workloads() {
+		for _, cloud := range clouds {
+			for _, cfg := range configMatrix(cloud) {
+				cells = append(cells, cell{w, cfg})
+			}
+		}
+	}
+	type res struct {
+		name      string
+		tput, lat float64
+	}
+	out, err := runCells(len(cells), func(i int) (res, error) {
+		c := cells[i]
+		rt, err := runtimes.New(c.cfg)
+		if err != nil {
+			return res{}, err
+		}
+		lr := workload.ServerLoad{
+			Driver: c.w.driver, App: c.w.app(), RT: rt,
+			Cores: fig3Cores, Concurrency: c.w.conc,
+		}.Run()
+		return res{rt.Name(), lr.Throughput, lr.LatencyUS}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	rep := &Report{ID: "fig3", Title: "Macrobenchmarks: relative throughput and latency (Fig. 3)"}
 	for _, w := range fig3Workloads() {
 		app := w.app()
@@ -48,35 +83,28 @@ func RunFig3() (*Report, error) {
 		}
 		// Collect per-cloud results keyed by configuration name so both
 		// clouds align in one table (Clear Containers only on Google).
-		type res struct{ tput, lat float64 }
 		perCloud := map[runtimes.Cloud]map[string]res{}
 		var names []string
 		seen := map[string]bool{}
 		base := map[runtimes.Cloud]res{}
-		for _, cloud := range []runtimes.Cloud{runtimes.AmazonEC2, runtimes.GoogleGCE} {
+		for _, cloud := range clouds {
 			perCloud[cloud] = map[string]res{}
 			for _, cfg := range configMatrix(cloud) {
-				rt, err := runtimes.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				lr := workload.ServerLoad{
-					Driver: w.driver, App: app, RT: rt,
-					Cores: fig3Cores, Concurrency: w.conc,
-				}.Run()
-				perCloud[cloud][rt.Name()] = res{lr.Throughput, lr.LatencyUS}
-				if !seen[rt.Name()] {
-					seen[rt.Name()] = true
-					names = append(names, rt.Name())
+				r := out[0]
+				out = out[1:]
+				perCloud[cloud][r.name] = r
+				if !seen[r.name] {
+					seen[r.name] = true
+					names = append(names, r.name)
 				}
 				if cfg.Kind == runtimes.Docker && cfg.Patched {
-					base[cloud] = res{lr.Throughput, lr.LatencyUS}
+					base[cloud] = r
 				}
 			}
 		}
 		for _, name := range names {
 			row := []string{name}
-			for _, cloud := range []runtimes.Cloud{runtimes.AmazonEC2, runtimes.GoogleGCE} {
+			for _, cloud := range clouds {
 				r, ok := perCloud[cloud][name]
 				if !ok {
 					row = append(row, "n/a", "n/a", "n/a")

@@ -12,50 +12,35 @@ import (
 // iperf, single and concurrent, on both clouds, normalized to patched
 // Docker.
 func RunFig5() (*Report, error) {
-	rep := &Report{ID: "fig5", Title: "Relative microbenchmark performance (Fig. 5)"}
-	for _, cloud := range []runtimes.Cloud{runtimes.AmazonEC2, runtimes.GoogleGCE} {
-		for _, concurrent := range []bool{false, true} {
-			mode := "Single"
-			if concurrent {
-				mode = "Concurrent"
+	tests := workload.AllUnixBenchTests()
+	panels, err := matrixCells(func(rt *runtimes.Runtime, concurrent bool) ([]float64, error) {
+		ops := make([]float64, len(tests))
+		for i, test := range tests {
+			s, err := workload.RunUnixBench(rt, test, concurrent)
+			if err != nil {
+				return nil, err
 			}
-			t := Table{
-				Name:    fmt.Sprintf("%s %s (relative to patched Docker)", cloud, mode),
-				Columns: append([]string{"Configuration"}, testNames()...),
-			}
-			baselines := map[workload.UnixBenchTest]float64{}
-			type row struct {
-				name string
-				ops  map[workload.UnixBenchTest]float64
-			}
-			var rows []row
-			for _, cfg := range configMatrix(cloud) {
-				rt, err := runtimes.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				r := row{name: rt.Name(), ops: map[workload.UnixBenchTest]float64{}}
-				for _, test := range workload.AllUnixBenchTests() {
-					s, err := workload.RunUnixBench(rt, test, concurrent)
-					if err != nil {
-						return nil, err
-					}
-					r.ops[test] = s.OpsPS
-					if cfg.Kind == runtimes.Docker && cfg.Patched {
-						baselines[test] = s.OpsPS
-					}
-				}
-				rows = append(rows, r)
-			}
-			for _, r := range rows {
-				cells := []string{r.name}
-				for _, test := range workload.AllUnixBenchTests() {
-					cells = append(cells, Rel(r.ops[test], baselines[test]))
-				}
-				t.Rows = append(t.Rows, cells)
-			}
-			rep.Tables = append(rep.Tables, t)
+			ops[i] = s.OpsPS
 		}
+		return ops, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{ID: "fig5", Title: "Relative microbenchmark performance (Fig. 5)"}
+	for _, p := range panels {
+		t := Table{
+			Name:    fmt.Sprintf("%s %s (relative to patched Docker)", p.cloud, p.mode),
+			Columns: append([]string{"Configuration"}, testNames()...),
+		}
+		for _, r := range p.rows {
+			cells := []string{r.name}
+			for i := range tests {
+				cells = append(cells, Rel(r.v[i], p.base[i]))
+			}
+			t.Rows = append(t.Rows, cells)
+		}
+		rep.Tables = append(rep.Tables, t)
 	}
 	return rep, nil
 }

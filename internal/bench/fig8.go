@@ -124,23 +124,23 @@ func RunFig8() (*Report, error) {
 		Note: fmt.Sprintf("one vCPU and 128 MB per X-Container; Xen VMs capped at %d (PV) / %d (HVM) instances as in §5.6",
 			fig8MaxPV, fig8MaxHVM),
 	}
-	for _, n := range fig8Points() {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, kind := range []runtimes.Kind{runtimes.Docker, runtimes.XContainer, runtimes.XenPVVM, runtimes.XenHVMVM} {
-			if kind == runtimes.XenPVVM && n > fig8MaxPV {
-				row = append(row, "did not boot")
-				continue
-			}
-			if kind == runtimes.XenHVMVM && n > fig8MaxHVM {
-				row = append(row, "did not boot")
-				continue
-			}
-			tput, err := Fig8Point(kind, n)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, F(tput))
+	// One cell per container count and runtime; the cell of a Xen VM
+	// past its boot ceiling only reports that it did not boot.
+	kinds := []runtimes.Kind{runtimes.Docker, runtimes.XContainer, runtimes.XenPVVM, runtimes.XenHVMVM}
+	points := fig8Points()
+	cells, err := runCells(len(points)*len(kinds), func(i int) (string, error) {
+		n, kind := points[i/len(kinds)], kinds[i%len(kinds)]
+		if kind == runtimes.XenPVVM && n > fig8MaxPV || kind == runtimes.XenHVMVM && n > fig8MaxHVM {
+			return "did not boot", nil
 		}
+		tput, err := Fig8Point(kind, n)
+		return F(tput), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range points {
+		row := append([]string{fmt.Sprintf("%d", n)}, cells[i*len(kinds):(i+1)*len(kinds)]...)
 		t.Rows = append(t.Rows, row)
 	}
 	return &Report{ID: "fig8", Title: "Container scalability (Fig. 8)", Tables: []Table{t}}, nil

@@ -31,7 +31,7 @@ type Checkpoint struct {
 	// Architectural state.
 	Regs    [arch.NumRegs]uint64
 	RIP     uint64
-	Stack   map[uint64]uint64
+	Stack   []arch.StackWord
 	Halted  bool
 	Blocked bool
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"xcontainers/internal/arch"
@@ -117,6 +119,59 @@ func TestMigrateEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesDeterministic: one instance state encodes to one
+// blob. Files, descriptors, pipes and stack words all sit in maps at
+// run time, so the checkpoint must fix their order itself; two
+// checkpoints of the same state, each encoded twice, must agree.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	src := xcPlatform(t)
+	inst, err := src.Boot(Image{Name: "det", Program: pausableProgram()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = inst.Run(200)
+	fds := inst.Proc.OS.FDs
+	for i := 0; i < 8; i++ {
+		path := fmt.Sprintf("/state/%d", i)
+		inst.Container.Svc.FS.Create(path, i, 0644)
+		if _, err := fds.Open(path); err != nil {
+			t.Fatal(err)
+		}
+		fds.NewPipe(16 + i)
+	}
+	if _, err := fds.Dup(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fds.Close(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		inst.Proc.CPU.Stack.Store(arch.UserStackTop-8-i*arch.PageSize, i+1)
+	}
+	var first []byte
+	for i := 0; i < 4; i++ {
+		ck, err := src.Checkpoint(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ck.FS.Files) < 9 || len(ck.FDTable.Pipes) != 8 || len(ck.Stack) != 8 {
+			t.Fatalf("test premise broken: %d files, %d pipes, %d stack words",
+				len(ck.FS.Files), len(ck.FDTable.Pipes), len(ck.Stack))
+		}
+		for j := 0; j < 2; j++ {
+			blob, err := ck.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = blob
+			} else if !bytes.Equal(blob, first) {
+				t.Fatalf("checkpoint %d, encoding %d differs from the first", i, j)
+			}
+		}
+	}
+}
+
 func TestCheckpointPreservesFilesystem(t *testing.T) {
 	src := xcPlatform(t)
 	inst, err := src.Boot(Image{Name: "fs", Program: pausableProgram()})
@@ -173,7 +228,14 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		return nil
 	}
 	for name, corrupt := range map[string]func(*Checkpoint){
-		"negative file size":  func(ck *Checkpoint) { ck.FS.Files["/f"] = fs.FileSnapshot{Size: -1} },
+		"negative file size": func(ck *Checkpoint) {
+			for i := range ck.FS.Files {
+				if ck.FS.Files[i].Path == "/f" {
+					ck.FS.Files[i].Size = -1
+				}
+			}
+		},
+		"file listed twice":   func(ck *Checkpoint) { ck.FS.Files = append(ck.FS.Files, ck.FS.Files[0]) },
 		"negative offset":     func(ck *Checkpoint) { fdOf(ck, fs.FDFile).Offset = -5 },
 		"negative pipe fill":  func(ck *Checkpoint) { ck.FDTable.Pipes[0].Buffered = -1 },
 		"overfull pipe":       func(ck *Checkpoint) { ck.FDTable.Pipes[0].Buffered = 17 },

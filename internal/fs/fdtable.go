@@ -29,14 +29,51 @@ type FD struct {
 type FDTable struct {
 	mu   sync.Mutex
 	next int
-	fds  map[int]*FD
-	fs   *FileSystem
+	// Descriptors 0..2 live inline in std, open where stdOpen is set:
+	// every process gets stdio and most (every forked child) open
+	// nothing else, so fds is made by the first descriptor above them.
+	std     [numStd]FD
+	stdOpen [numStd]bool
+	fds     map[int]*FD
+	fs      *FileSystem
 }
+
+// numStd is the number of stdio descriptors, 0..2.
+const numStd = 3
 
 // NewFDTable creates a descriptor table over fs. Descriptors 0..2 are
 // reserved as in POSIX; allocation starts at 3.
 func NewFDTable(fs *FileSystem) *FDTable {
-	return &FDTable{next: 3, fds: make(map[int]*FD), fs: fs}
+	return &FDTable{next: numStd, fs: fs}
+}
+
+// lookup returns fd's descriptor, or false if fd is not open. The
+// caller holds t.mu.
+func (t *FDTable) lookup(fd int) (*FD, bool) {
+	if uint(fd) < numStd {
+		if !t.stdOpen[fd] {
+			return nil, false
+		}
+		return &t.std[fd], true
+	}
+	f, ok := t.fds[fd]
+	return f, ok
+}
+
+// set installs f as descriptor fd. The caller holds t.mu.
+func (t *FDTable) set(fd int, f FD) {
+	if uint(fd) < numStd {
+		t.std[fd], t.stdOpen[fd] = f, true
+		return
+	}
+	if t.fds == nil {
+		t.fds = make(map[int]*FD)
+	}
+	// A copy, not &f: taking f's address would move every call's f,
+	// stdio included, to the heap.
+	p := new(FD)
+	*p = f
+	t.fds[fd] = p
 }
 
 // SeedStdio installs descriptors 0..2 over the given path (typically
@@ -44,8 +81,8 @@ func NewFDTable(fs *FileSystem) *FDTable {
 func (t *FDTable) SeedStdio(path string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for fd := 0; fd <= 2; fd++ {
-		t.fds[fd] = &FD{Kind: FDFile, Path: path}
+	for fd := 0; fd < numStd; fd++ {
+		t.set(fd, FD{Kind: FDFile, Path: path})
 	}
 }
 
@@ -58,7 +95,7 @@ func (t *FDTable) Open(path string) (int, error) {
 	defer t.mu.Unlock()
 	fd := t.next
 	t.next++
-	t.fds[fd] = &FD{Kind: FDFile, Path: path}
+	t.set(fd, FD{Kind: FDFile, Path: path})
 	return fd, nil
 }
 
@@ -76,14 +113,13 @@ func (t *FDTable) OpenCreate(path string) (int, error) {
 func (t *FDTable) Dup(fd int) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, ok := t.fds[fd]
+	f, ok := t.lookup(fd)
 	if !ok {
 		return -1, fmt.Errorf("fdtable: dup %d: bad descriptor", fd)
 	}
 	nfd := t.next
 	t.next++
-	cp := *f
-	t.fds[nfd] = &cp
+	t.set(nfd, *f)
 	return nfd, nil
 }
 
@@ -91,10 +127,14 @@ func (t *FDTable) Dup(fd int) (int, error) {
 func (t *FDTable) Close(fd int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.fds[fd]; !ok {
+	if _, ok := t.lookup(fd); !ok {
 		return fmt.Errorf("fdtable: close %d: bad descriptor", fd)
 	}
-	delete(t.fds, fd)
+	if uint(fd) < numStd {
+		t.std[fd], t.stdOpen[fd] = FD{}, false
+	} else {
+		delete(t.fds, fd)
+	}
 	return nil
 }
 
@@ -102,15 +142,20 @@ func (t *FDTable) Close(fd int) error {
 func (t *FDTable) Get(fd int) (*FD, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, ok := t.fds[fd]
-	return f, ok
+	return t.lookup(fd)
 }
 
 // Len returns the number of open descriptors.
 func (t *FDTable) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.fds)
+	n := len(t.fds)
+	for _, open := range t.stdOpen {
+		if open {
+			n++
+		}
+	}
+	return n
 }
 
 // Read reads up to n bytes from fd, advancing the cursor, and returns
@@ -154,7 +199,7 @@ func (t *FDTable) io(fd, n int, op string) (*FD, error) {
 		return nil, fmt.Errorf("fdtable: %s %d: negative count %d", op, fd, n)
 	}
 	t.mu.Lock()
-	f, ok := t.fds[fd]
+	f, ok := t.lookup(fd)
 	t.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("fdtable: %s %d: bad descriptor", op, fd)
@@ -169,8 +214,8 @@ func (t *FDTable) NewPipe(capacity int) (int, int) {
 	defer t.mu.Unlock()
 	r, w := t.next, t.next+1
 	t.next += 2
-	t.fds[r] = &FD{Kind: FDPipeRead, Pipe: p}
-	t.fds[w] = &FD{Kind: FDPipeWrite, Pipe: p}
+	t.set(r, FD{Kind: FDPipeRead, Pipe: p})
+	t.set(w, FD{Kind: FDPipeWrite, Pipe: p})
 	return r, w
 }
 

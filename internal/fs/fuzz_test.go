@@ -61,6 +61,17 @@ func (r *refTable) open(path string, create bool) (int, error) {
 	return fd, nil
 }
 
+// seedStdio opens descriptors 0..2 over path, creating it empty if it
+// is missing, as linuxsim does with /dev/null for every process.
+func (r *refTable) seedStdio(path string) {
+	if _, ok := r.files[path]; !ok {
+		r.create(path, 0)
+	}
+	for fd := 0; fd < 3; fd++ {
+		r.fds[fd] = &refFD{kind: FDFile, path: path}
+	}
+}
+
 func (r *refTable) dup(fd int) (int, error) {
 	f, ok := r.fds[fd]
 	if !ok {
@@ -143,15 +154,16 @@ func (r *refTable) newPipe(capacity int) (int, int) {
 
 // Operation codes of the byte programs runFDProgram decodes.
 const (
-	fdCreate     = iota // path, size
-	fdOpen              // path
-	fdOpenCreate        // path
-	fdRead              // fd, n
-	fdWrite             // fd, n
-	fdDup               // fd
-	fdClose             // fd
-	fdNewPipe           // capacity%32 (0 = default)
-	fdRestore           // none: Snapshot, then Restore into a fresh table
+	fdCreate        = iota // path, size
+	fdOpen                 // path
+	fdOpenCreate           // path
+	fdRead                 // fd, n
+	fdWrite                // fd, n
+	fdDup                  // fd
+	fdClose                // fd
+	fdNewPipe              // capacity%32 (0 = default)
+	fdRestore              // none: Snapshot, then Restore into a fresh table
+	fdRestoreSeeded        // none: as fdRestore, into a table with stdio seeded
 	numFDOps
 )
 
@@ -159,11 +171,21 @@ const (
 // absent and re-created files alike.
 var fuzzPaths = []string{"/dev/null", "/a", "/b"}
 
-func runFDProgram(t *testing.T, prog []byte) {
+// runFDProgram runs prog against a fresh table and the reference
+// model. With stdio set, both start with descriptors 0..2 open on
+// /dev/null, as every simulated process does.
+func runFDProgram(t *testing.T, stdio bool, prog []byte) {
 	t.Helper()
 	fsys := New()
 	tbl := NewFDTable(fsys)
 	ref := newRefTable()
+	if stdio {
+		if !fsys.Exists("/dev/null") {
+			fsys.Create("/dev/null", 0, 0666)
+		}
+		tbl.SeedStdio("/dev/null")
+		ref.seedStdio("/dev/null")
+	}
 	pos := 0
 	arg := func() int {
 		if pos >= len(prog) {
@@ -223,10 +245,14 @@ func runFDProgram(t *testing.T, prog []byte) {
 			if gr != wr || gw != ww {
 				t.Fatalf("step %d: NewPipe(%d) = %d, %d; want %d, %d", step, c, gr, gw, wr, ww)
 			}
-		case fdRestore:
+		case fdRestore, fdRestoreSeeded:
 			fsSnap, tblSnap := fsys.Snapshot(), tbl.Snapshot()
 			fsys = New()
 			tbl = NewFDTable(fsys)
+			if op == fdRestoreSeeded {
+				// Restore must close what the snapshot does not hold.
+				tbl.SeedStdio("/dev/null")
+			}
 			if err := fsys.RestoreSnapshot(fsSnap); err != nil {
 				t.Fatalf("step %d: restore filesystem: %v", step, err)
 			}
@@ -267,7 +293,9 @@ func checkFDState(t *testing.T, step int, fsys *FileSystem, tbl *FDTable, ref *r
 
 // fdSeeds cover each operation's boundary: EOF, writes past the end,
 // full and empty pipes, dup'd cursors, bad descriptors and a snapshot
-// round trip with bytes still in a pipe.
+// round trip with bytes still in a pipe. The last two work fds 0..2
+// when stdio is seeded: dup, close, read and write them, and restore a
+// table whose stdio was closed into one where it is open.
 var fdSeeds = [][]byte{
 	{fdCreate, 1, 10, fdOpen, 1, fdRead, 3, 2, fdRead, 3, 2, fdRead, 3, 2},
 	{fdOpenCreate, 2, fdWrite, 3, 5, fdDup, 3, fdWrite, 4, 9, fdRead, 3, 50},
@@ -275,24 +303,32 @@ var fdSeeds = [][]byte{
 	{fdNewPipe, 0, fdWrite, 4, 200, fdRestore, fdRead, 3, 30, fdWrite, 3, 1},
 	{fdOpen, 1, fdRead, 9, 1, fdClose, 9, fdDup, 9, fdOpenCreate, 0, fdClose, 3, fdClose, 3},
 	{fdCreate, 2, 4, fdOpen, 2, fdWrite, 3, 1, fdCreate, 2, 0, fdRead, 3, 5, fdRestore, fdWrite, 3, 1},
+	{fdWrite, 1, 7, fdDup, 1, fdRead, 3, 9, fdRead, 0, 9, fdClose, 0, fdRead, 0, 1, fdRestore, fdWrite, 2, 2, fdRead, 3, 9},
+	{fdClose, 1, fdNewPipe, 8, fdWrite, 4, 5, fdDup, 3, fdRestoreSeeded, fdRead, 5, 9, fdWrite, 1, 1, fdClose, 2, fdRestoreSeeded, fdDup, 2},
 }
 
+// TestFDTableSeeds runs every seed without stdio and with it.
 func TestFDTableSeeds(t *testing.T) {
 	for i, prog := range fdSeeds {
-		t.Run(fmt.Sprint(i), func(t *testing.T) { runFDProgram(t, prog) })
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			runFDProgram(t, false, prog)
+			runFDProgram(t, true, prog)
+		})
 	}
 }
 
 // FuzzFDTable checks the count-only filesystem, descriptor table and
 // pipes against the byte-storing reference model on arbitrary
-// operation sequences.
+// operation sequences, with and without stdio seeded.
 func FuzzFDTable(f *testing.F) {
-	for _, prog := range fdSeeds {
-		f.Add(prog)
+	for _, stdio := range []bool{false, true} {
+		for _, prog := range fdSeeds {
+			f.Add(stdio, prog)
+		}
 	}
-	f.Fuzz(func(t *testing.T, prog []byte) {
+	f.Fuzz(func(t *testing.T, stdio bool, prog []byte) {
 		// A few hundred operations reach every state; longer programs
 		// only slow the minimization of each new input.
-		runFDProgram(t, prog[:min(len(prog), 512)])
+		runFDProgram(t, stdio, prog[:min(len(prog), 512)])
 	})
 }

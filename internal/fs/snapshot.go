@@ -1,19 +1,26 @@
 package fs
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Snapshot support: the checkpoint/restore and live-migration features
 // (paper §3.3 lists them among the Xen-ecosystem technologies
 // X-Containers inherit) need to freeze and rebuild filesystem and
-// descriptor-table state.
+// descriptor-table state. Snapshots are slices in a fixed order (files
+// by path, descriptors by number), so one state always encodes to the
+// same bytes.
 
 // FSSnapshot is a frozen filesystem image.
 type FSSnapshot struct {
-	Files map[string]FileSnapshot
+	Files []FileSnapshot // sorted by Path
 }
 
 // FileSnapshot is one frozen file.
 type FileSnapshot struct {
+	Path string
 	Size int
 	Mode uint32
 }
@@ -22,19 +29,26 @@ type FileSnapshot struct {
 func (fs *FileSystem) Snapshot() FSSnapshot {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	snap := FSSnapshot{Files: make(map[string]FileSnapshot, len(fs.files))}
+	snap := FSSnapshot{Files: make([]FileSnapshot, 0, len(fs.files))}
 	for p, f := range fs.files {
-		snap.Files[p] = FileSnapshot{Size: f.size, Mode: f.mode}
+		snap.Files = append(snap.Files, FileSnapshot{Path: p, Size: f.size, Mode: f.mode})
 	}
+	slices.SortFunc(snap.Files, func(a, b FileSnapshot) int { return cmp.Compare(a.Path, b.Path) })
 	return snap
 }
 
-// validate reports the first file with a negative size.
+// validate reports the first file with a negative size and any path
+// that appears twice.
 func (snap FSSnapshot) validate() error {
-	for p, f := range snap.Files {
+	seen := make(map[string]bool, len(snap.Files))
+	for _, f := range snap.Files {
 		if f.Size < 0 {
-			return fmt.Errorf("fs: snapshot: %s has negative size %d", p, f.Size)
+			return fmt.Errorf("fs: snapshot: %s has negative size %d", f.Path, f.Size)
 		}
+		if seen[f.Path] {
+			return fmt.Errorf("fs: snapshot: %s appears twice", f.Path)
+		}
+		seen[f.Path] = true
 	}
 	return nil
 }
@@ -48,8 +62,8 @@ func (fs *FileSystem) RestoreSnapshot(snap FSSnapshot) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files = make(map[string]*file, len(snap.Files))
-	for p, f := range snap.Files {
-		fs.files[p] = &file{size: f.Size, mode: f.Mode}
+	for _, f := range snap.Files {
+		fs.files[f.Path] = &file{size: f.Size, mode: f.Mode}
 	}
 	return nil
 }
@@ -78,14 +92,26 @@ type TableSnapshot struct {
 	Pipes []PipeSnapshot
 }
 
-// Snapshot freezes the descriptor table, preserving pipe sharing
-// between read and write ends.
+// Snapshot freezes the descriptor table in descriptor order, preserving
+// pipe sharing between read and write ends; pipes are numbered in the
+// order their first end appears.
 func (t *FDTable) Snapshot() TableSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	snap := TableSnapshot{Next: t.next}
+	fds := make([]int, 0, numStd+len(t.fds))
+	for fd, open := range t.stdOpen {
+		if open {
+			fds = append(fds, fd)
+		}
+	}
+	for fd := range t.fds {
+		fds = append(fds, fd)
+	}
+	slices.Sort(fds)
+	snap := TableSnapshot{Next: t.next, FDs: make([]FDSnapshot, 0, len(fds))}
 	pipeIDs := map[*Pipe]int{}
-	for fd, f := range t.fds {
+	for _, fd := range fds {
+		f, _ := t.lookup(fd)
 		e := FDSnapshot{FD: fd, Kind: f.Kind, Path: f.Path, Offset: f.Offset, Sock: f.Sock, PipeID: -1}
 		if f.Pipe != nil {
 			id, ok := pipeIDs[f.Pipe]
@@ -137,7 +163,7 @@ func (t *FDTable) RestoreSnapshot(snap TableSnapshot) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next = snap.Next
-	t.fds = make(map[int]*FD, len(snap.FDs))
+	t.std, t.stdOpen, t.fds = [numStd]FD{}, [numStd]bool{}, nil
 	pipes := make(map[int]*Pipe, len(snap.Pipes))
 	for _, p := range snap.Pipes {
 		np := NewPipe(p.Capacity)
@@ -145,11 +171,11 @@ func (t *FDTable) RestoreSnapshot(snap TableSnapshot) error {
 		pipes[p.ID] = np
 	}
 	for _, e := range snap.FDs {
-		fd := &FD{Kind: e.Kind, Path: e.Path, Offset: e.Offset, Sock: e.Sock}
+		fd := FD{Kind: e.Kind, Path: e.Path, Offset: e.Offset, Sock: e.Sock}
 		if e.PipeID != -1 {
 			fd.Pipe = pipes[e.PipeID]
 		}
-		t.fds[e.FD] = fd
+		t.set(e.FD, fd)
 	}
 	return nil
 }

@@ -35,9 +35,12 @@ type Process struct {
 type Services struct {
 	FS *fs.FileSystem
 
-	mu       sync.Mutex
-	nextPID  int
-	procs    map[int]*Process
+	mu      sync.Mutex
+	nextPID int
+	// live counts processes that have not exited. The processes
+	// themselves are not kept: a fork-heavy workload never reaps its
+	// children, and holding every one would keep them all reachable.
+	live     int
 	paths    map[uint64]string // path-ID registry for the binary ABI
 	nextPath uint64
 	umask    uint32
@@ -49,7 +52,6 @@ func NewServices() *Services {
 	s := &Services{
 		FS:       fs.New(),
 		nextPID:  1,
-		procs:    make(map[int]*Process),
 		paths:    make(map[uint64]string),
 		nextPath: 1,
 		umask:    0022,
@@ -86,11 +88,12 @@ func (s *Services) NewProcess(pages int) *Process {
 	p := &Process{PID: s.nextPID, FDs: fs.NewFDTable(s.FS), Pages: pages}
 	p.FDs.SeedStdio("/dev/null")
 	s.nextPID++
-	s.procs[p.PID] = p
+	s.live++
 	return p
 }
 
-// Fork clones parent: new PID, duplicated descriptor table.
+// Fork clones parent: new PID and image size, a fresh descriptor table
+// with stdio on /dev/null (the parent's descriptors are not copied).
 func (s *Services) Fork(parent *Process) *Process {
 	child := s.NewProcess(parent.Pages)
 	child.Parent = parent.PID
@@ -101,6 +104,9 @@ func (s *Services) Fork(parent *Process) *Process {
 func (s *Services) Exit(p *Process, status int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !p.Exited {
+		s.live--
+	}
 	p.Exited = true
 	p.Status = status
 }
@@ -109,13 +115,7 @@ func (s *Services) Exit(p *Process, status int) {
 func (s *Services) Processes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, p := range s.procs {
-		if !p.Exited {
-			n++
-		}
-	}
-	return n
+	return s.live
 }
 
 // Do executes the semantics of one system call for process p with raw

@@ -174,25 +174,18 @@ type PTE struct {
 	User bool
 }
 
-// AddressSpace is one page table: virtual page number -> PTE.
+// AddressSpace is one page table: virtual page number -> PTE. Its
+// identity is its pointer: the TLB tags entries with it.
 type AddressSpace struct {
-	ID    uint64
 	Owner OwnerID
 
 	mu    sync.RWMutex
 	pages map[uint64]PTE
 }
 
-var asNext uint64 = 1
-var asMu sync.Mutex
-
 // NewAddressSpace creates an empty page table owned by a domain.
 func NewAddressSpace(owner OwnerID) *AddressSpace {
-	asMu.Lock()
-	id := asNext
-	asNext++
-	asMu.Unlock()
-	return &AddressSpace{ID: id, Owner: owner, pages: make(map[uint64]PTE)}
+	return &AddressSpace{Owner: owner, pages: make(map[uint64]PTE)}
 }
 
 // PageOf returns the virtual page number containing addr.

@@ -62,10 +62,20 @@ func TestAddressSpaceBasics(t *testing.T) {
 	}
 }
 
+// TestAddressSpaceIDsUnique: an address space is identified by its
+// pointer, so a non-global entry filled from one never hits for
+// another, even one of the same owner mapping the same page.
 func TestAddressSpaceIDsUnique(t *testing.T) {
 	a, b := NewAddressSpace(1), NewAddressSpace(1)
-	if a.ID == b.ID {
-		t.Fatal("address space IDs must be unique")
+	if a == b {
+		t.Fatal("address spaces must be distinct")
+	}
+	a.Map(7, PTE{Frame: 3})
+	b.Map(7, PTE{Frame: 4})
+	tlb := NewTLB(4)
+	tlb.Lookup(a, 7)
+	if f, ok, miss := tlb.Lookup(b, 7); !ok || !miss || f != 4 {
+		t.Fatalf("lookup from b = frame %d, ok %v, miss %v; want a miss to frame 4", f, ok, miss)
 	}
 }
 

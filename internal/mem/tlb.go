@@ -8,7 +8,7 @@ type TLBEntry struct {
 	VPage  uint64
 	Frame  FrameID
 	Global bool
-	ASID   uint64 // address space the entry was filled from
+	AS     *AddressSpace // address space the entry was filled from
 }
 
 // TLBStats counts hits and misses for cost accounting.
@@ -46,7 +46,7 @@ func NewTLB(capacity int) *TLB {
 func (t *TLB) Lookup(as *AddressSpace, vpage uint64) (FrameID, bool, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.entries[vpage]; ok && e.ASID == as.ID {
+	if e, ok := t.entries[vpage]; ok && e.AS == as {
 		t.Stats.Hits++
 		return e.Frame, true, false
 	}
@@ -62,7 +62,7 @@ func (t *TLB) Lookup(as *AddressSpace, vpage uint64) (FrameID, bool, bool) {
 		return 0, false, true
 	}
 	t.Stats.Misses++
-	t.fillLocked(TLBEntry{VPage: vpage, Frame: pte.Frame, Global: pte.Global, ASID: as.ID})
+	t.fillLocked(TLBEntry{VPage: vpage, Frame: pte.Frame, Global: pte.Global, AS: as})
 	return pte.Frame, true, true
 }
 

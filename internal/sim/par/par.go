@@ -1,10 +1,11 @@
 // Package par runs the parallel phase of the simulator's supersteps:
 // the shards of one sharded cluster epoch, the runnable vCPU lanes of
-// one SMP quantum, and the independent replications of one sweep. Each
-// caller runs items 0..n-1, waits for all of them, then does its
-// serial work; which goroutine ran which item never reaches a result,
-// because every caller keeps an item's state private to it until Run
-// returns (see the callers' own determinism arguments).
+// one SMP quantum, the independent replications of one sweep, and the
+// cells of one §5 experiment. Each caller runs items 0..n-1, waits for
+// all of them, then does its serial work; which goroutine ran which
+// item never reaches a result, because every caller keeps an item's
+// state private to it until Run returns (see the callers' own
+// determinism arguments).
 //
 // A Pool keeps its helpers alive across Run calls, so a phase costs one
 // wake and one ack per helper, not a goroutine start. The caller's own
