@@ -265,3 +265,28 @@ func TestSeriesConservation(t *testing.T) {
 		}
 	}
 }
+
+// assertSeriesBalances checks an observed run's time series against its
+// result's counters: every completion in the served column, every
+// failure in the erred or dropped column, and the last window's
+// in-flight gauge equal to what the result leaves in flight. The
+// ingress tier counts a request it gives up on as dropped in the
+// result but as erred in the series, hence the combined failure sum.
+func assertSeriesBalances(t *testing.T, label string, res *Result) {
+	t.Helper()
+	var served, failed uint64
+	for _, w := range res.TimeSeries.Windows {
+		served += w.Served
+		failed += w.Erred + w.Dropped
+	}
+	if served != res.Completed || failed != res.Erred+res.Dropped {
+		t.Errorf("%s: series serves %d and fails %d, result completes %d and fails %d + %d",
+			label, served, failed, res.Completed, res.Erred, res.Dropped)
+	}
+	wins := res.TimeSeries.Windows
+	want := int64(res.Arrived) - int64(res.Completed) - int64(res.Erred) - int64(res.Dropped)
+	if got := wins[len(wins)-1].InFlight; got != want {
+		t.Errorf("%s: last window in flight %d, want arrived %d − completed %d − erred %d − dropped %d = %d",
+			label, got, res.Arrived, res.Completed, res.Erred, res.Dropped, want)
+	}
+}

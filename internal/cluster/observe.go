@@ -43,6 +43,12 @@ type clusterObs struct {
 
 	folded int // absorb watermark: shard windows below it are in smp
 
+	// sealAt is the previous barrier's time, which the next drain seals
+	// up to. The ingress tier resolves an epoch's completions after the
+	// barrier's drain, so those records reach smp one drain late,
+	// stamped back to the previous barrier at the earliest.
+	sealAt cycles.Cycles
+
 	// Pre-packed cluster-layer keys (track 0 = the fleet).
 	kArrive, kServed, kErred, kDropped uint64
 	kScale, kMigration, kFailure       uint64
@@ -102,13 +108,14 @@ func (o *clusterObs) traceQueue(q *sim.Queue, sink obs.Sink, id uint32, name str
 
 // drain moves the epoch's per-shard outboxes and the central outbox
 // into one recorder batch, brings the central sampler up to date, and
-// seals every window ending at or before now. Nothing here sorts: the
-// samplers aggregate order-independently, and the recorder defers
-// canonical ordering (and partial-batch eviction) to export time.
-// Records emitted during the barrier itself carry timestamp now, land
-// in a window ending strictly after now, and join the next epoch's
-// batch — so batch boundaries, and with them ring retention under
-// overflow, are model properties.
+// seals every window ending at or before the previous barrier. Nothing
+// here sorts: the samplers aggregate order-independently, and the
+// recorder defers canonical ordering (and partial-batch eviction) to
+// export time. Records emitted during the barrier itself join the next
+// epoch's batch — so batch boundaries, and with them ring retention
+// under overflow, are model properties. Most carry timestamp now; the
+// ingress tier's carry their completion instants within the epoch just
+// run, which is why sealing lags one barrier.
 func (o *clusterObs) drain(sh *shardRun, now cycles.Cycles) {
 	for _, r := range o.rec.OpenBatch() { // serial-phase records since the last drain
 		o.smp.Feed(r.At, r.Key, r.A, r.B)
@@ -119,7 +126,8 @@ func (o *clusterObs) drain(sh *shardRun, now cycles.Cycles) {
 	o.rec.EndBatch()
 	o.rec.BeginBatch()
 	o.fold(sh, int(now/o.smp.Window()))
-	o.smp.Seal(now)
+	o.smp.Seal(o.sealAt)
+	o.sealAt = now
 }
 
 // fold absorbs every shard sampler's windows below lim into the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"xcontainers/internal/cycles"
@@ -25,6 +26,7 @@ func observedArtifacts(t *testing.T, cfg Config, tr Traffic) (trace, ts, csv []b
 	if res.Trace == nil || res.TimeSeries == nil {
 		t.Fatal("Observe was configured but Trace/TimeSeries are nil")
 	}
+	assertSeriesBalances(t, fmt.Sprintf("Shards=%d", cfg.Shards), res)
 	var tb, cb bytes.Buffer
 	if err := res.Trace.WriteTrace(&tb); err != nil {
 		t.Fatal(err)
@@ -98,7 +100,7 @@ func TestObservedShardInvariance(t *testing.T) {
 // instants, budget counters, wasted-work records — stays byte-equal for
 // any shard count and any worker count, and matches the pinned bytes.
 func TestObservedIngressInvariance(t *testing.T) {
-	const pinned = "cf2db51c51d49b1c5c476be78439be76914595896fa2bb9b15ad3b042664d279"
+	const pinned = "56b852698b1be002a948aef2d2ceece14522920d1daf6f3c513619eae35e9c51"
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas = 2, 4
 	cfg.MaxNodes = 4

@@ -278,7 +278,7 @@ func TestShardedMixedEpochs(t *testing.T) {
 // pinned below as a digest: a staged admission leaking past a flush
 // point is layout-invariant, so only the pin catches it.
 func TestShardedClosedLoopFlushInvariance(t *testing.T) {
-	const pinned = "af78bfcb92c2cd8283e2582f090039d624eb2a0edd0a5699e3b246e8effa5e97"
+	const pinned = "7584264a80fd60c72e3bf4a0604fbff1f61cd1ccb66713a9d5f184e91e25d723"
 	cfg := testConfig(t, runtimes.XContainer)
 	cfg.Nodes, cfg.Replicas, cfg.Policy = 1, 3, BinPack
 	cfg.MaxNodes = 5
@@ -310,6 +310,7 @@ func TestShardedClosedLoopFlushInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertPooled(t, c)
+			assertSeriesBalances(t, fmt.Sprintf("Shards=%d ShardWorkers=%d", shards, workers), res)
 			for i := range c.sh.shards {
 				if n := len(c.sh.shards[i].pend); n != 0 {
 					t.Fatalf("Shards=%d: shard %d ended the run with %d staged admissions", shards, i, n)

@@ -1,8 +1,19 @@
 package fs
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+)
+
+// Descriptor errors. They are shared values, not formatted per call:
+// callers only need to know that a call failed (linuxsim turns every
+// error into one errno), and formatting one per failure was the §5
+// sweep's largest allocation site.
+var (
+	ErrBadFD         = errors.New("fdtable: bad descriptor")
+	ErrWrongKind     = errors.New("fdtable: wrong descriptor kind")
+	ErrNegativeCount = errors.New("fdtable: negative count")
 )
 
 // FDKind distinguishes what a descriptor refers to.
@@ -115,7 +126,7 @@ func (t *FDTable) Dup(fd int) (int, error) {
 	defer t.mu.Unlock()
 	f, ok := t.lookup(fd)
 	if !ok {
-		return -1, fmt.Errorf("fdtable: dup %d: bad descriptor", fd)
+		return -1, ErrBadFD
 	}
 	nfd := t.next
 	t.next++
@@ -128,7 +139,7 @@ func (t *FDTable) Close(fd int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.lookup(fd); !ok {
-		return fmt.Errorf("fdtable: close %d: bad descriptor", fd)
+		return ErrBadFD
 	}
 	if uint(fd) < numStd {
 		t.std[fd], t.stdOpen[fd] = FD{}, false
@@ -161,7 +172,7 @@ func (t *FDTable) Len() int {
 // Read reads up to n bytes from fd, advancing the cursor, and returns
 // how many it read.
 func (t *FDTable) Read(fd, n int) (int, error) {
-	f, err := t.io(fd, n, "read")
+	f, err := t.io(fd, n)
 	if err != nil {
 		return 0, err
 	}
@@ -173,12 +184,12 @@ func (t *FDTable) Read(fd, n int) (int, error) {
 	case FDPipeRead:
 		return f.Pipe.Read(n), nil
 	}
-	return 0, fmt.Errorf("fdtable: read %d: wrong descriptor kind", fd)
+	return 0, ErrWrongKind
 }
 
 // Write writes n bytes to fd and returns how many were accepted.
 func (t *FDTable) Write(fd, n int) (int, error) {
-	f, err := t.io(fd, n, "write")
+	f, err := t.io(fd, n)
 	if err != nil {
 		return 0, err
 	}
@@ -190,19 +201,19 @@ func (t *FDTable) Write(fd, n int) (int, error) {
 	case FDPipeWrite:
 		return f.Pipe.Write(n), nil
 	}
-	return 0, fmt.Errorf("fdtable: write %d: wrong descriptor kind", fd)
+	return 0, ErrWrongKind
 }
 
 // io looks up fd for a read or write of n bytes.
-func (t *FDTable) io(fd, n int, op string) (*FD, error) {
+func (t *FDTable) io(fd, n int) (*FD, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("fdtable: %s %d: negative count %d", op, fd, n)
+		return nil, ErrNegativeCount
 	}
 	t.mu.Lock()
 	f, ok := t.lookup(fd)
 	t.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("fdtable: %s %d: bad descriptor", op, fd)
+		return nil, ErrBadFD
 	}
 	return f, nil
 }

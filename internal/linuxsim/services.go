@@ -10,7 +10,7 @@
 package linuxsim
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"xcontainers/internal/fs"
@@ -152,7 +152,7 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 	case syscalls.Open, syscalls.Openat:
 		path, ok := s.PathOf(a1)
 		if !ok {
-			return errno(fmt.Errorf("open: unknown path handle %d", a1)), nil
+			return errno(errPathHandle), nil
 		}
 		fd, err := p.FDs.OpenCreate(path)
 		if err != nil {
@@ -161,7 +161,7 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		return uint64(fd), nil
 	case syscalls.Read:
 		if int(a3) < 0 {
-			return errno(fmt.Errorf("read: count %#x out of range", a3)), nil
+			return errno(errCount), nil
 		}
 		nr, err := p.FDs.Read(int(a1), int(a3))
 		if err != nil {
@@ -170,7 +170,7 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		return uint64(nr), nil
 	case syscalls.Write:
 		if int(a3) < 0 {
-			return errno(fmt.Errorf("write: count %#x out of range", a3)), nil
+			return errno(errCount), nil
 		}
 		nw, err := p.FDs.Write(int(a1), int(a3))
 		if err != nil {
@@ -187,10 +187,18 @@ func (s *Services) Do(p *Process, n syscalls.No, a1, a2, a3 uint64) (uint64, err
 		return 0, nil
 	}
 	if !n.Valid() {
-		return errno(fmt.Errorf("bad syscall %d", n)), nil
+		return errno(errSyscall), nil
 	}
 	return 0, nil
 }
+
+// Syscall argument errors, shared like fs's descriptor errors: errno
+// keeps only the fact of failure.
+var (
+	errPathHandle = errors.New("linuxsim: unknown path handle")
+	errCount      = errors.New("linuxsim: count out of range")
+	errSyscall    = errors.New("linuxsim: bad syscall")
+)
 
 // errno encodes an error as a negative return in the Linux style.
 func errno(err error) uint64 {

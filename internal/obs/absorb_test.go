@@ -40,10 +40,13 @@ func newHistSampler(window, horizon cycles.Cycles) *obs.Sampler {
 // last one. Otherwise the op is a record at b2 cycles after the last
 // barrier, fed to target (b0>>3) % (S+1) — S is the central sampler —
 // with name absorbNames[b1], latency b3<<(b2%24) and cost b3; b0&4
-// feeds it through FeedN with n = b3%4 instead. The schedule is a
-// cluster run's: no record precedes the last barrier, nothing passes
-// the horizon, and the barrier at the horizon ends the run. Both must
-// materialize the same series and the same CSV.
+// feeds it through FeedN with n = b3%4 instead. Up to the barrier at
+// the horizon the schedule is a cluster run's: no record precedes the
+// last barrier and nothing passes the horizon. Ops after that barrier
+// go on past it: barriers seal later instants, and records land past
+// the horizon, folding into the last window, which is sealed by then
+// exactly when the horizon ends it. Both must materialize the same
+// series and the same CSV.
 func checkAbsorb(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) < 3 {
@@ -72,8 +75,11 @@ func checkAbsorb(t *testing.T, data []byte) {
 		}
 		folded = lim
 	}
-	for ops := data[3:]; len(ops) >= 4 && (horizon == 0 || now < horizon); ops = ops[4:] {
+	for ops := data[3:]; len(ops) >= 4; ops = ops[4:] {
 		op := ops[:4]
+		if horizon > 0 && now >= horizon {
+			clamp = func(t cycles.Cycles) cycles.Cycles { return t }
+		}
 		if op[0]&7 == 0 {
 			now = clamp(now + cycles.Cycles(op[1]))
 			absorb(int(now / window))
@@ -130,6 +136,12 @@ var absorbSeeds = map[string][]byte{
 		0x00, 9, 0, 0, 0x00, 40, 0, 0},
 	"records at the horizon, then its barrier": {2, 2, 3,
 		0x09, 3, 11, 60, 0x00, 20, 0, 0, 0x09, 3, 1, 61, 0x11, 4, 0, 9, 0x05, 2, 2, 3},
+	"records past the horizon after its seal": {1, 3, 3,
+		0x01, 3, 1, 50, 0x00, 12, 0, 0, 0x09, 3, 0, 60, 0x11, 4, 2, 0, 0x01, 6, 5, 0,
+		0x00, 3, 0, 0, 0x09, 3, 1, 70, 0x05, 2, 0, 3},
+	"records past a horizon inside the last window": {1, 4, 3,
+		0x01, 3, 1, 50, 0x00, 12, 0, 0, 0x09, 3, 0, 60, 0x11, 4, 2, 0, 0x01, 6, 5, 0,
+		0x00, 3, 0, 0, 0x09, 3, 1, 70, 0x05, 2, 0, 3},
 	"barriers inside one window": {7, 31, 60,
 		0x09, 3, 0, 40, 0x00, 1, 0, 0, 0x11, 3, 0, 41, 0x00, 1, 0, 0,
 		0x19, 3, 0, 42, 0x00, 40, 0, 0, 0x21, 3, 0, 43},

@@ -153,11 +153,13 @@ type Sink interface {
 // *Recorder is the disabled state — every method returns immediately,
 // so call sites cost one branch when observability is off.
 //
-// Storage is a deque of eviction batches rather than a flat ring, and
-// a batch is a group of record segments whose backing arrays the
-// recorder owns outright: the sharded barrier hands over each shard
-// outbox's slice (Buffer.FlushTo) instead of copying its records, and
-// evicted segments recycle back out as fresh outbox storage. Overflow
+// A single engine's unbatched records fill a circular buffer of
+// capacity records that overwrites its oldest once full. Barrier
+// batches are a deque instead, and a batch is a group of record
+// segments whose backing arrays the recorder owns outright: the
+// sharded barrier hands over each shard outbox's slice
+// (Buffer.FlushTo) instead of copying its records, and evicted
+// segments recycle back out as fresh outbox storage. Overflow
 // drops whole batches oldest-first, and when the oldest retained
 // batch is only partially evicted, WHICH of its records were dropped
 // is resolved at export time — the canonically smallest go first.
@@ -171,8 +173,9 @@ type Recorder struct {
 	evict0  int        // records of the oldest batch already evicted (canonical smallest, resolved at export)
 	liveN   int        // records across live sealed batches, net of evict0
 	tail    []Rec      // Emit's destination: the open batch's serial segment, or the single-engine ring
-	tstart  int        // tail records already evicted (single-engine path; emission order)
+	head    int        // a full single-engine ring's oldest record, the next overwritten
 	openN   int        // records across the open batch's flushed segments (excludes tail)
+	openS   int        // the open batch's flushed segments: the last openS of segs
 	limit   int        // retention capacity in records
 	open    bool       // a barrier batch is open
 	emitted uint64
@@ -192,7 +195,9 @@ type batchRef struct {
 }
 
 // DefaultRingCap is the trace ring capacity when the caller does not
-// choose one: 64k records × 32 bytes = 2 MiB of flight recorder.
+// choose one: 64k records × 32 bytes = 2 MiB of flight recorder. A
+// single-engine ring allocates a sixteenth of that first and all of it
+// once the sixteenth fills, then never again.
 const DefaultRingCap = 1 << 16
 
 // NewRecorder creates a recorder with the given ring capacity
@@ -216,40 +221,45 @@ func NewRecorder(capacity int) *Recorder {
 // Emit appends one record, overwriting the oldest when the recorder is
 // full. Safe (and free) on a nil receiver. While a barrier batch is
 // open the record joins its serial segment; otherwise each record is
-// its own eviction unit and overflow drops strictly oldest-first.
+// its own eviction unit and overflow drops strictly oldest-first:
+// sealed batches first, then the ring's own oldest record.
 func (r *Recorder) Emit(at cycles.Cycles, key, a, b uint64) {
 	if r == nil {
 		return
 	}
-	r.tail = append(r.tail, Rec{At: at, Key: key, A: a, B: b})
 	r.emitted++
-	if !r.open && r.Len() > r.limit {
-		r.evictOne()
-	}
-}
-
-// evictOne drops the single oldest record after an unbatched Emit:
-// from the oldest sealed batch if any remain, else the tail's front.
-// The tail's dead prefix compacts in place once it dominates —
-// amortized O(1) per record, allocation-free at steady state.
-func (r *Recorder) evictOne() {
-	if r.bstart < len(r.bounds) {
-		r.evict(1)
-		r.compact()
-		return
-	}
-	r.tstart++
-	if r.tstart >= r.limit && r.tstart > len(r.tail)/2 {
-		n := copy(r.tail, r.tail[r.tstart:])
-		r.tail = r.tail[:n]
-		r.tstart = 0
+	rec := Rec{At: at, Key: key, A: a, B: b}
+	switch {
+	case r.open:
+		r.tail = append(r.tail, rec)
+	case len(r.tail) == r.limit:
+		r.tail[r.head] = rec
+		if r.head++; r.head == r.limit {
+			r.head = 0
+		}
+	default:
+		if r.Len() == r.limit {
+			r.evict(1)
+			r.compact()
+		}
+		if len(r.tail) == cap(r.tail) { // a sixteenth of the ring first, then all of it
+			size := r.limit
+			if cap(r.tail) < r.limit/16 {
+				size = r.limit / 16
+			}
+			grown := make([]Rec, len(r.tail), size)
+			copy(grown, r.tail)
+			r.tail = grown
+		}
+		r.tail = append(r.tail, rec)
 	}
 }
 
 // BeginBatch opens a barrier merge batch: Emit appends and FlushTo
 // hands over segments until EndBatch, and the whole epoch forms one
 // eviction unit whose internal order is irrelevant — canonical order
-// is resolved at export, so the barrier never sorts.
+// is resolved at export, so the barrier never sorts. Records emitted
+// before the first batch join it.
 func (r *Recorder) BeginBatch() {
 	if r == nil {
 		return
@@ -263,7 +273,7 @@ func (r *Recorder) OpenBatch() []Rec {
 	if r == nil || !r.open {
 		return nil
 	}
-	return r.tail[r.tstart:]
+	return r.tail
 }
 
 // EndBatch seals the open batch — its flushed segments plus the serial
@@ -273,47 +283,23 @@ func (r *Recorder) EndBatch() {
 		return
 	}
 	r.open = false
-	n := r.openN + len(r.tail) - r.tstart
+	n := r.openN + len(r.tail)
 	if n > 0 {
-		b := batchRef{seg: len(r.segs), n: n}
-		if r.openN > 0 {
-			// Flushed segments were already appended to segs; the batch
-			// starts at the first of them.
-			b.seg = len(r.segs) - r.openSegs()
-		}
-		if len(r.tail) > r.tstart {
-			r.segs = append(r.segs, r.tail[r.tstart:])
-			r.tail = r.nextTail()
-			r.tstart = 0
+		// Flushed segments were already appended to segs; the batch
+		// starts at the first of them.
+		b := batchRef{seg: len(r.segs) - r.openS, n: n}
+		if len(r.tail) > 0 {
+			r.segs = append(r.segs, r.tail)
+			r.tail, r.head = r.nextTail(), 0
 		}
 		r.bounds = append(r.bounds, b)
 		r.liveN += n
-		r.openN = 0
+		r.openN, r.openS = 0, 0
 	}
 	if over := r.Len() - r.limit; over > 0 {
 		r.evict(over)
 	}
 	r.compact()
-}
-
-// openSegs counts the open batch's flushed segments — those past the
-// last sealed batch's end.
-func (r *Recorder) openSegs() int {
-	if len(r.bounds) == 0 {
-		return len(r.segs)
-	}
-	// Walk back from the end: sealed segments are covered by bounds;
-	// the open ones are whatever follows the last sealed batch. Sealed
-	// batches always carry at least one segment, so the last batch's
-	// end is found by scanning forward from its start until its record
-	// count is covered.
-	last := r.bounds[len(r.bounds)-1]
-	seg, left := last.seg, last.n
-	for left > 0 {
-		left -= len(r.segs[seg])
-		seg++
-	}
-	return len(r.segs) - seg
 }
 
 // flush takes ownership of an outbox's records as one segment of the
@@ -324,6 +310,7 @@ func (r *Recorder) openSegs() int {
 func (r *Recorder) flush(rs []Rec) []Rec {
 	r.segs = append(r.segs, rs)
 	r.openN += len(rs)
+	r.openS++
 	r.emitted += uint64(len(rs))
 	if n := len(r.free); n > 0 {
 		out := r.free[n-1]
@@ -343,9 +330,10 @@ func (r *Recorder) nextTail() []Rec {
 	return nil
 }
 
-// evict drops the oldest `excess` records: whole batches while
-// possible — recycling their segments — then a partial eviction of the
-// oldest survivor counted in evict0. No record moves.
+// evict drops the oldest `excess` records of the sealed batches: whole
+// batches while possible — recycling their segments — then a partial
+// eviction of the oldest survivor counted in evict0. No record moves.
+// Callers never ask for more than the sealed batches hold.
 func (r *Recorder) evict(excess int) {
 	for excess > 0 && r.bstart < len(r.bounds) {
 		b := &r.bounds[r.bstart]
@@ -370,10 +358,6 @@ func (r *Recorder) evict(excess int) {
 		r.evict0 = 0
 		r.liveN -= size
 		excess -= size
-	}
-	if excess > 0 {
-		// No sealed batches left: evict from the tail's front.
-		r.tstart += excess
 	}
 }
 
@@ -432,7 +416,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return r.liveN + r.openN + len(r.tail) - r.tstart
+	return r.liveN + r.openN + len(r.tail)
 }
 
 // Intern registers a display name and returns its stable 16-bit id.
@@ -468,14 +452,14 @@ func (r *Recorder) Records() []Rec {
 	if r == nil || r.Len() == 0 {
 		return nil
 	}
-	out := make([]Rec, 0, r.liveN+r.openN+len(r.tail)-r.tstart+r.evict0)
+	out := make([]Rec, 0, r.Len()+r.evict0)
 	firstN := 0
 	for i := r.bstart; i < len(r.bounds); i++ {
 		end := len(r.segs)
 		if i+1 < len(r.bounds) {
 			end = r.bounds[i+1].seg
 		} else {
-			end -= r.openSegsAt()
+			end -= r.openS
 		}
 		for s := r.bounds[i].seg; s < end; s++ {
 			out = append(out, r.segs[s]...)
@@ -489,23 +473,12 @@ func (r *Recorder) Records() []Rec {
 		slices.SortFunc(out[:firstN], cmp)
 		out = out[r.evict0:]
 	}
-	if r.open {
-		for s := len(r.segs) - r.openSegsAt(); s < len(r.segs); s++ {
-			out = append(out, r.segs[s]...)
-		}
+	for _, seg := range r.segs[len(r.segs)-r.openS:] {
+		out = append(out, seg...)
 	}
-	out = append(out, r.tail[r.tstart:]...)
+	out = append(out, r.tail...)
 	slices.SortFunc(out, cmp)
 	return out
-}
-
-// openSegsAt counts the open batch's flushed segments (zero when no
-// batch is open — sealed batches cover every segment then).
-func (r *Recorder) openSegsAt() int {
-	if !r.open {
-		return 0
-	}
-	return r.openSegs()
 }
 
 // Buffer is a per-shard record outbox: emissions append thread-locally

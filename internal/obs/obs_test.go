@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +65,9 @@ func TestNilRecorderFastPath(t *testing.T) {
 
 // TestRingOverflowDropAccounting pins the flight-recorder contract:
 // capacity C holds the newest C records, everything older is dropped,
-// and Dropped() says exactly how many.
+// and Dropped() says exactly how many. The single-engine ring is fixed:
+// emitting ten times its capacity allocates about C×32 bytes in all,
+// and what it keeps is exactly the newest C records.
 func TestRingOverflowDropAccounting(t *testing.T) {
 	r := NewRecorder(64)
 	key := Key(KindCounter, LayerCluster, NameServed, 1)
@@ -82,6 +86,70 @@ func TestRingOverflowDropAccounting(t *testing.T) {
 		if want := cycles.Cycles(200 - 64 + i); rec.At != want {
 			t.Fatalf("record %d at %d, want %d", i, rec.At, want)
 		}
+	}
+
+	// Three records share each instant under keys emitted in
+	// descending order, so canonical order is not emission order.
+	const capacity = 4096
+	r = NewRecorder(capacity)
+	var all []Rec
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10*capacity; i++ {
+		k := Key(KindCounter, LayerCluster, NameServed, uint32(2-i%3))
+		r.Emit(cycles.Cycles(i/3), k, uint64(i), 0)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(capacity*32*17/16); got > limit {
+		t.Fatalf("emitting %d records into a %d-record ring allocated %d bytes, want <= %d",
+			10*capacity, capacity, got, limit)
+	}
+	for i := 0; i < 10*capacity; i++ {
+		k := Key(KindCounter, LayerCluster, NameServed, uint32(2-i%3))
+		all = append(all, Rec{At: cycles.Cycles(i / 3), Key: k, A: uint64(i)})
+	}
+	want := all[len(all)-capacity:]
+	slices.SortFunc(want, cmp)
+	if got := r.Records(); !slices.Equal(got, want) {
+		t.Fatalf("ring kept %d records, not the newest %d in canonical order", len(got), capacity)
+	}
+	if got := r.Dropped(); got != 9*capacity {
+		t.Fatalf("Dropped = %d, want %d", got, 9*capacity)
+	}
+}
+
+// TestRingJoinsFirstBatch: records a full single-engine ring holds
+// when the first barrier batch opens join that batch, and unbatched
+// records emitted after a sealed batch evict from it before the ring
+// drops anything of its own.
+func TestRingJoinsFirstBatch(t *testing.T) {
+	r := NewRecorder(8)
+	key := Key(KindInstant, LayerCluster, NameScale, 0)
+	for i := 0; i < 13; i++ {
+		r.Emit(cycles.Cycles(i), key, 0, 0)
+	}
+	r.BeginBatch()
+	r.Emit(13, key, 0, 0)
+	open := slices.Clone(r.OpenBatch())
+	slices.SortFunc(open, cmp)
+	if len(open) != 9 {
+		t.Fatalf("open batch holds %d records, want 9", len(open))
+	}
+	for i, rec := range open {
+		if want := cycles.Cycles(5 + i); rec.At != want {
+			t.Fatalf("open batch record %d at %d, want %d", i, rec.At, want)
+		}
+	}
+	r.EndBatch()
+	if r.Len() != 8 || r.Dropped() != 6 {
+		t.Fatalf("after the batch: %d held, %d dropped; want 8 and 6", r.Len(), r.Dropped())
+	}
+	for i := 14; i < 20; i++ {
+		r.Emit(cycles.Cycles(i), key, 0, 0)
+	}
+	recs := r.Records()
+	if len(recs) != 8 || recs[0].At != 12 || recs[7].At != 19 {
+		t.Fatalf("kept %v, want the records at 12..19", recs)
 	}
 }
 

@@ -107,7 +107,6 @@ type wrow struct {
 	busy                              uint64 // Σ completed cost, cycles
 	budgetMin                         uint64 // tokens ×1000; ^0 = unset
 	p50, p95, p99                     cycles.Cycles
-	sealed                            bool
 }
 
 // count adds n to the counter column of a count-only name; other names
@@ -172,6 +171,7 @@ type Sampler struct {
 	window  cycles.Cycles
 	horizon cycles.Cycles
 	rows    []wrow
+	sealed  int // windows [0, sealed) are final: they take no more records
 	active  []histSlot
 	free    []Quantiler
 	mk      func() Quantiler
@@ -262,10 +262,10 @@ func (s *Sampler) Feed(at cycles.Cycles, key, a, b uint64) {
 	if at < s.curStart || at >= s.curEnd {
 		s.move(at)
 	}
-	r := &s.rows[s.curIdx]
-	if r.sealed {
-		return // a straggler past an explicit seal; counters-only windows never hit this
+	if s.curIdx < s.sealed {
+		return // a straggler past a seal
 	}
+	r := &s.rows[s.curIdx]
 	switch name {
 	case NameServed:
 		r.served++
@@ -294,11 +294,10 @@ func (s *Sampler) FeedN(at cycles.Cycles, key uint64, n uint64) {
 	if at < s.curStart || at >= s.curEnd {
 		s.move(at)
 	}
-	r := &s.rows[s.curIdx]
-	if r.sealed {
+	if s.curIdx < s.sealed {
 		return
 	}
-	r.count(KeyName(key), n)
+	s.rows[s.curIdx].count(KeyName(key), n)
 	if s.AutoSeal {
 		s.Seal(at)
 	}
@@ -318,7 +317,7 @@ func (s *Sampler) Absorb(src *Sampler, from, lim int) {
 	}
 	s.grow(lim - 1)
 	for w := from; w < lim; w++ {
-		if !s.rows[w].sealed {
+		if w >= s.sealed {
 			s.rows[w].add(&src.rows[w])
 		}
 		src.rows[w] = wrow{budgetMin: ^uint64(0)}
@@ -329,7 +328,7 @@ func (s *Sampler) Absorb(src *Sampler, from, lim int) {
 			kept = append(kept, a)
 			continue
 		}
-		if !s.rows[a.widx].sealed {
+		if a.widx >= s.sealed {
 			s.hist(a.widx).Absorb(a.h)
 		}
 		a.h.Reset()
@@ -339,22 +338,27 @@ func (s *Sampler) Absorb(src *Sampler, from, lim int) {
 	src.curH = nil
 }
 
-// Seal finalizes every window that ends at or before t: percentiles
-// are computed from the window histogram, which returns to the pool.
-// Records never arrive before the last barrier time, so sealing at
-// barriers is safe for any shard layout.
+// Seal finalizes every window that ends at or before t, whatever it
+// holds: later records for it are dropped, and percentiles are
+// computed from its histogram, which returns to the pool. Records
+// never arrive before the last barrier time, so sealing at barriers is
+// safe for any shard layout.
 func (s *Sampler) Seal(t cycles.Cycles) {
 	if s == nil {
 		return
 	}
+	lim := int(t / s.window)
+	if lim <= s.sealed {
+		return
+	}
+	s.sealed = lim
 	kept := s.active[:0]
 	for _, a := range s.active {
-		if end := cycles.Cycles(a.widx+1) * s.window; end <= t {
+		if a.widx < lim {
 			r := &s.rows[a.widx]
 			r.p50 = a.h.Quantile(0.50)
 			r.p95 = a.h.Quantile(0.95)
 			r.p99 = a.h.Quantile(0.99)
-			r.sealed = true
 			a.h.Reset()
 			s.free = append(s.free, a.h)
 			s.curH = nil

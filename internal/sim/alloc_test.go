@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -11,7 +12,7 @@ import (
 // nice-to-have: per-event allocations were the old kernel's dominant
 // cost, and a regression here silently taxes every tier-2 experiment.
 // Each test warms the engine until its arenas (heap keys, payload
-// slots, waiting rings) reach steady-state capacity, then requires
+// slots, backlog segments) reach steady-state capacity, then requires
 // exactly zero allocations per run.
 
 func requireZeroAllocs(t *testing.T, name string, runs int, fn func()) {
@@ -50,7 +51,7 @@ func TestOpenLoopSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestClosedLoopSteadyStateAllocFree exercises the waiting-ring reuse
+// TestClosedLoopSteadyStateAllocFree exercises the backlog-segment reuse
 // path: a population larger than the server count keeps the backlog
 // non-empty, so every completion pops and every re-issue pushes.
 func TestClosedLoopSteadyStateAllocFree(t *testing.T) {
@@ -70,19 +71,23 @@ func TestClosedLoopSteadyStateAllocFree(t *testing.T) {
 	})
 }
 
-// TestQueueFootprint pins the size of a queue header and of a job.
-// Per-replica queues are a fleet's working set — a 10k-replica run
-// touches every one of them each epoch — so the queue carries no
-// per-queue latency histogram (8 KiB of bucket counts); a consumer
-// measures sojourn through OnDone from the job's Born stamp. A Job is
-// copied into every payload slot and waiting-ring entry, so it holds
-// only what callers read.
+// TestQueueFootprint pins the size of a queue header, of a job and of
+// a backlog segment. Per-replica queues are a fleet's working set — a
+// 10k-replica run touches every one of them each epoch — so the queue
+// carries no per-queue latency histogram (8 KiB of bucket counts); a
+// consumer measures sojourn through OnDone from the job's Born stamp.
+// A Job is copied into every payload slot and backlog segment, so it
+// holds only what callers read, and a segment, which every queue that
+// ever waits holds one of, fills the 512-byte size class exactly.
 func TestQueueFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(Queue{}); n > 256 {
 		t.Fatalf("sizeof(Queue) = %d bytes, want <= 256", n)
 	}
 	if n := unsafe.Sizeof(Job{}); n != 32 {
 		t.Fatalf("sizeof(Job) = %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(segment{}); n != 512 {
+		t.Fatalf("sizeof(segment) = %d bytes, want 512", n)
 	}
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
@@ -96,6 +101,41 @@ func TestQueueFootprint(t *testing.T) {
 	if q.Completed != 3 || sojourn.Count() != 2 || sojourn.Max() != 20 {
 		t.Fatalf("completed %d, sojourn count %d max %d; want 3, 2, 20",
 			q.Completed, sojourn.Count(), sojourn.Max())
+	}
+}
+
+// TestQueueBacklogFootprint pins what a backlog costs: growing a
+// queue to n waiting jobs allocates n×32 bytes of segments, rounded up
+// to one more segment, plus the doublings of the ring of segment
+// pointers, at most a sixteenth on top; draining and refilling it
+// reuses the segments without allocating.
+func TestQueueBacklogFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; footprint not measurable")
+	}
+	const n = 10_000
+	e := NewEngine()
+	q := NewQueue(e, "s", 1)
+	fill := func() {
+		q.Suspend() // everything waits: only the backlog allocates
+		for i := 0; i < n; i++ {
+			q.Arrive(Job{ID: uint64(i + 1), Cost: 1})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fill()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*32*17/16+512); got > limit {
+		t.Fatalf("growing to %d waiting jobs allocated %d bytes, want <= %d", n, got, limit)
+	}
+	requireZeroAllocs(t, "drain and refill", 5, func() {
+		q.Resume()
+		e.RunUntilIdle()
+		fill()
+	})
+	if q.Completed < 5*n {
+		t.Fatalf("completed %d jobs, want at least %d", q.Completed, 5*n)
 	}
 }
 

@@ -38,15 +38,22 @@ type Queue struct {
 
 	eng       *Engine
 	ref       HandlerRef
+	spare     int32 // the backlog's spare segments (below), in ref's padding
 	busy      int
 	suspended bool
 
-	// waiting is a power-of-two ring buffer reused for the queue's
-	// lifetime: the backlog grows it once to its high-water mark and
-	// every later wait costs zero allocations.
-	waiting []Job
-	head    int
-	count   int
+	// The waiting backlog is count jobs from head on, stored in
+	// fixed-size segments whose pointers sit in segs, a power-of-two
+	// ring indexed by job. From head's slot on, the ring holds the live
+	// segments, then empty slots, then the spare segments the head has
+	// left, which end just behind it. A tail that needs a segment takes
+	// the oldest spare, so no job is ever copied, the backlog keeps its
+	// high-water mark of segments, and every wait after that allocates
+	// nothing. Only a ring whose every slot is live doubles, moving
+	// pointers.
+	segs  []*segment
+	head  int
+	count int
 
 	Arrived   uint64
 	Completed uint64
@@ -109,7 +116,16 @@ func (q *Queue) Arrive(j Job) {
 		q.start(&j)
 		return
 	}
-	q.pushWaiting(&j)
+	// Append to the backlog, here rather than in a helper: a call
+	// would cost the closed loop's every wait.
+	t := q.head + q.count
+	if t&(segJobs-1) == 0 {
+		q.linkSeg()
+		t = q.head + q.count
+	}
+	t &= len(q.segs)<<segShift - 1
+	q.segs[t>>segShift][t&(segJobs-1)] = j
+	q.count++
 }
 
 // Suspend freezes dispatch: jobs already in service run to completion,
@@ -142,29 +158,60 @@ func (q *Queue) TakeWaiting() []Job {
 	if q.count == 0 {
 		return nil
 	}
-	out := make([]Job, q.count)
-	for i := range out {
-		out[i] = q.waiting[(q.head+i)&(len(q.waiting)-1)]
+	out := make([]Job, 0, q.count)
+	for q.count > 0 {
+		at := q.head & (segJobs - 1)
+		n := min(segJobs-at, q.count)
+		out = append(out, q.segs[q.head>>segShift][at:at+n]...)
+		q.drop(n)
 	}
-	clear(q.waiting)
-	q.head = 0
-	q.setDepth(q.depth - q.count)
-	q.count = 0
+	q.setDepth(q.depth - len(out))
 	return out
 }
 
-// pushWaiting appends to the ring, doubling it when full.
-func (q *Queue) pushWaiting(j *Job) {
-	if q.count == len(q.waiting) {
-		grown := make([]Job, max(2*len(q.waiting), 16))
-		for i := 0; i < q.count; i++ {
-			grown[i] = q.waiting[(q.head+i)&(len(q.waiting)-1)]
-		}
-		q.waiting = grown
-		q.head = 0
+// A backlog segment holds segJobs jobs: 16 × 32 bytes fill the
+// allocator's 512-byte size class exactly, and a segment holds no
+// pointer, so the collector never scans it. Every queue of a fleet
+// that ever waits holds at least one.
+const (
+	segShift = 4
+	segJobs  = 1 << segShift
+)
+
+type segment [segJobs]Job
+
+// liveSegs counts the ring slots from head's segment through the
+// tail's, if the tail has written into its segment.
+func (q *Queue) liveSegs() int {
+	return (q.head&(segJobs-1) + q.count + segJobs - 1) >> segShift
+}
+
+// linkSeg readies the slot after the live segments for a tail that
+// Arrive finds at a segment boundary: it moves the oldest spare there,
+// or else allocates a segment, doubling the ring first if every slot
+// is live. Doubling rotates head's segment to slot 0; pointers move,
+// jobs do not.
+func (q *Queue) linkSeg() {
+	mask := len(q.segs) - 1
+	k := (q.head + q.count) >> segShift & mask
+	if q.spare > 0 {
+		from := (q.head>>segShift - int(q.spare)) & mask
+		s := q.segs[from]
+		q.segs[from] = nil
+		q.segs[k] = s
+		q.spare--
+		return
 	}
-	q.waiting[(q.head+q.count)&(len(q.waiting)-1)] = *j
-	q.count++
+	if q.liveSegs() == len(q.segs) {
+		grown := make([]*segment, max(2*len(q.segs), 1))
+		first := q.head >> segShift
+		n := copy(grown, q.segs[first:])
+		copy(grown[n:], q.segs[:first])
+		q.segs = grown
+		q.head &= segJobs - 1
+		k = (q.head + q.count) >> segShift
+	}
+	q.segs[k] = new(segment)
 }
 
 // popWaiting dequeues the oldest held job, if any.
@@ -172,11 +219,19 @@ func (q *Queue) popWaiting() (Job, bool) {
 	if q.count == 0 {
 		return Job{}, false
 	}
-	j := q.waiting[q.head]
-	q.waiting[q.head] = Job{}
-	q.head = (q.head + 1) & (len(q.waiting) - 1)
-	q.count--
+	j := q.segs[q.head>>segShift][q.head&(segJobs-1)]
+	q.drop(1)
 	return j, true
+}
+
+// drop removes the n oldest jobs, all in head's segment; a segment the
+// head leaves becomes the newest spare.
+func (q *Queue) drop(n int) {
+	q.head = (q.head + n) & (len(q.segs)<<segShift - 1)
+	q.count -= n
+	if q.head&(segJobs-1) == 0 {
+		q.spare++
+	}
 }
 
 func (q *Queue) start(j *Job) {
