@@ -14,6 +14,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"xcontainers/internal/arch"
 	"xcontainers/internal/cycles"
@@ -135,6 +136,10 @@ func (a *App) BuildBinary(iters uint32, granularity int) (*arch.Text, error) {
 		total++
 	}
 
+	labels := make([]string, len(a.Sites)) // one stub label per site
+	for i := range labels {
+		labels[i] = "site" + strconv.Itoa(i)
+	}
 	asm := arch.NewAssembler(arch.UserTextBase)
 	// Main loop: call each site's stub count[i] times per iteration.
 	asm.Loop(iters, func(b *arch.Assembler) {
@@ -142,10 +147,10 @@ func (a *App) BuildBinary(iters uint32, granularity int) (*arch.Text, error) {
 			for k := 0; k < counts[i]; k++ {
 				if a.Sites[i].Shape == ShapeGoStack {
 					b.PushImm(uint32(a.Sites[i].N))
-					b.Call(siteLabel(i))
+					b.Call(labels[i])
 					b.PopRax() // caller cleans the pushed argument
 				} else {
-					b.Call(siteLabel(i))
+					b.Call(labels[i])
 				}
 			}
 		}
@@ -154,7 +159,7 @@ func (a *App) BuildBinary(iters uint32, granularity int) (*arch.Text, error) {
 
 	// Site stubs.
 	for i, s := range a.Sites {
-		asm.Label(siteLabel(i))
+		asm.Label(labels[i])
 		switch s.Shape {
 		case ShapeCase1:
 			asm.SyscallN(uint32(s.N))
@@ -182,5 +187,3 @@ func (a *App) BuildBinary(iters uint32, granularity int) (*arch.Text, error) {
 	}
 	return asm.Assemble()
 }
-
-func siteLabel(i int) string { return fmt.Sprintf("site%d", i) }

@@ -15,13 +15,21 @@ import (
 	"xcontainers/internal/cycles"
 )
 
+// requireZeroAllocs runs fn runs times, after a warm-up of one whole
+// batch, and requires the batch to allocate nothing. It reads the exact
+// total: AllocsPerRun(runs, fn) integer-divides, so it would pass a
+// path that allocates fewer than runs times.
 func requireZeroAllocs(t *testing.T, name string, runs int, fn func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc budget not measurable")
 	}
-	if avg := testing.AllocsPerRun(runs, fn); avg != 0 {
-		t.Errorf("%s: %v allocs/run in steady state, want 0", name, avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			fn()
+		}
+	}); n != 0 {
+		t.Errorf("%s: %v allocations in %d steady-state runs, want 0", name, n, runs)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"xcontainers/internal/core"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/runtimes"
 	"xcontainers/internal/sim"
 )
@@ -73,7 +74,7 @@ func KernelPerf(budget time.Duration) []PerfResult {
 	openLoop := func(seed uint64) uint64 {
 		e := sim.NewEngine()
 		q := sim.NewQueue(e, "perf", 4)
-		var latency sim.Histogram
+		var latency obs.Histogram
 		q.OnDone = func(j sim.Job) { latency.Observe(e.Now() - j.Born) }
 		rate := 0.8 * 4 * float64(cycles.Hz) / float64(service)
 		e.DriveArrivals(sim.PoissonRate(rate), sim.NewRand(seed), horizon, func(id uint64) {

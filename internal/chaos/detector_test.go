@@ -75,12 +75,14 @@ func TestDetectorForget(t *testing.T) {
 func TestDetectorObserveAllocs(t *testing.T) {
 	d := NewDetector(3, 2)
 	d.Grow(64)
-	allocs := testing.AllocsPerRun(1000, func() {
-		for i := 0; i < 64; i++ {
-			d.Observe(i, i%7 != 0)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			for i := 0; i < 64; i++ {
+				d.Observe(i, i%7 != 0)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Observe allocates %v/run", allocs)
+		t.Fatalf("Observe allocates %v times in 1000 rounds, want 0", allocs)
 	}
 }

@@ -23,6 +23,10 @@ import (
 // helper worker, on the plain front door and behind the ingress.
 // The open-loop JSQ cases are canary-rollout in miniature, where each
 // barrier moves the epoch's touched replicas between the JSQ sets.
+// The one allocation the budget admits is model growth: a shard
+// engine's event heap reallocates when its high-water mark of
+// heap-ordered pending events rises, which the ingress case's gray
+// replicas do once in its measured epochs.
 func TestShardedServePathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc budget not measurable")
@@ -88,12 +92,22 @@ func TestShardedServePathAllocFree(t *testing.T) {
 			if x := c.chaos; x != nil && (x.res.ProbesSent == 0 || x.res.GrayWindows != 1) {
 				t.Fatalf("warm-up did not reach the probe sweeps and the gray window: %+v", x.res)
 			}
-			if avg := testing.AllocsPerRun(100, func() {
-				for i := 0; i < 20; i++ {
+			caps := make([]int, len(c.sh.shards)) // each shard's event heap capacity
+			n := testing.AllocsPerRun(1, func() {
+				for i := range caps {
+					caps[i] = c.sh.shards[i].eng.HeapCap()
+				}
+				for i := 0; i < 2000; i++ {
 					c.sh.step()
 				}
-			}); avg != 0 {
-				t.Fatalf("sharded serve path allocates: %.2f allocs per 20-epoch batch, want 0", avg)
+			})
+			want := 0
+			for i := range caps {
+				want += heapGrowths(caps[i], c.sh.shards[i].eng.HeapCap())
+			}
+			if n != float64(want) {
+				t.Fatalf("sharded serve path allocates %v times in 2000 steady-state epochs, want %d (event heap growth from capacities %v)",
+					n, want, caps)
 			}
 			assertPooled(t, c)
 			if c.closedLoop && tc.workers > 1 && c.sh.splits == 0 {
@@ -101,6 +115,19 @@ func TestShardedServePathAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// heapGrowths counts the reallocations append makes growing a full
+// event heap, one push at a time, from capacity from to capacity to:
+// what a shard engine's rising high-water mark of heap-ordered pending
+// events costs. A heap key is 16 bytes.
+func heapGrowths(from, to int) int {
+	keys, n := make([][2]uint64, from), 0
+	for cap(keys) < to {
+		keys = append(keys[:cap(keys)], [2]uint64{})
+		n++
+	}
+	return n
 }
 
 // openRun arms c the way Run does and starts the sharded run, so that

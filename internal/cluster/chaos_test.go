@@ -269,8 +269,12 @@ func TestProbeSweepAllocFree(t *testing.T) {
 	}
 	x := c.chaos
 	x.probeSweep(0) // warm: detector growth
-	if avg := testing.AllocsPerRun(100, func() { x.probeSweep(cycles.FromSeconds(0.01)) }); avg != 0 {
-		t.Fatalf("probeSweep allocates %.1f/op in steady state", avg)
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			x.probeSweep(cycles.FromSeconds(0.01))
+		}
+	}); n != 0 {
+		t.Fatalf("probeSweep allocates %v times in 100 steady-state sweeps, want 0", n)
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"xcontainers/internal/core"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
 	"xcontainers/internal/workload"
 )
@@ -320,8 +321,8 @@ type Cluster struct {
 
 	saturationNoted bool // "at-capacity" recorded once per saturation
 
-	fleet   sim.Histogram // all completions
-	win     sim.Histogram // completions since the last control tick
+	fleet   obs.Histogram // all completions
+	win     obs.Histogram // completions since the last control tick
 	winBusy cycles.Cycles
 	lastOff cycles.Cycles // start of the current control window
 

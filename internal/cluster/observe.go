@@ -83,13 +83,12 @@ func newClusterObs(cfg ObserveConfig, sharded bool) *clusterObs {
 // one more sampler per shard.
 func (o *clusterObs) arm(horizon cycles.Cycles, sh *shardRun) {
 	window := cycles.FromMicros(o.cfg.WindowUS)
-	mk := func() obs.Quantiler { return new(sim.Histogram) }
-	o.smp = obs.NewSampler(window, horizon, mk)
+	o.smp = obs.NewSampler(window, horizon)
 	o.smp.AutoSeal = sh == nil
 	o.stream.Smp = o.smp
 	if sh != nil {
 		for i := range sh.shards {
-			sh.shards[i].smp = obs.NewSampler(window, horizon, mk)
+			sh.shards[i].smp = obs.NewSampler(window, horizon)
 		}
 		o.rec.BeginBatch() // the serial sink needs an open batch from the start
 	}

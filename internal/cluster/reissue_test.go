@@ -127,7 +127,7 @@ func setRoutable(c *Cluster, on bool) {
 // takeSeries moves everything c's central sampler holds into a fresh
 // one and materializes it: the arrivals counted since the last take.
 func takeSeries(c *Cluster) *obs.TimeSeries {
-	snap := obs.NewSampler(c.ob.smp.Window(), c.horizon, func() obs.Quantiler { return new(sim.Histogram) })
+	snap := obs.NewSampler(c.ob.smp.Window(), c.horizon)
 	snap.Absorb(c.ob.smp, 0, math.MaxInt)
 	return snap.Finish(nil)
 }

@@ -50,8 +50,8 @@ type shardState struct {
 	eng  *sim.Engine
 	sink sim.HandlerRef
 
-	fleet sim.Histogram // cumulative root latencies (plain front door)
-	win   sim.Histogram // since the last barrier; merged + reset there
+	fleet obs.Histogram // cumulative root latencies (plain front door)
+	win   obs.Histogram // since the last barrier; merged + reset there
 
 	latSum    uint64 // exact integer latency total — the fleet mean's numerator
 	latN      uint64

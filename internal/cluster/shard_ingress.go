@@ -77,7 +77,7 @@ type fleetIngress struct {
 	proxyKA   int32 // entry-route keep-alive countdown on the proxy replica
 
 	kaLeft     []int32       // fleet-route keep-alive countdown per replica
-	attemptLat sim.Histogram // winning fleet attempts — arms the hedge delay
+	attemptLat obs.Histogram // winning fleet attempts — arms the hedge delay
 
 	proxyCompleted uint64
 	waste          ingress.Waste

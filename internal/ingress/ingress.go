@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
 )
 
@@ -244,7 +245,7 @@ type Service struct {
 	// attemptLat observes winning attempts' service-phase latency
 	// (attempt start → replica completion, queueing included) — the
 	// basis for hedge delays on every route into this service.
-	attemptLat sim.Histogram
+	attemptLat obs.Histogram
 
 	completions uint64 // attempts completed at replicas, wasted included
 	waste       Waste  // completions nobody was waiting for any more

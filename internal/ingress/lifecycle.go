@@ -143,12 +143,12 @@ type Route struct {
 	// route's target (attempt issue → replica completion, queueing
 	// included) — the basis for hedge delays. Routes into one target
 	// share it.
-	attemptLat *sim.Histogram
+	attemptLat *obs.Histogram
 
 	// lat observes successful full-call latency (call start →
 	// completion, downstream subtree included) — the reported
 	// percentiles.
-	lat sim.Histogram
+	lat obs.Histogram
 
 	calls        uint64
 	completed    uint64
@@ -254,7 +254,7 @@ func (r *Route) Stats(name string) RouteStats {
 type Waste struct {
 	n      uint64
 	cycles cycles.Cycles
-	lat    sim.Histogram
+	lat    obs.Histogram
 }
 
 // Lifecycle owns the call arena and the routes calls run on.
@@ -277,7 +277,7 @@ func (co *Lifecycle) Observe(sink obs.Sink) { co.sink = sink }
 // NewRoute registers a route under pol (normalized here). Routes are
 // numbered in registration order; the number is the route's trace
 // track. attemptLat is the target's winning-attempt histogram.
-func (co *Lifecycle) NewRoute(pol RoutePolicy, attemptLat *sim.Histogram) *Route {
+func (co *Lifecycle) NewRoute(pol RoutePolicy, attemptLat *obs.Histogram) *Route {
 	r := &Route{id: int32(len(co.routes)), pol: pol.normalized(), attemptLat: attemptLat}
 	r.br = NewBreaker(r.pol)
 	co.routes = append(co.routes, r)

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
 )
 
@@ -223,7 +224,7 @@ func (p Pipeline) Simulate(ratePerSec, seconds float64, seed uint64) (*SimResult
 		legs = append(legs, leg{q: queues[s.Name], cost: cost})
 	}
 
-	var latency sim.Histogram
+	var latency obs.Histogram
 	var completed uint64
 	route := func(j sim.Job) {
 		j.Stage++

@@ -8,7 +8,6 @@ import (
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/obs"
-	"xcontainers/internal/sim"
 )
 
 // absorbNames is every name a record can carry: the series columns,
@@ -19,10 +18,6 @@ var absorbNames = []uint16{
 	obs.NameWasted, obs.NameBudgetDenied, obs.NameBudget, obs.NameScale,
 	obs.NameMigration, obs.NameFailure, obs.NameRequest, obs.NameAttempt,
 	obs.NameAttempt + 1,
-}
-
-func newHistSampler(window, horizon cycles.Cycles) *obs.Sampler {
-	return obs.NewSampler(window, horizon, func() obs.Quantiler { return new(sim.Histogram) })
 }
 
 // checkAbsorb runs a byte program two ways: the sharded cluster's way,
@@ -55,11 +50,11 @@ func checkAbsorb(t *testing.T, data []byte) {
 	shards := 1 + int(data[0])%8
 	window := cycles.Cycles(1 + data[1]%32)
 	horizon := 4 * cycles.Cycles(data[2])
-	ref := newHistSampler(window, horizon)
-	cen := newHistSampler(window, horizon)
+	ref := obs.NewSampler(window, horizon)
+	cen := obs.NewSampler(window, horizon)
 	smps := make([]*obs.Sampler, shards)
 	for i := range smps {
-		smps[i] = newHistSampler(window, horizon)
+		smps[i] = obs.NewSampler(window, horizon)
 	}
 	var now cycles.Cycles
 	clamp := func(t cycles.Cycles) cycles.Cycles {

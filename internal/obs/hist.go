@@ -1,10 +1,9 @@
-package sim
+package obs
 
 import (
 	"math/bits"
 
 	"xcontainers/internal/cycles"
-	"xcontainers/internal/obs"
 )
 
 // histSub is the number of sub-buckets per power of two; 16 gives
@@ -96,8 +95,8 @@ func (h *Histogram) Reset() {
 // merged histogram reports exactly the statistics it would have had if
 // every sample had been observed directly — the property that lets
 // per-route and per-shard histograms roll up into fleet percentiles
-// without re-observing (and, later, lets sharded simulations merge
-// streaming histograms deterministically).
+// without re-observing, and lets Sampler.Absorb fold a shard's window
+// into the central one deterministically.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.n == 0 {
 		return
@@ -114,10 +113,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.max = other.max
 	}
 }
-
-// Absorb is Merge through the obs.Quantiler interface: the sampler
-// folds one window's histogram from a shard into the central one.
-func (h *Histogram) Absorb(other obs.Quantiler) { h.Merge(other.(*Histogram)) }
 
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1) with
 // the bucket resolution's relative error. The exact maximum is

@@ -23,9 +23,10 @@
 //     Shards ≥ 1 × any worker count, the same bar as ClusterReport.
 //
 // obs depends only on internal/cycles; internal/sim imports obs (for
-// queue instrumentation), never the reverse. Windowed percentiles
-// therefore come through the Quantiler interface, which
-// *sim.Histogram satisfies.
+// queue instrumentation), never the reverse. obs therefore owns the
+// log-bucketed latency Histogram: the sampler's windowed percentiles
+// and every queue, route and fleet latency in the simulator summarise
+// through the same concrete type.
 package obs
 
 import (

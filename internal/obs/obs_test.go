@@ -11,27 +11,6 @@ import (
 	"xcontainers/internal/cycles"
 )
 
-// histStub is a minimal Quantiler for sampler tests: it remembers the
-// max and the count, enough to verify routing and pooling.
-type histStub struct {
-	n   int
-	max cycles.Cycles
-}
-
-func (h *histStub) Observe(v cycles.Cycles) {
-	h.n++
-	if v > h.max {
-		h.max = v
-	}
-}
-func (h *histStub) Quantile(float64) cycles.Cycles { return h.max }
-func (h *histStub) Reset()                         { h.n, h.max = 0, 0 }
-func (h *histStub) Absorb(q Quantiler) {
-	o := q.(*histStub)
-	h.n += o.n
-	h.max = max(h.max, o.max)
-}
-
 func TestKeyPacking(t *testing.T) {
 	k := Key(KindSpanEnd, LayerIngress, NameAttempt, 0xdeadbeef)
 	if KeyKind(k) != KindSpanEnd || KeyLayer(k) != LayerIngress ||
@@ -158,25 +137,29 @@ func TestRingJoinsFirstBatch(t *testing.T) {
 func TestRecorderEmitAllocFree(t *testing.T) {
 	r := NewRecorder(1024)
 	key := Key(KindCounter, LayerSim, NameEnq, 7)
-	if avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 50; i++ {
-			r.Emit(cycles.Cycles(i), key, 1, 0)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			for i := 0; i < 50; i++ {
+				r.Emit(cycles.Cycles(i), key, 1, 0)
+			}
 		}
-	}); avg != 0 {
-		t.Fatalf("Recorder.Emit allocates: %.2f allocs/run", avg)
+	}); n != 0 {
+		t.Fatalf("Recorder.Emit allocates %v times in 200 steady-state batches, want 0", n)
 	}
 	b := &Buffer{}
 	for i := 0; i < 100; i++ { // warm the backing array
 		b.Emit(cycles.Cycles(i), key, 1, 0)
 	}
 	b.Reset()
-	if avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 50; i++ {
-			b.Emit(cycles.Cycles(i), key, 1, 0)
+	if n := testing.AllocsPerRun(1, func() {
+		for range 200 {
+			for i := 0; i < 50; i++ {
+				b.Emit(cycles.Cycles(i), key, 1, 0)
+			}
+			b.Reset()
 		}
-		b.Reset()
-	}); avg != 0 {
-		t.Fatalf("Buffer.Emit allocates in steady state: %.2f allocs/run", avg)
+	}); n != 0 {
+		t.Fatalf("Buffer.Emit allocates %v times in 200 steady-state batches, want 0", n)
 	}
 }
 
@@ -240,7 +223,7 @@ func TestWriteTraceIsValidJSON(t *testing.T) {
 func TestSamplerWindows(t *testing.T) {
 	w := cycles.FromMicros(100)
 	horizon := cycles.FromMicros(500)
-	s := NewSampler(w, horizon, func() Quantiler { return &histStub{} })
+	s := NewSampler(w, horizon)
 
 	arrive := Key(KindCounter, LayerCluster, NameArrive, 0)
 	served := Key(KindCounter, LayerCluster, NameServed, 0)
@@ -297,7 +280,7 @@ func TestSamplerOrderIndependence(t *testing.T) {
 		{At: w + w/3, Key: Key(KindCounter, LayerIngress, NameBudget, 0), A: 700},
 	}
 	run := func(order []int) string {
-		s := NewSampler(w, 3*w, func() Quantiler { return &histStub{} })
+		s := NewSampler(w, 3*w)
 		for _, i := range order {
 			r := recs[i]
 			s.Feed(r.At, r.Key, r.A, r.B)
@@ -326,31 +309,109 @@ func TestSamplerOrderIndependence(t *testing.T) {
 }
 
 // TestSamplerSealPooling: sealing recycles histograms, so a long run
-// holds O(active windows) quantilers, not O(total windows).
+// holds O(active windows) histograms, not O(total windows).
 func TestSamplerSealPooling(t *testing.T) {
 	w := cycles.FromMicros(10)
-	made := 0
-	s := NewSampler(w, 0, func() Quantiler { made++; return &histStub{} })
+	s := NewSampler(w, 0)
 	s.AutoSeal = true
 	served := Key(KindCounter, LayerCluster, NameServed, 0)
 	for i := 0; i < 1000; i++ {
 		s.Feed(cycles.Cycles(i)*w+1, served, uint64(i), 0)
 	}
+	made := len(s.free)
+	for i := range s.rows {
+		if s.rows[i].h != nil {
+			made++
+		}
+	}
 	if made > 3 {
-		t.Fatalf("sampler made %d quantilers for a monotone feed, want ≤ 3", made)
+		t.Fatalf("sampler holds %d histograms for a monotone feed, want ≤ 3", made)
 	}
 	ts := s.Finish(nil)
 	if len(ts.Windows) != 1000 {
 		t.Fatalf("got %d windows", len(ts.Windows))
 	}
-	if ts.Windows[500].Served != 1 || ts.Windows[500].P99US == 0 {
-		t.Fatalf("sealed window lost data: %+v", ts.Windows[500])
+	// Each window's one sample is its p99: a recycled histogram that
+	// kept an earlier window's samples would report those.
+	for i, w := range ts.Windows {
+		if w.Served != 1 || w.P99US != cycles.Cycles(i).Micros() {
+			t.Fatalf("sealed window %d = %+v, want one served record at p99 %v µs", i, w, cycles.Cycles(i).Micros())
+		}
+	}
+}
+
+// servedFeed drives served records through an auto-sealing sampler in
+// nondecreasing virtual time: feedWindow records a window, so every
+// feedWindow-th record crosses into a new window and seals the last
+// one, recycling its histogram. Latencies spread over ~2 octaves.
+type servedFeed struct {
+	s   *Sampler
+	key uint64
+	i   uint64
+}
+
+const (
+	feedWindow  = 64   // records per window
+	feedWindows = 1024 // windows to the horizon
+)
+
+func newServedFeed() *servedFeed {
+	s := NewSampler(feedWindow, feedWindow*feedWindows)
+	s.AutoSeal = true
+	return &servedFeed{s: s, key: Key(KindCounter, LayerCluster, NameServed, 0)}
+}
+
+func (f *servedFeed) next() {
+	f.s.Feed(cycles.Cycles(f.i), f.key, 1000+f.i*7919%3000, 10)
+	f.i++
+}
+
+// full reports whether the feed has reached the horizon.
+func (f *servedFeed) full() bool { return f.i >= feedWindow*feedWindows }
+
+// TestSamplerFeedAllocFree: once two windows have warmed the pool, the
+// served-record path (window cache, histogram, auto-seal, recycle)
+// allocates nothing.
+func TestSamplerFeedAllocFree(t *testing.T) {
+	f := newServedFeed()
+	const runs = 16 * feedWindow
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < runs; i++ {
+			f.next()
+		}
+	}); n != 0 {
+		t.Fatalf("Sampler.Feed allocates %v times in %d served records, want 0", n, runs)
+	}
+	if ts := f.s.Finish(nil); ts.Windows[20].Served != feedWindow || ts.Windows[20].P99US == 0 {
+		t.Fatalf("window 20 = %+v", ts.Windows[20])
+	}
+}
+
+// BenchmarkSamplerFeed measures one served record through Feed on a
+// warm auto-sealing sampler, seals and histogram recycling included.
+func BenchmarkSamplerFeed(b *testing.B) {
+	f := newServedFeed()
+	for range 2 * feedWindow { // warm the histogram pool
+		f.next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if f.full() {
+			b.StopTimer()
+			f = newServedFeed()
+			for range 2 * feedWindow {
+				f.next()
+			}
+			b.StartTimer()
+		}
+		f.next()
 	}
 }
 
 func TestTimeSeriesCSV(t *testing.T) {
 	w := cycles.FromMicros(100)
-	s := NewSampler(w, cycles.FromMicros(200), func() Quantiler { return &histStub{} })
+	s := NewSampler(w, cycles.FromMicros(200))
 	s.Feed(0, Key(KindCounter, LayerCluster, NameArrive, 0), 0, 0)
 	s.Feed(5, Key(KindCounter, LayerCluster, NameServed, 0), uint64(cycles.FromMicros(40)), 0)
 	s.AddMark(150, "scale", "add-node")

@@ -8,19 +8,6 @@ import (
 	"xcontainers/internal/cycles"
 )
 
-// Quantiler summarizes one window's latency sample. *sim.Histogram
-// satisfies it; obs cannot import sim (sim imports obs), so the
-// concrete histogram arrives through this interface. Absorb adds the
-// samples of another quantiler made by the same constructor, exactly:
-// merged windows must report what one quantiler fed every sample
-// would.
-type Quantiler interface {
-	Observe(cycles.Cycles)
-	Quantile(q float64) cycles.Cycles
-	Reset()
-	Absorb(Quantiler)
-}
-
 // WindowRow is one window of the materialized time series. Counter
 // columns are per-window deltas; InFlight is the request-level
 // queue-depth gauge at window end (admissions minus completions);
@@ -107,6 +94,10 @@ type wrow struct {
 	busy                              uint64 // Σ completed cost, cycles
 	budgetMin                         uint64 // tokens ×1000; ^0 = unset
 	p50, p95, p99                     cycles.Cycles
+	// h is the window's latency histogram: nil until its first served
+	// record, back in the sampler's pool once the window is sealed or
+	// absorbed.
+	h *Histogram
 }
 
 // count adds n to the counter column of a count-only name; other names
@@ -132,7 +123,8 @@ func (r *wrow) count(name uint16, n uint64) {
 	}
 }
 
-// add folds another unsealed row of the same window into r.
+// add folds another unsealed row's counters and gauge into r; the
+// histogram merges in Sampler.Absorb, which owns the pool.
 func (r *wrow) add(o *wrow) {
 	r.arrived += o.arrived
 	r.served += o.served
@@ -145,12 +137,6 @@ func (r *wrow) add(o *wrow) {
 	r.budgetDenied += o.budgetDenied
 	r.busy += o.busy
 	r.budgetMin = min(r.budgetMin, o.budgetMin)
-}
-
-// histSlot pairs an active (unsealed) window with its quantiler.
-type histSlot struct {
-	widx int
-	h    Quantiler
 }
 
 // Sampler accumulates records into fixed windows of virtual time and
@@ -171,31 +157,28 @@ type Sampler struct {
 	window  cycles.Cycles
 	horizon cycles.Cycles
 	rows    []wrow
-	sealed  int // windows [0, sealed) are final: they take no more records
-	active  []histSlot
-	free    []Quantiler
-	mk      func() Quantiler
+	sealed  int          // windows [0, sealed) are final: they take no more records
+	free    []*Histogram // reset histograms of sealed or absorbed windows
 	marks   []Mark
 
 	// Window cache: consecutive records are overwhelmingly
-	// time-adjacent, so the common feed path skips windowOf's divide
-	// and hist's search. curEnd == 0 means cold; curH is curIdx's
-	// quantiler once looked up, nil until then and after a recycle.
+	// time-adjacent, so the common feed path skips windowOf's divide.
+	// curEnd == 0 means cold.
 	curIdx   int
 	curStart cycles.Cycles
 	curEnd   cycles.Cycles
-	curH     Quantiler
 }
 
-// NewSampler creates a sampler with the given window and horizon; mk
-// constructs one latency quantiler per in-flight window (they are
-// pooled and reset, not re-made, once warm).
-func NewSampler(window, horizon cycles.Cycles, mk func() Quantiler) *Sampler {
+// NewSampler creates a sampler with the given window and horizon. Each
+// window that sees a served record holds one latency histogram until
+// it is sealed; histograms are pooled and reset, not re-made, once
+// warm.
+func NewSampler(window, horizon cycles.Cycles) *Sampler {
 	if window <= 0 {
 		window = cycles.FromMicros(1000)
 	}
 	n := int(horizon/window) + 1
-	return &Sampler{window: window, horizon: horizon, rows: make([]wrow, 0, n), mk: mk}
+	return &Sampler{window: window, horizon: horizon, rows: make([]wrow, 0, n)}
 }
 
 // Window returns the configured window width.
@@ -217,7 +200,6 @@ func (s *Sampler) move(at cycles.Cycles) {
 	s.curIdx = w
 	s.curStart = cycles.Cycles(w) * s.window
 	s.curEnd = s.curStart + s.window
-	s.curH = nil
 }
 
 // windowOf returns the window index a timestamp lands in.
@@ -229,22 +211,27 @@ func (s *Sampler) windowOf(at cycles.Cycles) int {
 	return w
 }
 
-// hist returns the latency quantiler for window widx, pooling.
-func (s *Sampler) hist(widx int) Quantiler {
-	for _, a := range s.active {
-		if a.widx == widx {
-			return a.h
+// hist returns r's latency histogram, taking one from the pool on the
+// window's first served record.
+func (s *Sampler) hist(r *wrow) *Histogram {
+	if r.h == nil {
+		if n := len(s.free); n > 0 {
+			r.h = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			r.h = new(Histogram)
 		}
 	}
-	var h Quantiler
-	if n := len(s.free); n > 0 {
-		h = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		h = s.mk()
+	return r.h
+}
+
+// release resets r's histogram, if it has one, into the pool.
+func (s *Sampler) release(r *wrow) {
+	if r.h != nil {
+		r.h.Reset()
+		s.free = append(s.free, r.h)
+		r.h = nil
 	}
-	s.active = append(s.active, histSlot{widx: widx, h: h})
-	return h
 }
 
 // Feed routes one record into its window. Safe on a nil receiver.
@@ -270,10 +257,7 @@ func (s *Sampler) Feed(at cycles.Cycles, key, a, b uint64) {
 	case NameServed:
 		r.served++
 		r.busy += b
-		if s.curH == nil {
-			s.curH = s.hist(s.curIdx)
-		}
-		s.curH.Observe(cycles.Cycles(a))
+		s.hist(r).Observe(cycles.Cycles(a))
 	case NameBudget:
 		r.budgetMin = min(r.budgetMin, a)
 	default:
@@ -304,7 +288,7 @@ func (s *Sampler) FeedN(at cycles.Cycles, key uint64, n uint64) {
 }
 
 // Absorb moves windows [from, lim) of src into s: counters add, the
-// budget gauge keeps its minimum, and each window's quantiler merges
+// budget gauge keeps its minimum, and each window's histogram merges
 // into s's and returns to src's pool. src must share s's window and
 // horizon and must not be sealed; each of its windows is absorbed at
 // most once, before s seals it (a window s has sealed takes nothing,
@@ -317,25 +301,17 @@ func (s *Sampler) Absorb(src *Sampler, from, lim int) {
 	}
 	s.grow(lim - 1)
 	for w := from; w < lim; w++ {
+		sr := &src.rows[w]
 		if w >= s.sealed {
-			s.rows[w].add(&src.rows[w])
+			r := &s.rows[w]
+			r.add(sr)
+			if sr.h != nil {
+				s.hist(r).Merge(sr.h)
+			}
 		}
-		src.rows[w] = wrow{budgetMin: ^uint64(0)}
+		src.release(sr)
+		*sr = wrow{budgetMin: ^uint64(0)}
 	}
-	kept := src.active[:0]
-	for _, a := range src.active {
-		if a.widx < from || a.widx >= lim {
-			kept = append(kept, a)
-			continue
-		}
-		if a.widx >= s.sealed {
-			s.hist(a.widx).Absorb(a.h)
-		}
-		a.h.Reset()
-		src.free = append(src.free, a.h)
-	}
-	src.active = kept
-	src.curH = nil
 }
 
 // Seal finalizes every window that ends at or before t, whatever it
@@ -351,22 +327,15 @@ func (s *Sampler) Seal(t cycles.Cycles) {
 	if lim <= s.sealed {
 		return
 	}
-	s.sealed = lim
-	kept := s.active[:0]
-	for _, a := range s.active {
-		if a.widx < lim {
-			r := &s.rows[a.widx]
-			r.p50 = a.h.Quantile(0.50)
-			r.p95 = a.h.Quantile(0.95)
-			r.p99 = a.h.Quantile(0.99)
-			a.h.Reset()
-			s.free = append(s.free, a.h)
-			s.curH = nil
-			continue
+	for w := s.sealed; w < min(lim, len(s.rows)); w++ {
+		if r := &s.rows[w]; r.h != nil {
+			r.p50 = r.h.Quantile(0.50)
+			r.p95 = r.h.Quantile(0.95)
+			r.p99 = r.h.Quantile(0.99)
+			s.release(r)
 		}
-		kept = append(kept, a)
 	}
-	s.active = kept
+	s.sealed = lim
 }
 
 // AddMark appends a point annotation. Owners add marks in event order
@@ -385,7 +354,7 @@ func (s *Sampler) Finish(rec *Recorder) *TimeSeries {
 	if s == nil {
 		return nil
 	}
-	s.Seal(s.horizon + 2*s.window)
+	s.Seal(cycles.Cycles(len(s.rows)) * s.window)
 	n := len(s.rows)
 	if s.horizon > 0 {
 		if want := int((s.horizon + s.window - 1) / s.window); want > n {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 )
 
 // service is the benchmark request cost: 10 µs of CPU per request.
@@ -17,7 +18,7 @@ const benchService = cycles.Cycles(29_000)
 func benchClosed() uint64 {
 	e := NewEngine()
 	q := NewQueue(e, "bench", 4)
-	var latency Histogram
+	var latency obs.Histogram
 	horizon := cycles.FromSeconds(1)
 	q.OnDone = func(j Job) {
 		latency.Observe(e.Now() - j.Born)
@@ -39,7 +40,7 @@ func benchClosed() uint64 {
 func benchOpen(seed uint64) uint64 {
 	e := NewEngine()
 	q := NewQueue(e, "bench", 4)
-	var latency Histogram
+	var latency obs.Histogram
 	q.OnDone = func(j Job) { latency.Observe(e.Now() - j.Born) }
 	rate := 0.8 * 4 * float64(cycles.Hz) / float64(benchService)
 	horizon := cycles.FromSeconds(1)
@@ -159,19 +160,4 @@ func BenchmarkSimEngineTimeouts(b *testing.B) {
 			reportEvents(b, events)
 		})
 	}
-}
-
-// BenchmarkHistogramQuantile measures the quantile read path (hot in
-// the cluster control loop, which reads p99 every window).
-func BenchmarkHistogramQuantile(b *testing.B) {
-	var h Histogram
-	for i := 1; i <= 10_000; i++ {
-		h.Observe(cycles.Cycles(i * 37))
-	}
-	b.ResetTimer()
-	var sink cycles.Cycles
-	for i := 0; i < b.N; i++ {
-		sink += h.Quantile(0.99)
-	}
-	_ = sink
 }

@@ -1,8 +1,8 @@
 // Package sim is the deterministic discrete-event simulation engine
 // behind every tier-2 (flow-level) model in this repository: an event
 // heap ordered by virtual time in cycles.Cycles, seeded pseudo-random
-// arrival and size distributions, and multi-server FIFO queues with
-// latency histograms.
+// arrival and size distributions, and multi-server FIFO queues. Their
+// consumers summarise latency with obs.Histogram.
 //
 // The engine exists so that bursty open-loop arrivals, queueing delay,
 // tail latency, and multi-tenant contention — phenomena closed-form
@@ -173,6 +173,12 @@ func (e *Engine) Now() cycles.Cycles { return e.now }
 
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return len(e.keys) + e.laned }
+
+// HeapCap returns the event heap's capacity: the high-water mark of
+// heap-ordered pending events, as append rounds it. The heap grows only
+// when that mark rises, so allocation budgets read it to tell model
+// growth from a hot-path allocation.
+func (e *Engine) HeapCap() int { return cap(e.keys) }
 
 // Fired returns the number of events dispatched so far — the
 // denominator of the kernel's events/sec throughput metric.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 )
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
@@ -136,7 +137,7 @@ func TestFixedRateGap(t *testing.T) {
 func TestQueueSingleServerFIFO(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	var sojourn Histogram
+	var sojourn obs.Histogram
 	var done []uint64
 	q.OnDone = func(j Job) {
 		done = append(done, j.ID)
@@ -181,7 +182,7 @@ func TestQueueLowUtilizationLatencyIsService(t *testing.T) {
 	// At 1% utilization, sojourn ≈ service time: queueing vanishes.
 	e := NewEngine()
 	q := NewQueue(e, "s", 1)
-	var sojourn Histogram
+	var sojourn obs.Histogram
 	q.OnDone = func(j Job) { sojourn.Observe(e.Now() - j.Born) }
 	r := NewRand(5)
 	arr := PoissonRate(100)
@@ -235,69 +236,6 @@ func TestQueueSaturationThroughputIsCapacity(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Observe(cycles.Cycles(i * 1000))
-	}
-	p50 := h.Quantile(0.50)
-	p95 := h.Quantile(0.95)
-	p99 := h.Quantile(0.99)
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Fatalf("quantiles not monotone: %v %v %v", p50, p95, p99)
-	}
-	// Bucket resolution is 1/16 per octave: allow ~12% slack.
-	check := func(name string, got cycles.Cycles, want float64) {
-		if f := float64(got); f < 0.95*want || f > 1.15*want {
-			t.Errorf("%s = %v, want ≈%v", name, got, want)
-		}
-	}
-	check("p50", p50, 500_000)
-	check("p95", p95, 950_000)
-	check("p99", p99, 990_000)
-	if h.Quantile(1) != h.Max() {
-		t.Errorf("p100 = %v, want max %v", h.Quantile(1), h.Max())
-	}
-	if m := h.Mean(); m != 500_500 {
-		t.Errorf("mean = %v, want exactly 500500", m)
-	}
-}
-
-// TestHistogramQuantileScanDirection: Quantile scans down from the top
-// for tail quantiles; every answer must equal the lowest bucket whose
-// running count reaches the target, as a forward scan finds it.
-func TestHistogramQuantileScanDirection(t *testing.T) {
-	forward := func(h *Histogram, q float64) cycles.Cycles {
-		target := max(uint64(q*float64(h.n)), 1)
-		var cum uint64
-		for b, c := range h.counts[:h.hi+1] {
-			if cum += c; cum >= target {
-				return min(bucketCeil(b), h.max)
-			}
-		}
-		return h.max
-	}
-	r := NewRand(5)
-	for _, n := range []int{1, 2, 3, 10, 101, 5000} {
-		var h Histogram
-		for i := 0; i < n; i++ {
-			h.Observe(cycles.Cycles(r.Uint64() % (1 << (r.Uint64() % 30))))
-		}
-		for q := 0.0; q <= 1.0; q += 0.001 {
-			if got, want := h.Quantile(q), forward(&h, q); got != want {
-				t.Fatalf("n=%d q=%.3f: %v, forward scan gives %v", n, q, got, want)
-			}
-		}
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Error("empty histogram must report zeros")
-	}
-}
-
 // TestDeterministicReplay is the engine-level determinism gate: an
 // open-loop M/D/2 run replayed with the same seed must reproduce every
 // statistic bit for bit.
@@ -305,7 +243,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func(seed uint64) (uint64, float64, cycles.Cycles, int) {
 		e := NewEngine()
 		q := NewQueue(e, "s", 2)
-		var sojourn Histogram
+		var sojourn obs.Histogram
 		q.OnDone = func(j Job) { sojourn.Observe(e.Now() - j.Born) }
 		r := NewRand(seed)
 		arr := PoissonRate(50_000)
@@ -436,22 +374,5 @@ func TestEngineFiredCounts(t *testing.T) {
 	e.RunUntilIdle()
 	if e.Fired() != 2 {
 		t.Errorf("fired = %d, want 2 (one func event, one completion)", e.Fired())
-	}
-}
-
-// TestHistogramHighBucketTracking pins Quantile's scan bound: samples
-// confined to low buckets must still answer correctly, and a new
-// high-bucket sample must extend the scan.
-func TestHistogramHighBucketTracking(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	if p := h.Quantile(0.99); p != 5 {
-		t.Errorf("p99 = %v, want 5", p)
-	}
-	h.Observe(1 << 40)
-	if p := h.Quantile(1); p != 1<<40 {
-		t.Errorf("p100 = %v, want the new max", p)
 	}
 }

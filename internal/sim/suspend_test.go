@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xcontainers/internal/cycles"
+	"xcontainers/internal/obs"
 )
 
 // TestSuspendResume models a migration blackout: in-flight jobs drain,
@@ -115,7 +116,7 @@ func TestOnStartHook(t *testing.T) {
 func TestSuspendLatencyCharged(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue(eng, "q", 1)
-	var sojourn Histogram
+	var sojourn obs.Histogram
 	q.OnDone = func(j Job) { sojourn.Observe(eng.Now() - j.Born) }
 	q.Suspend()
 	q.Arrive(Job{ID: 1, Cost: 10, Born: eng.Now()})

@@ -31,8 +31,7 @@ func NewObserver(cfg obs.Options, horizon cycles.Cycles, label string) *Observer
 	}
 	o.Stream.Rec = obs.NewRecorder(cfg.RingCap)
 	o.Stream.Rec.Label(obs.LayerCluster, 0, label)
-	o.Stream.Smp = obs.NewSampler(cycles.FromMicros(cfg.WindowUS), horizon,
-		func() obs.Quantiler { return new(sim.Histogram) })
+	o.Stream.Smp = obs.NewSampler(cycles.FromMicros(cfg.WindowUS), horizon)
 	o.Stream.Smp.AutoSeal = true
 	return o
 }

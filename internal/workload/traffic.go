@@ -105,7 +105,7 @@ func (l TrafficLoad) Run() TrafficResult {
 		ob = NewObserver(*l.Observe, horizon, "load")
 	}
 	queues := make([]*sim.Queue, replicas)
-	var latency sim.Histogram
+	var latency obs.Histogram
 	for i := range queues {
 		q := sim.NewQueue(eng, fmt.Sprintf("container-%d", i), parallel)
 		if ob == nil {

@@ -23,11 +23,15 @@ func TestDomainBootAllocs(t *testing.T) {
 	allocs := func(pages int) float64 {
 		k := New(Config{Mode: ModeXKernel})
 		bootCycle(t, k, pages) // warm the domain table
-		return testing.AllocsPerRun(20, func() { bootCycle(t, k, pages) })
+		return testing.AllocsPerRun(1, func() {
+			for range 20 {
+				bootCycle(t, k, pages)
+			}
+		})
 	}
 	small, large := allocs(1024), allocs(131072)
 	if small != large {
-		t.Fatalf("boot cycle allocs: %v at 1,024 pages, %v at 131,072; want equal", small, large)
+		t.Fatalf("20 boot cycles allocate %v times at 1,024 pages, %v at 131,072; want equal", small, large)
 	}
 }
 

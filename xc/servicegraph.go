@@ -8,6 +8,7 @@ import (
 
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/ingress"
+	"xcontainers/internal/obs"
 	"xcontainers/internal/sim"
 	"xcontainers/internal/workload"
 )
@@ -379,7 +380,7 @@ func (p *Platform) ServeGraph(g *ServiceGraphSpec, t *TrafficSpec) (*GraphReport
 		}
 	}
 	var (
-		rootLat   sim.Histogram
+		rootLat   obs.Histogram
 		completed uint64
 		open      = t.load.Open()
 		conns     = t.load.Population(totalServers)
