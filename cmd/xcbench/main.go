@@ -2,7 +2,9 @@
 // figure of §5 plus the §4.5 spawn-cost observation and the ablation
 // studies. Without arguments it runs everything. It is also the perf
 // front door: parallel scenario sweeps over rates and seeds, and pprof
-// profiles of the run.
+// profiles of the run. Experiment cells, vCPU lanes and sweep
+// replications run on worker pools min(GOMAXPROCS, items) wide; set
+// GOMAXPROCS to change the width. No output depends on it.
 //
 // Usage:
 //
@@ -10,7 +12,7 @@
 //	xcbench -exp table1
 //	xcbench -exp fig3,fig8 -markdown
 //	xcbench -exp table1 -json
-//	xcbench -sweep 100000,400000 -seeds 5 -parallel 8 -app memcached
+//	xcbench -sweep 100000,400000 -seeds 5 -app memcached
 //	xcbench -exp fig8 -cpuprofile fig8.pprof
 package main
 
@@ -52,12 +54,9 @@ func run(args []string, stdout io.Writer) error {
 
 	sweep := fs.String("sweep", "", "comma-separated offered rates (req/s) for a parallel traffic sweep")
 	seeds := fs.Int("seeds", 3, "sweep: replications per point (seeds 1..n)")
-	parallel := fs.Int("parallel", 0, "sweep: worker pool size (0 = all cores)")
 	app := fs.String("app", "memcached", "sweep: application model (Table 1 name)")
 	rtName := fs.String("runtime", "xcontainer", "sweep: architecture: "+xc.KindUsage())
 	duration := fs.Float64("duration", 0.5, "sweep: horizon per replication in virtual seconds")
-
-	vcpus := fs.Int("vcpus", 0, "SMP experiments: host worker goroutines executing vCPU lanes in parallel (0 = GOMAXPROCS); changes wall-clock speed only, never results")
 
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
@@ -67,8 +66,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage
 	}
-
-	bench.SetSMPWorkers(*vcpus)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -104,7 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	case *sweep != "":
 		return runSweep(stdout, sweepOptions{
-			rates: *sweep, seeds: *seeds, parallel: *parallel,
+			rates: *sweep, seeds: *seeds,
 			app: *app, runtime: *rtName, duration: *duration, jsonOut: *jsonOut,
 		})
 	}
@@ -153,15 +150,15 @@ func run(args []string, stdout io.Writer) error {
 }
 
 type sweepOptions struct {
-	rates           string
-	seeds, parallel int
-	app, runtime    string
-	duration        float64
-	jsonOut         bool
+	rates        string
+	seeds        int
+	app, runtime string
+	duration     float64
+	jsonOut      bool
 }
 
 // runSweep drives xc.Sweep from the flag surface: rates × seeds on a
-// bounded worker pool.
+// GOMAXPROCS-wide worker pool.
 func runSweep(stdout io.Writer, o sweepOptions) error {
 	kind, err := xc.ParseKind(o.runtime)
 	if err != nil {
@@ -181,7 +178,6 @@ func runSweep(stdout io.Writer, o sweepOptions) error {
 		Traffic:  xc.Traffic().Duration(o.duration),
 		Rates:    rates,
 		Seeds:    seedList,
-		Parallel: o.parallel,
 	})
 	if err != nil {
 		return err

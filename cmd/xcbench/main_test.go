@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -60,36 +59,29 @@ func TestHumanAndMarkdown(t *testing.T) {
 }
 
 // TestVCPUsDeterministic pins the deterministic-SMP CLI contract: the
-// -vcpus flag (host workers executing vCPU lanes in parallel) changes
-// wall-clock speed only — `-exp smp -json` output is byte-identical
-// for -vcpus 1 vs -vcpus 4, at GOMAXPROCS 1 and at the host's real
-// parallelism, and the worker count never leaks into the JSON.
+// host worker pool executing vCPU lanes in parallel is GOMAXPROCS wide
+// and changes wall-clock speed only — `-exp smp -json` output is
+// byte-identical at GOMAXPROCS 1, 2 and 4.
 func TestVCPUsDeterministic(t *testing.T) {
-	smpJSON := func(vcpus int) string {
-		t.Helper()
+	var base string
+	for _, gmp := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(gmp)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 		var out bytes.Buffer
-		if err := run([]string{"-exp", "smp", "-json", "-vcpus", strconv.Itoa(vcpus)}, &out); err != nil {
+		if err := run([]string{"-exp", "smp", "-json"}, &out); err != nil {
 			t.Fatal(err)
 		}
-		return out.String()
-	}
-	base := smpJSON(1)
-	if strings.Contains(base, "vcpus") {
-		t.Errorf("-vcpus leaked into the JSON report:\n%s", base)
+		if base == "" {
+			base = out.String()
+			continue
+		}
+		if got := out.String(); got != base {
+			t.Fatalf("GOMAXPROCS=%d diverged from GOMAXPROCS=1:\n got %s\nwant %s", gmp, got, base)
+		}
 	}
 	var reports []*bench.Report
 	if err := json.Unmarshal([]byte(base), &reports); err != nil {
 		t.Fatalf("smp -json is not a report array: %v\n%s", err, base)
-	}
-	for _, gmp := range []int{1, runtime.GOMAXPROCS(0)} {
-		prev := runtime.GOMAXPROCS(gmp)
-		for _, vcpus := range []int{1, 4} {
-			if got := smpJSON(vcpus); got != base {
-				runtime.GOMAXPROCS(prev)
-				t.Fatalf("GOMAXPROCS=%d -vcpus %d diverged from -vcpus 1:\n got %s\nwant %s", gmp, vcpus, got, base)
-			}
-		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -149,7 +141,7 @@ func TestSweepOutput(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run([]string{"-sweep", "100000", "-seeds", "2", "-duration", "0.02", "-parallel", "2", "-json"}, &out); err != nil {
+	if err := run([]string{"-sweep", "100000", "-seeds", "2", "-duration", "0.02", "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rep xc.SweepReport

@@ -41,9 +41,10 @@
 //
 //	xctl -cluster -nodes 10000 -replicas 10000 -shards 8 -duration 0.01 -json
 //
-// Reports are byte-identical for any -shards >= 1 and any
-// -shard-workers; -epoch-us tunes the barrier period (a model
-// parameter, unlike the other two).
+// Reports are byte-identical for any -shards >= 1 and any GOMAXPROCS,
+// which sizes the worker pools (shard engines, sweep replications);
+// -epoch-us tunes the barrier period (a model parameter, unlike
+// -shards).
 package main
 
 import (
@@ -95,7 +96,6 @@ func run(args []string, stdout io.Writer) error {
 	deploySpec := fs.String("deploy", "", "cluster: SLO-guarded rollout, e.g. \"canary@0.1,frac=0.1,err=0.02\" (strategies: rolling|canary|bluegreen)")
 	shards := fs.Int("shards", 0, "cluster: run on the epoch-sharded engine with this many shards (0 = single engine; reports are identical for any value >= 1)")
 	epochUS := fs.Float64("epoch-us", 0, "cluster sharded engine: barrier period in virtual microseconds (0 = twice the per-request cost, capped at 500)")
-	shardWorkers := fs.Int("shard-workers", 0, "cluster sharded engine: goroutines driving shards, at most n; epochs too small to repay a handoff run inline (0 = min(shards, cores); wall-clock only)")
 	ingressPolicy := fs.String("ingress-policy", "", "cluster: front the fleet with the L7 ingress tier using this load balancer ("+xc.LBUsage()+"; empty = built-in JSQ front door)")
 	breakerRate := fs.Float64("breaker-rate", 0, "cluster ingress: circuit-breaker failure-rate trip threshold in (0,1] (0 = off)")
 	shedDepth := fs.Int("shed-depth", 0, "cluster ingress: shed calls when mean backlog per replica exceeds this depth (0 = off)")
@@ -109,7 +109,6 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the cluster report as a JSON document")
 	sweepRates := fs.String("sweep-rates", "", "cluster: comma-separated offered rates; runs a parallel sweep instead of one experiment")
 	sweepSeeds := fs.Int("seeds", 1, "cluster sweep: replications per rate (seeds 1..n)")
-	parallel := fs.Int("parallel", 0, "cluster sweep: worker pool size (0 = all cores)")
 	traceOut := fs.String("trace", "", "cluster: write the run's flight-recorder trace as Chrome trace-event JSON (Perfetto) to this file; implies observability")
 	metricsOut := fs.String("metrics-out", "", "cluster: write the run's windowed time series as CSV to this file; implies observability")
 	metricsWindowUS := fs.Float64("metrics-window-us", 0, "cluster observability: time-series window width in virtual microseconds (0 = 1000)")
@@ -133,12 +132,12 @@ func run(args []string, stdout io.Writer) error {
 				nodes: *nodes, maxNodes: *maxNodes, nodeCores: *nodeCores, replicas: *replicas,
 				policy: *policy, sloMillis: *slo, autoscale: *autoscale, failNode: *failNode,
 				chaosPlan: *chaosPlan, deploySpec: *deploySpec,
-				shards: *shards, epochUS: *epochUS, shardWorkers: *shardWorkers,
+				shards: *shards, epochUS: *epochUS,
 				ingressPolicy: *ingressPolicy, keepAlive: *keepAlive, retries: *retries,
 				timeoutUS: *timeoutUS, hedgeP: *hedgeP,
 				breakerRate: *breakerRate, shedDepth: *shedDepth,
 				rate: *rate, duration: *duration, seed: *seed, jsonOut: *jsonOut,
-				sweepRates: *sweepRates, sweepSeeds: *sweepSeeds, parallel: *parallel,
+				sweepRates: *sweepRates, sweepSeeds: *sweepSeeds,
 				traceOut: *traceOut, metricsOut: *metricsOut,
 				metricsWindowUS: *metricsWindowUS, queueDepth: *queueDepth,
 			})
@@ -208,7 +207,7 @@ type clusterOptions struct {
 	sloMillis, failNode                  float64
 	chaosPlan, deploySpec                string
 	autoscale                            bool
-	shards, shardWorkers                 int
+	shards                               int
 	epochUS                              float64
 	ingressPolicy                        string
 	keepAlive, retries                   int
@@ -219,7 +218,7 @@ type clusterOptions struct {
 	seed                                 uint64
 	jsonOut                              bool
 	sweepRates                           string
-	sweepSeeds, parallel                 int
+	sweepSeeds                           int
 	traceOut, metricsOut                 string
 	metricsWindowUS                      float64
 	queueDepth                           bool
@@ -253,9 +252,8 @@ func runCluster(stdout io.Writer, o clusterOptions) error {
 		Chaos:     o.chaosPlan,
 		Deploy:    o.deploySpec,
 
-		Shards:       o.shards,
-		EpochMicros:  o.epochUS,
-		ShardWorkers: o.shardWorkers,
+		Shards:      o.shards,
+		EpochMicros: o.epochUS,
 	}
 	if o.ingressPolicy != "" {
 		lb, err := xc.ParseLB(o.ingressPolicy)
@@ -333,7 +331,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // runClusterSweep replicates the cluster experiment across -sweep-rates
-// × -seeds on a bounded worker pool and prints the merged SweepReport.
+// × -seeds on a GOMAXPROCS-wide worker pool and prints the merged
+// SweepReport.
 func runClusterSweep(stdout io.Writer, o clusterOptions, kind xc.Kind, spec xc.ClusterSpec) error {
 	rates, err := xc.ParseRates(o.sweepRates)
 	if err != nil {
@@ -350,7 +349,6 @@ func runClusterSweep(stdout io.Writer, o clusterOptions, kind xc.Kind, spec xc.C
 		Rates:    rates,
 		Seeds:    seeds,
 		Cluster:  &spec,
-		Parallel: o.parallel,
 	})
 	if err != nil {
 		return err

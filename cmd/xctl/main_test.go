@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -127,23 +128,31 @@ func TestClusterSweep(t *testing.T) {
 	}
 }
 
-// TestClusterSweepDeterministicAcrossWorkers replays the same sweep
-// with different -parallel values and requires identical bytes.
+// TestClusterSweepDeterministicAcrossWorkers replays the same sweep at
+// GOMAXPROCS 1 and 4, which size its worker pool, and requires
+// identical bytes.
 func TestClusterSweepDeterministicAcrossWorkers(t *testing.T) {
-	args := func(par string) []string {
-		return []string{"-cluster", "-nodes", "2", "-sweep-rates", "300000",
-			"-seeds", "3", "-duration", "0.05", "-parallel", par, "-json"}
-	}
+	args := []string{"-cluster", "-nodes", "2", "-sweep-rates", "300000",
+		"-seeds", "3", "-duration", "0.05", "-json"}
 	var a, b bytes.Buffer
-	if err := run(args("1"), &a); err != nil {
+	setGOMAXPROCS(t, 1)
+	if err := run(args, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(args("4"), &b); err != nil {
+	setGOMAXPROCS(t, 4)
+	if err := run(args, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Error("cluster sweep output depends on -parallel")
+		t.Error("cluster sweep output depends on GOMAXPROCS")
 	}
+}
+
+// setGOMAXPROCS sets GOMAXPROCS, which sizes every worker pool, for the
+// rest of the test and restores the old value when it ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestClusterSweepBadInputs rejects malformed sweep flags.
@@ -203,33 +212,35 @@ func TestClusterIngressFlags(t *testing.T) {
 }
 
 // TestClusterShardFlags: -shards selects the epoch-sharded engine, and
-// the JSON document is byte-identical for any shard and worker count.
+// the JSON document is byte-identical for any shard count and any
+// GOMAXPROCS (0 below keeps the host's).
 func TestClusterShardFlags(t *testing.T) {
 	base := []string{"-cluster", "-runtime", "xcontainer", "-app", "memcached",
 		"-nodes", "1", "-max-nodes", "3", "-policy", "binpack",
 		"-slo", "0.5", "-fail-node", "0.2", "-rate", "1200000",
 		"-duration", "0.4", "-seed", "7", "-json"}
 	var want string
-	for _, extra := range [][]string{
-		{"-shards", "1"},
-		{"-shards", "8"},
-		{"-shards", "8", "-shard-workers", "1"},
-		{"-shards", "8", "-shard-workers", "4"},
-	} {
+	for _, c := range []struct {
+		shards string
+		gmp    int
+	}{{"1", 0}, {"8", 0}, {"8", 1}, {"8", 4}} {
+		if c.gmp > 0 {
+			setGOMAXPROCS(t, c.gmp)
+		}
 		var out bytes.Buffer
-		if err := run(append(append([]string{}, base...), extra...), &out); err != nil {
+		if err := run(append(append([]string{}, base...), "-shards", c.shards), &out); err != nil {
 			t.Fatal(err)
 		}
 		var rep xc.ClusterReport
 		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-			t.Fatalf("%v: stdout is not a valid report: %v", extra, err)
+			t.Fatalf("%+v: stdout is not a valid report: %v", c, err)
 		}
 		if want == "" {
 			want = out.String()
 			continue
 		}
 		if out.String() != want {
-			t.Errorf("%v diverged from -shards 1", extra)
+			t.Errorf("-shards %s at GOMAXPROCS %d diverged from -shards 1", c.shards, runtime.GOMAXPROCS(0))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"xcontainers/internal/apps"
 	"xcontainers/internal/runtimes"
+	"xcontainers/internal/sim/par"
 	"xcontainers/internal/workload"
 )
 
@@ -53,7 +54,7 @@ func RunFig3() (*Report, error) {
 		name      string
 		tput, lat float64
 	}
-	out, err := runCells(len(cells), func(i int) (res, error) {
+	out, err := par.Cells(len(cells), func(i int) (res, error) {
 		c := cells[i]
 		rt, err := runtimes.New(c.cfg)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xcontainers/internal/runtimes"
+	"xcontainers/internal/sim/par"
 	"xcontainers/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func matrixCells[T any](measure func(rt *runtimes.Runtime, concurrent bool) (T, 
 			panels = append(panels, matrixPanel[T]{cloud: cloud, mode: mode})
 		}
 	}
-	rows, err := runCells(len(cells), func(i int) (matrixRow[T], error) {
+	rows, err := par.Cells(len(cells), func(i int) (matrixRow[T], error) {
 		c := cells[i]
 		rt, err := runtimes.New(c.cfg)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"xcontainers/internal/cpusim"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/runtimes"
+	"xcontainers/internal/sim/par"
 	"xcontainers/internal/workload"
 )
 
@@ -97,11 +98,7 @@ func fig8Run(rt *runtimes.Runtime, n int, hier bool) (float64, error) {
 	for c := 0; c < n; c++ {
 		tasks := make([]*cpusim.Task, fig8ProcsPerCtr)
 		for i := range tasks {
-			tasks[i] = &cpusim.Task{
-				Name:        fmt.Sprintf("c%d-p%d", c, i),
-				ContainerID: c,
-				ReqCycles:   perReq,
-			}
+			tasks[i] = &cpusim.Task{ContainerID: c, ReqCycles: perReq}
 		}
 		if hier {
 			m.AddHierarchical(tasks, c)
@@ -128,7 +125,7 @@ func RunFig8() (*Report, error) {
 	// past its boot ceiling only reports that it did not boot.
 	kinds := []runtimes.Kind{runtimes.Docker, runtimes.XContainer, runtimes.XenPVVM, runtimes.XenHVMVM}
 	points := fig8Points()
-	cells, err := runCells(len(points)*len(kinds), func(i int) (string, error) {
+	cells, err := par.Cells(len(points)*len(kinds), func(i int) (string, error) {
 		n, kind := points[i/len(kinds)], kinds[i%len(kinds)]
 		if kind == runtimes.XenPVVM && n > fig8MaxPV || kind == runtimes.XenHVMVM && n > fig8MaxHVM {
 			return "did not boot", nil

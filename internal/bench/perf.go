@@ -333,7 +333,7 @@ func tier1SMPScaling() func(uint64) uint64 {
 			before += p.CPU.Counters.Instructions
 			p.CPU.Reset()
 		}
-		if _, err := rt.RunSMP(procs, 0, 1<<40, 0); err != nil {
+		if _, err := rt.RunConcurrent(procs, 0, 1<<40); err != nil {
 			return 0
 		}
 		var after uint64

@@ -9,20 +9,10 @@ import (
 	"xcontainers/internal/syscalls"
 )
 
-// The "smp" experiment demonstrates deterministic SMP (the PR 9
-// tentpole): four vCPUs of one container execute in lockstep quanta on
-// a host worker pool. The report is a pure function of the virtual
-// schedule — byte-identical for any worker count or GOMAXPROCS — which
-// is exactly what `xcbench -vcpus 1` vs `-vcpus 4` demonstrates.
-
-// smpWorkers is the host worker count for SMP experiments, set from
-// the xcbench -vcpus flag. 0 means GOMAXPROCS. It changes wall-clock
-// speed only, never report contents, so it must not appear in any
-// report output.
-var smpWorkers int
-
-// SetSMPWorkers sets the host worker count used by SMP experiments.
-func SetSMPWorkers(n int) { smpWorkers = n }
+// The "smp" experiment demonstrates deterministic SMP: four vCPUs of
+// one container execute in lockstep quanta on a host worker pool. The
+// report is a pure function of the virtual schedule — byte-identical
+// for any GOMAXPROCS, which sizes the pool.
 
 // RunSMPDemo runs the four-vCPU lockstep workload and reports per-lane
 // architectural results plus the shared-text warm-up statistics.
@@ -53,7 +43,7 @@ func RunSMPDemo() (*Report, error) {
 		}
 		procs = append(procs, p)
 	}
-	elapsed, err := rt.RunSMP(procs, 0, 1<<40, smpWorkers)
+	elapsed, err := rt.RunConcurrent(procs, 0, 1<<40)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"xcontainers/internal/apps"
 	"xcontainers/internal/cycles"
 	"xcontainers/internal/runtimes"
+	"xcontainers/internal/sim/par"
 )
 
 // Table1Iters and Table1Granularity size the binary runs: granularity
@@ -89,7 +90,7 @@ func RunTable1() (*Report, error) {
 			cells = append(cells, cell{app, true})
 		}
 	}
-	res, err := runCells(len(cells), func(i int) (ABOMResult, error) {
+	res, err := par.Cells(len(cells), func(i int) (ABOMResult, error) {
 		return MeasureABOM(cells[i].app, cells[i].offline)
 	})
 	if err != nil {

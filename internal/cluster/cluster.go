@@ -182,10 +182,14 @@ type Config struct {
 	// parameter: results depend on it, never on Shards or
 	// ShardWorkers.
 	EpochUS float64
-	// ShardWorkers bounds the worker pool driving shard engines between
-	// barriers: at most n; epochs too small to repay a handoff run
-	// inline (0 = min(Shards, GOMAXPROCS); 1 = every epoch inline).
-	// Purely a wall-clock knob — results are identical for any value.
+	// ShardWorkers overrides the width of the pool driving shard
+	// engines between barriers: at most n; epochs too small to repay a
+	// handoff run inline (0 = par.NewFor's min(Shards, GOMAXPROCS);
+	// 1 = every epoch inline). Results are identical for any value. It
+	// is the one pool width GOMAXPROCS does not set, and no public API
+	// or CLI sets it: the cluster tests force pooled epochs with it, and
+	// xcperf times a one-worker pass beside the default pass in one
+	// process.
 	ShardWorkers int
 
 	// layoutBlock, when > 0, overrides the replicas per block of the
@@ -718,19 +722,13 @@ func (c *Cluster) onDone(ct *container, j sim.Job) {
 		if c.ob != nil {
 			c.ob.stream.Emit(c.eng.Now(), c.ob.kErred, uint64(lat), 0)
 		}
-		if c.closedLoop && c.eng.Now() < c.horizon {
-			c.dispatch(j.ID)
+	} else {
+		c.fleet.Observe(lat)
+		c.win.Observe(lat)
+		c.completed++
+		if c.ob != nil {
+			c.ob.stream.Emit(c.eng.Now(), c.ob.kServed, uint64(lat), uint64(j.Cost))
 		}
-		if ct.draining && ct.q.Depth() == 0 {
-			c.retire(ct)
-		}
-		return
-	}
-	c.fleet.Observe(lat)
-	c.win.Observe(lat)
-	c.completed++
-	if c.ob != nil {
-		c.ob.stream.Emit(c.eng.Now(), c.ob.kServed, uint64(lat), uint64(j.Cost))
 	}
 	if c.closedLoop && c.eng.Now() < c.horizon {
 		c.dispatch(j.ID)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"unsafe"
 
@@ -470,11 +469,11 @@ func (s *shardRun) start(t Traffic, conc int) {
 		s.admitNow(ids)
 	}
 
-	w := c.cfg.ShardWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if w := c.cfg.ShardWorkers; w > 0 {
+		s.pool = par.New(min(w, len(s.engines)))
+	} else {
+		s.pool = par.NewFor(len(s.engines))
 	}
-	s.pool = par.New(min(w, len(s.engines)))
 	s.runFn = s.runShard
 	s.splitFn = s.splitStream
 }

@@ -22,7 +22,6 @@ import (
 // to serve (the load generator keeps its connections saturated), each
 // request costing ReqCycles of CPU time.
 type Task struct {
-	Name        string
 	ContainerID int
 	ReqCycles   cycles.Cycles
 	Completed   uint64

@@ -1,13 +1,14 @@
 package runtimes
 
 // Zero-alloc regression guard for the deterministic SMP scheduler: the
-// quantum/barrier machinery in RunSMP must not allocate per quantum,
-// or long multi-vCPU runs (thousands of quanta) pay GC tax that the
-// single-CPU tier-1 path already eliminated. Setup (the lane array)
-// may allocate a small constant; the guard pins that total allocations
-// do not grow with the number of quanta executed.
+// quantum/barrier machinery in RunConcurrent must not allocate per
+// quantum, or long multi-vCPU runs (thousands of quanta) pay GC tax
+// that the single-CPU tier-1 path already eliminated. Setup (the lane
+// array) may allocate a small constant; the guard pins that total
+// allocations do not grow with the number of quanta executed.
 
 import (
+	"runtime"
 	"testing"
 
 	"xcontainers/internal/arch"
@@ -18,11 +19,14 @@ import (
 // once with a quantum so large the run fits in a single quantum, and
 // once with a quantum small enough to force hundreds of barrier
 // rounds. Identical allocation counts mean the barrier loop itself is
-// alloc-free.
+// alloc-free. GOMAXPROCS 1 gives a one-worker pool, so no helper
+// goroutine's start adds to either count.
 func TestRunSMPBarrierAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; zero-alloc budget not measurable")
 	}
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	rt := MustNew(Config{Kind: XContainer, Patched: true, Cloud: LocalCluster})
 	c, err := rt.NewContainer("alloc", 2, false)
 	if err != nil {
@@ -49,7 +53,7 @@ func TestRunSMPBarrierAllocFree(t *testing.T) {
 				for _, p := range procs {
 					p.CPU.Reset()
 				}
-				if _, err := rt.RunSMP(procs, quantum, 100_000_000, 1); err != nil {
+				if _, err := rt.RunConcurrent(procs, quantum, 100_000_000); err != nil {
 					t.Fatal(err)
 				}
 				for _, p := range procs {

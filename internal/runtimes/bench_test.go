@@ -1,12 +1,13 @@
 package runtimes
 
 // Deterministic-SMP benchmarks. BenchmarkTier1SMPScaling is the
-// tentpole wall-clock claim: the same four-vCPU workload on 1 worker
-// versus GOMAXPROCS workers produces byte-identical results, and on a
-// multi-core host the parallel variant should approach a linear
-// speedup (>= 2.5x at 4 workers on >= 4 cores). On a single-core host
-// both variants measure the same serialized schedule — the sub-
-// benchmarks still run so CI tracks the scheduler's overhead trend.
+// tentpole wall-clock claim: the same four-vCPU workload at GOMAXPROCS
+// 1 versus GOMAXPROCS 4 (the pool's width) produces byte-identical
+// results, and on a multi-core host the parallel variant should
+// approach a linear speedup (>= 2.5x at 4 workers on >= 4 cores). On a
+// single-core host both variants measure the same serialized schedule —
+// the sub-benchmarks still run so CI tracks the scheduler's overhead
+// trend.
 
 import (
 	"fmt"
@@ -44,17 +45,20 @@ func smpBenchFleet(b *testing.B) (*Runtime, []*Proc) {
 	return rt, procs
 }
 
-// BenchmarkTier1SMPScaling runs the fleet at 1, 2, and 4 host workers.
-// The instr/s metric is summed across lanes: on an idle multi-core
-// host it scales with the worker count; results never change.
+// BenchmarkTier1SMPScaling runs the fleet at GOMAXPROCS 1, 2, and 4,
+// which RunConcurrent's pool takes as its width. The instr/s metric is
+// summed across lanes: on an idle multi-core host it scales with the
+// worker count; results never change.
 func BenchmarkTier1SMPScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			if workers > 1 && runtime.NumCPU() < workers {
 				b.Skipf("host has %d CPUs; scaling at %d workers not measurable", runtime.NumCPU(), workers)
 			}
+			prev := runtime.GOMAXPROCS(workers)
+			b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			rt, procs := smpBenchFleet(b)
-			if _, err := rt.RunSMP(procs, 0, 1<<40, workers); err != nil {
+			if _, err := rt.RunConcurrent(procs, 0, 1<<40); err != nil {
 				b.Fatal(err) // warm-up: decode, patch, map stacks
 			}
 			var before uint64
@@ -67,7 +71,7 @@ func BenchmarkTier1SMPScaling(b *testing.B) {
 				for _, p := range procs {
 					p.CPU.Reset()
 				}
-				if _, err := rt.RunSMP(procs, 0, 1<<40, workers); err != nil {
+				if _, err := rt.RunConcurrent(procs, 0, 1<<40); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,7 +2,6 @@ package runtimes
 
 import (
 	"fmt"
-	"runtime"
 
 	"xcontainers/internal/arch"
 	"xcontainers/internal/cycles"
@@ -78,21 +77,14 @@ func (ln *smpLane) live() bool {
 }
 
 // RunConcurrent executes several tier-1 processes of one container in
-// lockstep quanta (see the file comment), using up to GOMAXPROCS host
-// workers. Results are byte-identical for any GOMAXPROCS.
+// lockstep quanta (see the file comment) on a par.NewFor pool of
+// min(GOMAXPROCS, len(procs)) host workers. Results are byte-identical
+// for any GOMAXPROCS.
 //
 // Returns the elapsed virtual wall-clock time — the slowest vCPU's
 // timeline — and an error if any process faults or the combined step
 // budget is exhausted.
 func (r *Runtime) RunConcurrent(procs []*Proc, quantum cycles.Cycles, maxSteps uint64) (cycles.Cycles, error) {
-	return r.RunSMP(procs, quantum, maxSteps, 0)
-}
-
-// RunSMP is RunConcurrent with an explicit host worker count: the
-// number of OS-scheduled goroutines executing lane slices in parallel.
-// workers <= 0 means GOMAXPROCS. The worker count changes wall-clock
-// speed only, never results.
-func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, workers int) (cycles.Cycles, error) {
 	if len(procs) == 0 {
 		return 0, nil
 	}
@@ -107,9 +99,6 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 	}
 	if quantum == 0 {
 		quantum = DefaultQuantum()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	start := clk.Now()
@@ -145,7 +134,7 @@ func (r *Runtime) RunSMP(procs []*Proc, quantum cycles.Cycles, maxSteps uint64, 
 
 	// Host worker pool (internal/sim/par). With one worker the
 	// coordinator runs slices inline — same lane order, same results.
-	pool := par.New(min(workers, len(procs)))
+	pool := par.NewFor(len(procs))
 	defer pool.Close()
 	run := make([]*smpLane, 0, len(lanes)) // the sub-phase's runnable lanes
 	slice := func(i int) { run[i].runSlice() }

@@ -1,6 +1,7 @@
 package runtimes
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -79,7 +80,7 @@ type smpSnapshot struct {
 	abom    uint64
 }
 
-func runSMPOnce(t *testing.T, workers int) smpSnapshot {
+func runSMPOnce(t *testing.T) smpSnapshot {
 	t.Helper()
 	rt := MustNew(Config{Kind: XContainer, Patched: true, Cloud: LocalCluster})
 	c, err := rt.NewContainer("smp", 4, false)
@@ -101,7 +102,7 @@ func runSMPOnce(t *testing.T, workers int) smpSnapshot {
 		}
 		procs = append(procs, p)
 	}
-	elapsed, err := rt.RunSMP(procs, cycles.FromMicros(100), 100_000_000, workers)
+	elapsed, err := rt.RunConcurrent(procs, cycles.FromMicros(100), 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,27 +117,26 @@ func runSMPOnce(t *testing.T, workers int) smpSnapshot {
 	return s
 }
 
-// TestRunSMPDeterministic pins the tentpole determinism claim: the
-// worker count (and GOMAXPROCS) changes wall-clock speed only — every
-// lane's registers, counters, virtual clocks, and the runtime's ABOM
-// stats are byte-identical.
+// TestRunSMPDeterministic pins the tentpole determinism claim:
+// GOMAXPROCS, which sets the worker pool's width, changes wall-clock
+// speed only — every lane's registers, counters, virtual clocks, and
+// the runtime's ABOM stats are byte-identical.
 func TestRunSMPDeterministic(t *testing.T) {
-	base := runSMPOnce(t, 1)
-	if base.elapsed == 0 {
-		t.Fatal("no time consumed")
-	}
-	for _, workers := range []int{2, 4, 7} {
-		got := runSMPOnce(t, workers)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d diverged from workers=1:\n got %+v\nwant %+v", workers, got, base)
-		}
-	}
-	// And under a different host parallelism altogether.
-	prev := runtime.GOMAXPROCS(1)
-	got := runSMPOnce(t, 0)
-	runtime.GOMAXPROCS(prev)
-	if !reflect.DeepEqual(got, base) {
-		t.Errorf("GOMAXPROCS=1 diverged:\n got %+v\nwant %+v", got, base)
+	var base smpSnapshot
+	for _, gmp := range []int{1, 2, 4, 7} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(gmp)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			got := runSMPOnce(t)
+			if gmp == 1 {
+				if got.elapsed == 0 {
+					t.Fatal("no time consumed")
+				}
+				base = got
+			} else if !reflect.DeepEqual(got, base) {
+				t.Errorf("diverged from GOMAXPROCS=1:\n got %+v\nwant %+v", got, base)
+			}
+		})
 	}
 }
 

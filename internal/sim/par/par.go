@@ -7,6 +7,13 @@
 // state private to it until Run returns (see the callers' own
 // determinism arguments).
 //
+// Every pool follows one sizing rule: min(GOMAXPROCS, items) workers
+// (NewFor). The width changes wall-clock time only, so GOMAXPROCS is
+// the one setting for it; the only caller that takes a worker count of
+// its own is the sharded cluster, whose Config.ShardWorkers serves its
+// tests and the benchmark harness. Cells is the one-shot form for
+// independent items.
+//
 // A Pool keeps its helpers alive across Run calls, so a phase costs one
 // wake and one ack per helper, not a goroutine start. The caller's own
 // goroutine claims items too: W workers are the caller plus W-1
@@ -14,7 +21,11 @@
 // never holds up the others' start.
 package par
 
-import "sync/atomic"
+import (
+	"cmp"
+	"runtime"
+	"sync/atomic"
+)
 
 // Pool is a fixed set of workers for repeated bulk-synchronous phases.
 // Run and Close must be called from one goroutine at a time.
@@ -47,6 +58,27 @@ func New(workers int) *Pool {
 		}
 	}
 	return p
+}
+
+// NewFor starts a pool sized by the package rule for a phase of items
+// items: min(GOMAXPROCS, items) workers.
+func NewFor(items int) *Pool { return New(min(runtime.GOMAXPROCS(0), items)) }
+
+// Cells computes fn(i) for every i in [0, n) on a NewFor(n) pool and
+// returns the results in index order. Each item must write only its
+// own state, so the results are the same for any worker count or claim
+// order. On failure it returns the error of the lowest failing index:
+// the one a serial loop would have stopped at.
+func Cells[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	p := NewFor(n)
+	defer p.Close()
+	p.Run(n, func(i int) { out[i], errs[i] = fn(i) })
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Workers returns the pool's width, the caller included.

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -87,5 +88,63 @@ func TestRunAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Run allocates %v times in 100 phases, want 0", n)
+	}
+}
+
+// TestCells checks the one-shot helper's contract at GOMAXPROCS 1 (one
+// worker, every item inline and in order) and 4: results come back in
+// index order, and of several failing items the lowest index's error
+// wins. With helpers, the low items wait for the top one to finish, so
+// completion order is not index order.
+func TestCells(t *testing.T) {
+	for _, gmp := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", gmp), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(gmp)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			// waitFor blocks until item top has returned; only a pool
+			// of three or more workers has one left to run it.
+			waitFor := func(top *atomic.Bool) {
+				for gmp > 2 && !top.Load() {
+					runtime.Gosched()
+				}
+			}
+
+			const n = 16
+			var last atomic.Bool
+			out, err := Cells(n, func(i int) (int, error) {
+				switch i {
+				case 0, 1:
+					waitFor(&last)
+				case n - 1:
+					defer last.Store(true)
+				}
+				return i*i + 1, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range out {
+				if v != i*i+1 {
+					t.Fatalf("out[%d] = %d, want %d", i, v, i*i+1)
+				}
+			}
+
+			var hi atomic.Bool
+			out, err = Cells(n, func(i int) (int, error) {
+				switch i {
+				case 2:
+					waitFor(&hi)
+				case 11:
+					defer hi.Store(true)
+				}
+				if i == 2 || i == 5 || i == 11 {
+					return 0, fmt.Errorf("item %d", i)
+				}
+				return i, nil
+			})
+			if out != nil || err == nil || err.Error() != "item 2" {
+				t.Fatalf("Cells = %v, %v; want nil and the error of item 2", out, err)
+			}
+		})
 	}
 }

@@ -78,21 +78,18 @@ type ClusterSpec struct {
 	Ingress *IngressSpec
 	// Shards, when >= 1, runs the fleet on the epoch-sharded engine:
 	// replicas spread over per-shard event engines advancing in parallel
-	// between epoch barriers. Reports are byte-identical for any
-	// Shards >= 1 and any ShardWorkers; the sharded model quantizes
-	// routing and control to epochs, so it differs from Shards == 0.
+	// between epoch barriers on a pool of min(GOMAXPROCS, Shards)
+	// workers. Reports are byte-identical for any Shards >= 1 and any
+	// GOMAXPROCS; the sharded model quantizes routing and control to
+	// epochs, so it differs from Shards == 0.
 	Shards int
 	// EpochMicros is the sharded engine's barrier period in virtual
 	// microseconds (0 = twice the per-request cost, capped at 500) — a
 	// model parameter, unlike Shards.
 	EpochMicros float64
-	// ShardWorkers bounds the goroutines driving shard engines: at
-	// most n; epochs too small to repay a handoff run inline
-	// (0 = min(Shards, GOMAXPROCS)). Purely a wall-clock knob.
-	ShardWorkers int
 	// Observe, when non-nil, arms the observability layer: the report
 	// gains a TimeSeries and a WriteTrace-able flight-recorder trace,
-	// byte-identical for any Shards >= 1 and any ShardWorkers.
+	// byte-identical for any Shards >= 1 and any GOMAXPROCS.
 	Observe *ObserveSpec
 }
 
@@ -176,7 +173,6 @@ func (c *Cluster) Serve(w *Workload, spec ClusterSpec, t *TrafficSpec) (*Cluster
 		FailNodeAtSec: spec.FailNode,
 		Shards:        spec.Shards,
 		EpochUS:       spec.EpochMicros,
-		ShardWorkers:  spec.ShardWorkers,
 		Observe:       spec.Observe.options(),
 	}
 	if in := spec.Ingress; in != nil {

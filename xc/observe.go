@@ -34,20 +34,15 @@ type ObserveSpec struct {
 }
 
 // Observe starts an observability spec with the defaults: 1000 µs
-// windows, a 65536-record trace ring, queue-depth tracing off.
+// windows, queue-depth tracing off, and a fixed 65536-record trace
+// ring whose overflow overwrites the oldest records, with drop
+// accounting in the report.
 func Observe() *ObserveSpec { return &ObserveSpec{} }
 
 // WindowMicros sets the time-series window width in virtual
 // microseconds (0 = 1000).
 func (o *ObserveSpec) WindowMicros(us float64) *ObserveSpec {
 	o.opts.WindowUS = us
-	return o
-}
-
-// Ring bounds the trace ring in records (0 = 65536). Overflow
-// overwrites the oldest records, with drop accounting in the report.
-func (o *ObserveSpec) Ring(records int) *ObserveSpec {
-	o.opts.RingCap = records
 	return o
 }
 

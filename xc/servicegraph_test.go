@@ -319,9 +319,11 @@ func TestClusterIngressReportGolden(t *testing.T) {
 }
 
 // TestIngressSweepParallelDeterminism: a cluster-behind-ingress sweep
-// merges to byte-identical JSON regardless of the worker count.
+// merges to byte-identical JSON regardless of GOMAXPROCS, the worker
+// pool's width.
 func TestIngressSweepParallelDeterminism(t *testing.T) {
-	run := func(parallel int) string {
+	run := func(gmp int) string {
+		setGOMAXPROCS(t, gmp)
 		rep, err := Sweep(SweepSpec{
 			Kind:     XContainer,
 			Workload: App("memcached"),
@@ -332,7 +334,6 @@ func TestIngressSweepParallelDeterminism(t *testing.T) {
 				Nodes: 2, NodeCores: 4, Replicas: 3,
 				Ingress: Ingress().Policy(LeastQueue).TimeoutMicros(900).Retries(1),
 			},
-			Parallel: parallel,
 		})
 		if err != nil {
 			t.Fatal(err)

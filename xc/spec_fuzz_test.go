@@ -95,8 +95,8 @@ func checkServe(t *testing.T, serve func() ([]byte, error), unfit func(error) bo
 // clusterSpecSeeds cover each field's valid and invalid choices.
 var clusterSpecSeeds = [][]byte{
 	{},
-	{1, 2, 1, 4, 1, 1, 1, 0, 0, 1, 1, 0, 1, 3, 2, 1, 0, 1, 2, 9, 1, 1},
-	{2, 4, 2, 6, 2, 2, 0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0, 0, 2},
+	{1, 2, 1, 4, 1, 1, 1, 0, 0, 1, 1, 1, 3, 2, 1, 0, 1, 2, 9, 1, 1},
+	{2, 4, 2, 6, 2, 2, 0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 0, 0, 0, 2},
 	{0, 3, 1, 2, 3, 3, 0, 2},          // policy 9
 	{0, 3, 1, 2, 0, 3, 0, 0, 0, 1, 3}, // SLO NaN, epoch NaN
 	{0, 3, 1, 2, 0, 0, 1, 3, 0, 2, 4}, // fail node +Inf, epoch +Inf
@@ -124,9 +124,8 @@ func FuzzClusterServe(f *testing.F) {
 			FailNode:  pick(b, "fail node", ok(0.0), ok(0.0005), bad(math.NaN()), bad(math.Inf(1)), bad(-1.0)),
 			Chaos: pick(b, "chaos", ok(""), ok("crash@0.0005"), ok("partition@0.0003+0.0003,frac=0.5"),
 				ok("gray@0.0002+0.0005,count=1,err=0.3;probes,interval=0.0002"), ok("restart@0.0004,count=1")),
-			Shards:       int(b.next() % 4),
-			EpochMicros:  pick(b, "epoch", ok(0.0), ok(20.0), ok(100.0), bad(math.NaN()), bad(math.Inf(1)), bad(-1.0)),
-			ShardWorkers: int(b.next() % 3),
+			Shards:      int(b.next() % 4),
+			EpochMicros: pick(b, "epoch", ok(0.0), ok(20.0), ok(100.0), bad(math.NaN()), bad(math.Inf(1)), bad(-1.0)),
 		}
 		if spec.FailNode != 0 && spec.Chaos != "" {
 			b.bad = append(b.bad, "fail node with a chaos plan")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -14,10 +13,10 @@ import (
 
 // SweepSpec describes a family of independent replications — a rate
 // sweep, a seed sweep, a policy sweep, or any product of the three —
-// run in parallel on a bounded worker pool (internal/sim/par). Every
-// replication is one single-threaded engine with its own platform (or
-// fleet), so workers share nothing and the merged report is
-// byte-identical regardless of Parallel.
+// run in parallel on a pool of min(GOMAXPROCS, replications) workers
+// (internal/sim/par). Every replication is one single-threaded engine
+// with its own platform (or fleet), so workers share nothing and the
+// merged report is byte-identical for any GOMAXPROCS.
 //
 //	rep, err := xc.Sweep(xc.SweepSpec{
 //		Kind:     xc.XContainer,
@@ -57,9 +56,6 @@ type SweepSpec struct {
 	// Policies sweeps placement policies (cluster mode only); empty
 	// means the Cluster spec's policy.
 	Policies []PlacementPolicy
-
-	// Parallel bounds the worker pool (0 = GOMAXPROCS).
-	Parallel int
 }
 
 // SweepStat is one metric aggregated across a point's seeds.
@@ -114,8 +110,8 @@ type sweepRun struct {
 	tp, mean, p50, p95, p99, util float64
 }
 
-// Sweep runs the spec's replications on a bounded worker pool and
-// merges them into a deterministic report. Any replication error
+// Sweep runs the spec's replications on a GOMAXPROCS-wide worker pool
+// and merges them into a deterministic report. Any replication error
 // aborts the sweep (the first, in point order, is returned).
 func Sweep(spec SweepSpec) (*SweepReport, error) {
 	if spec.Workload == nil {
@@ -165,22 +161,11 @@ func Sweep(spec SweepSpec) (*SweepReport, error) {
 		seeds = []uint64{base.load.Seed}
 	}
 
-	jobs := len(points) * len(seeds)
-	runs := make([]sweepRun, jobs)
-	errs := make([]error, jobs)
-	workers := spec.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := par.New(min(workers, jobs))
-	pool.Run(jobs, func(i int) {
-		runs[i], errs[i] = sweepOne(spec, points[i/len(seeds)], seeds[i%len(seeds)], base)
+	runs, err := par.Cells(len(points)*len(seeds), func(i int) (sweepRun, error) {
+		return sweepOne(spec, points[i/len(seeds)], seeds[i%len(seeds)], base)
 	})
-	pool.Close()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &SweepReport{

@@ -1,14 +1,22 @@
 package xc
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
 
+// setGOMAXPROCS sets GOMAXPROCS, which sizes every worker pool, for the
+// rest of the test and restores the old value when it ends.
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSweepDeterministicAcrossWorkerCounts is the sweep's core
 // contract: the merged JSON is byte-identical whether replications run
-// serially or on every core, because results merge by point order, not
-// completion order.
+// serially (GOMAXPROCS 1) or on a pool of eight, because results merge
+// by point order, not completion order.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := SweepSpec{
 		Kind:     XContainer,
@@ -17,12 +25,12 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		Rates:    []float64{100_000, 300_000, 0},
 		Seeds:    []uint64{1, 2, 3},
 	}
-	spec.Parallel = 1
+	setGOMAXPROCS(t, 1)
 	serial, err := Sweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Parallel = 8
+	setGOMAXPROCS(t, 8)
 	parallel, err := Sweep(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -19,14 +19,13 @@ import (
 // Builders never fail in place; errors surface from Build or
 // Platform.Run, so chains stay fluent.
 type Workload struct {
-	name        string
-	app         *apps.App
-	text        *arch.Text
-	iters       uint32
-	granularity int
-	warmup      uint
-	observe     *ObserveSpec
-	err         error
+	name    string
+	app     *apps.App
+	text    *arch.Text
+	iters   uint32
+	warmup  uint
+	observe *ObserveSpec
+	err     error
 }
 
 const defaultIterations = 50
@@ -84,13 +83,6 @@ func (w *Workload) Iterations(n uint32) *Workload {
 	return w
 }
 
-// Granularity sets how many syscall-site calls one main-loop iteration
-// expands to (default 100); application workloads only.
-func (w *Workload) Granularity(n int) *Workload {
-	w.granularity = n
-	return w
-}
-
 // Warmup sets how many warm-up passes Platform.Run executes over the
 // same text before the measured run. Each pass runs the full binary in
 // a throwaway container sharing the text, so under X-Containers the
@@ -141,7 +133,7 @@ func (w *Workload) Build() (*arch.Text, error) {
 	if w.iters == 0 {
 		return nil, fmt.Errorf("xc: workload %q: iterations must be at least 1", w.name)
 	}
-	return w.app.BuildBinary(w.iters, w.granularity)
+	return w.app.BuildBinary(w.iters, 0)
 }
 
 // appByName resolves names case-insensitively over the full catalog.
